@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .golden import golden_max_rows
+
 __all__ = [
     "EntryDistribution",
     "Gaussian",
@@ -454,31 +456,10 @@ def _numeric_psi_max(dist: EntryDistribution, psi_inf: float, max_doublings: int
         if vals[i] > best:
             lo = grid[max(i - 1, 0)]
             hi = grid[min(i + 1, grid.size - 1)]
-            t_star, v_star = _golden_max(lambda t: dist.psi(sign * t), lo, hi)
-            best = max(best, v_star, float(vals[i]))
+            _, v_star = golden_max_rows(lambda t, _rows: dist.psi(sign * t), [lo], [hi],
+                                        1e-12, relative=True)
+            best = max(best, float(v_star[0]), float(vals[i]))
     return best
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section maximization on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 # ---------------------------------------------------------------------------

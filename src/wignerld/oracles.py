@@ -3,7 +3,7 @@
 These deliberately avoid the multiplier formulation used by the main code
 path: the Gibbs oracle maximizes the discretized objective directly by
 projected gradient ascent under the two linear constraints, and the rate
-oracle integrates the square-root density numerically.  Agreement between
+oracles integrate the square-root density numerically.  Agreement between
 the two routes is what the invariant suites assert.
 """
 
@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .gibbs import GibbsProblem
 
-__all__ = ["gibbs_grid_oracle", "quad_goe_rate", "fd_log_potential_slope"]
+__all__ = ["gibbs_grid_oracle", "quad_goe_rate", "quad_log_potential", "fd_log_potential_slope"]
 
 
 def _project_affine(y, A, AAT_inv, b):
@@ -105,6 +105,26 @@ def quad_goe_rate(x: float) -> float:
     if x < 2.0:
         return math.inf
     val, _ = quad(lambda y: 0.5 * math.sqrt(y * y - 4.0), 2.0, x, epsabs=1e-12, epsrel=1e-12)
+    return val
+
+
+def quad_log_potential(x: float) -> float:
+    """Semicircle log-potential by adaptive quadrature.
+
+    The substitution s = 2 cos(phi) turns the endpoint square-root weight
+    into sin^2(phi), leaving an integrand that adaptive quadrature handles
+    to absolute accuracy 1e-10 even at x = 2.
+    """
+    x = float(x)
+    if x < 2.0:
+        raise ValueError(f"x={x} is below the spectral edge 2")
+
+    def integrand(phi):
+        return (2.0 / math.pi) * math.sin(phi) ** 2 * math.log(x - 2.0 * math.cos(phi))
+
+    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    if err > 1e-10:
+        raise RuntimeError(f"log-potential quadrature error {err:.2e} at x={x}")
     return val
 
 

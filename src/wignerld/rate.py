@@ -31,6 +31,7 @@ from scipy.interpolate import CubicSpline
 from . import free_energy, semicircle
 from .entries import EntryDistribution
 from .gibbs import _grid_for, solve_exponent_batch, values_from_batch
+from .golden import golden_max_rows
 
 __all__ = [
     "HatSpec",
@@ -45,6 +46,7 @@ __all__ = [
     "RateError",
     "RateCurveError",
     "sup_theta",
+    "sup_theta_rows",
     "joint_rate",
     "rate_point",
     "rate_curve",
@@ -195,69 +197,84 @@ class RateCurve:
 # inner supremum over theta
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def sup_theta_rows(x: float, pen, rows=None, bracket_hint: float = None, *,
+                   n_grid: int = 512, theta_tol: float = 1e-10):
+    """Maximize J(x, theta) - pen(theta, rows) over theta, row by row.
+
+    ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
+    that row's thetas; ``rows`` holds one scalar profile parameter per row
+    (the hat-mode mass alpha), which failures name.  With ``rows=None``
+    there is one row and ``pen`` receives None.  Returns ``(theta_star[M],
+    value[M])``.
+
+    Each row scans 512 points of [theta_minus + 1e-6, T]; its T doubles from
+    8 (or from ``bracket_hint``) until the objective at T has dropped a unit
+    below the row's maximum, failing with "unbounded objective" past
+    T = 1024 (a penalty that grows slower than J signals an infeasible
+    profile).  Golden-section search then refines every row's best cell at
+    once; a row whose refined value falls below its grid maximum keeps the
+    grid point.
+    """
+    pt = semicircle.theta_roots(x)
+    lo = pt.theta_minus + _THETA_OFFSET
+    m = 1 if rows is None else len(rows)
+
+    def objective(theta, idx):
+        return semicircle.j_value(x, theta) - pen(theta, None if rows is None else rows[idx])
+
+    def where(k):
+        return f"x={x}" if rows is None else f"x={x}, alpha={rows[k]}"
+
+    T = np.full(m, _T_INIT if bracket_hint is None else max(float(bracket_hint), lo + 1e-3))
+    grid = np.empty((m, n_grid))
+    vals = np.empty((m, n_grid))
+    todo = np.arange(m)
+    while todo.size:
+        g = np.linspace(lo, T[todo], n_grid, axis=1)
+        v = objective(g, todo)
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            raise RateError(f"non-finite objective in theta scan at {where(todo[bad[0]])}")
+        grid[todo], vals[todo] = g, v
+        todo = todo[v[:, -1] > v.max(axis=1) - _DECAY_MARGIN]
+        stuck = todo[T[todo] >= _T_MAX]
+        if stuck.size:
+            k = stuck[0]
+            raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
+        T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
+
+    r = np.arange(m)
+    i = vals.argmax(axis=1)
+    best = vals[r, i]
+    a = grid[r, np.maximum(i - 1, 0)]
+    b = grid[r, np.minimum(i + 1, n_grid - 1)]
+    theta_star, value = golden_max_rows(
+        lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, theta_tol
+    )
+    low = value < best
+    theta_star[low], value[low] = grid[r, i][low], best[low]
+    return theta_star, value
 
 
 def sup_theta(x: float, penalty, bracket_hint: float = None, *, n_grid: int = 512,
               theta_tol: float = 1e-10):
-    """Maximize J(x, theta) - penalty(theta) over theta.
+    """Maximize J(x, theta) - penalty(theta) over theta: one row of ``sup_theta_rows``.
 
-    ``penalty`` must accept numpy arrays.  A 512-point grid on
-    [theta_minus + 1e-6, T] locates the best cell and golden-section search
-    refines it; T doubles from 8 (or from ``bracket_hint``) until the
-    objective at T has dropped a unit below the running maximum, failing
-    with "unbounded objective" past T = 1024 (a penalty that grows slower
-    than J signals an infeasible profile).
+    ``penalty`` must accept 1-D numpy arrays.
     """
-    pt = semicircle.theta_roots(x)
-    lo = pt.theta_minus + _THETA_OFFSET
-
-    def objective(theta):
-        return semicircle.j_value(x, theta) - penalty(theta)
-
-    T = _T_INIT if bracket_hint is None else max(float(bracket_hint), lo + 1e-3)
-    while True:
-        grid = np.linspace(lo, T, n_grid)
-        vals = objective(grid)
-        if not np.all(np.isfinite(vals)):
-            raise RateError(f"non-finite objective in theta scan at x={x}")
-        best = float(vals.max())
-        if vals[-1] <= best - _DECAY_MARGIN:
-            break
-        if T >= _T_MAX:
-            raise RateError(f"unbounded objective: no decay by theta={T} at x={x}")
-        T = min(2.0 * T, _T_MAX)
-
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n_grid - 1)]
-    theta_star, value = _golden_max(lambda t: float(objective(np.array([t]))[0]), a, b, theta_tol)
-    if value < best:
-        theta_star, value = grid[i], best
-    return float(theta_star), float(value)
+    theta_star, value = sup_theta_rows(
+        x, lambda theta, _rows: penalty(theta.ravel()), None, bracket_hint,
+        n_grid=n_grid, theta_tol=theta_tol,
+    )
+    return float(theta_star[0]), float(value[0])
 
 
 # ---------------------------------------------------------------------------
 # fast single-coordinate (hat) evaluator
 
 _HAT_LOCK = threading.Lock()
-_HAT_CACHE: dict = {}
+_HAT_CACHE: dict = {}  # dist.key() -> _HatEvaluator, least recently used first
+_HAT_CACHE_SIZE = 8
 
 
 class _Phi1Table:
@@ -339,10 +356,12 @@ class _HatEvaluator:
 def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
     key = dist.key()
     with _HAT_LOCK:
-        ev = _HAT_CACHE.get(key)
+        ev = _HAT_CACHE.pop(key, None)
         if ev is None:
             ev = _HatEvaluator(dist)
-            _HAT_CACHE[key] = ev
+        _HAT_CACHE[key] = ev
+        if len(_HAT_CACHE) > _HAT_CACHE_SIZE:
+            del _HAT_CACHE[next(iter(_HAT_CACHE))]
     return ev
 
 
@@ -446,19 +465,18 @@ def joint_rate(dist: EntryDistribution, x: float, spec, bracket_hint: float = No
 
 
 def _refine_scalar_minima(f, grid: np.ndarray, vals: np.ndarray):
-    """Golden-section refinement around every local minimum of f on the grid."""
-    n = grid.size
-    candidates = []
-    for i in range(n):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < n - 1 else np.inf
-        if vals[i] <= left and vals[i] <= right:
-            a = grid[max(i - 1, 0)]
-            b = grid[min(i + 1, n - 1)]
-            xs, vneg = _golden_max(lambda s: -f(s), a, b, 1e-8)
-            candidates.append((xs, -vneg))
-            candidates.append((float(grid[i]), float(vals[i])))
-    return candidates
+    """Golden-section refinement around every local minimum of f on the grid.
+
+    ``f`` maps an array of arguments to an array of values; all minima are
+    refined together, one call of ``f`` per golden step.
+    """
+    left = np.concatenate(([np.inf], vals[:-1]))
+    right = np.concatenate((vals[1:], [np.inf]))
+    i = np.flatnonzero((vals <= left) & (vals <= right))
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, grid.size - 1)]
+    xs, vneg = golden_max_rows(lambda t, _rows: -f(t), a, b, 1e-8)
+    return list(zip(xs.tolist(), (-vneg).tolist())) + list(zip(grid[i].tolist(), vals[i].tolist()))
 
 
 def _pick_smallest_minimizer(candidates):
@@ -483,16 +501,16 @@ def rate_point(dist: EntryDistribution, x: float, mode, cap: float = 0.95) -> Ra
     if isinstance(mode, HatMode):
         ev = _hat_evaluator(dist)
 
-        def jhat(alpha: float) -> float:
-            return sup_theta(x, ev.penalty(x, alpha))[1]
+        def pen(theta, alpha):
+            return ev.penalty(x, alpha[:, None])(theta)
 
         grid = np.linspace(0.0, cap, 201)
-        vals = np.array([jhat(a) for a in grid])
-        candidates = _refine_scalar_minima(jhat, grid, vals)
+        vals = sup_theta_rows(x, pen, grid)[1]
+        candidates = _refine_scalar_minima(lambda a: sup_theta_rows(x, pen, a)[1], grid, vals)
         alpha_star, rate = _pick_smallest_minimizer(candidates)
         if alpha_star > cap - 1e-3:
             warnings.warn(f"hat-mode minimizer {alpha_star:.4f} sits at the cap {cap}")
-        theta_star, _ = sup_theta(x, ev.penalty(x, alpha_star))
+        theta_star = float(sup_theta_rows(x, pen, np.array([alpha_star]))[0][0])
         return RatePoint(x, rate, theta_star, HatSpec(alpha_star), goe)
 
     if isinstance(mode, FiniteNMode):

@@ -1,18 +1,15 @@
 """Semicircle-law quantities entering the rate-function formulas.
 
-Stateless closed forms plus one cached quadrature (the log-potential).
-All functions require the deviation target x >= 2 except ``goe_rate``,
-which returns +inf below the bulk edge.
+Stateless closed forms.  All functions require the deviation target
+x >= 2 except ``goe_rate``, which returns +inf below the bulk edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "SpectralPoint",
@@ -51,25 +48,19 @@ def stieltjes(x: float) -> float:
     return theta_roots(x).stieltjes
 
 
-@lru_cache(maxsize=4096)
 def log_potential(x: float) -> float:
-    """Integral of log(x - s) against the semicircle density.
+    """Integral of log(x - s) against the semicircle density, x >= 2.
 
-    The substitution s = 2 cos(phi) turns the endpoint square-root weight
-    into sin^2(phi), leaving an integrand that adaptive quadrature handles
-    to absolute accuracy 1e-10 even at x = 2.
+    Closed form x/(x + r) - 1/2 + log((x + r)/2) with r = sqrt(x^2 - 4).  It
+    equals x^2/4 - 1/2 - goe_rate(x), but subtracts no nearly equal terms,
+    so it keeps full precision from the edge (value 1/2) to the far field
+    (about log x).  ``oracles.quad_log_potential`` integrates it directly.
     """
     x = float(x)
     if x < 2.0:
         raise ValueError(f"x={x} is below the spectral edge 2")
-
-    def integrand(phi):
-        return (2.0 / math.pi) * math.sin(phi) ** 2 * math.log(x - 2.0 * math.cos(phi))
-
-    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    if err > 1e-10:
-        raise RuntimeError(f"log-potential quadrature error {err:.2e} at x={x}")
-    return val
+    r = math.sqrt((x - 2.0) * (x + 2.0))
+    return x / (x + r) - 0.5 + math.log((x + r) / 2.0)
 
 
 def goe_rate(x):

@@ -38,6 +38,44 @@ def test_sup_theta_bracket_hint():
     assert v == pytest.approx(semicircle.goe_rate(3.0), abs=1e-9)
 
 
+def test_sup_theta_rows_quadratic_penalties():
+    # J(x, theta) - c theta^2 peaks at theta* = (x + sqrt(x^2 - 4c)) / (4c); the
+    # c = 0.02 row (theta* ~ 75) must double T from 8 to 128, the others stop at 8
+    x = 3.0
+    c = np.array([0.5, 1.0, 2.0, 0.02])
+    scans = []
+
+    def pen(theta, rows):
+        if theta.shape[1] > 1:
+            scans.append((rows.copy(), theta[:, -1].copy()))
+        return rows[:, None] * theta**2
+
+    theta_star, value = rate.sup_theta_rows(x, pen, c)
+    exact = (x + np.sqrt(x * x - 4.0 * c)) / (4.0 * c)
+    for k in range(c.size):
+        # a golden search pins a flat maximum's argmax only to ~1e-8 relative
+        assert theta_star[k] == pytest.approx(exact[k], rel=1e-8, abs=1e-8)
+        top = semicircle.j_value(x, exact[k]) - c[k] * exact[k] ** 2
+        assert value[k] == pytest.approx(top, abs=1e-8)
+        assert (theta_star[k], value[k]) == rate.sup_theta(x, lambda t: c[k] * t**2)
+    assert np.array_equal(scans[0][1], np.full(4, 8.0))
+    assert all(list(rows) == [0.02] for rows, _ in scans[1:])
+    assert [float(ends[0]) for _, ends in scans[1:]] == [16.0, 32.0, 64.0, 128.0]
+
+
+def test_sup_theta_rows_unbounded_row():
+    with pytest.raises(rate.RateError, match=r"unbounded.*x=3\.0, alpha=0\.0"):
+        rate.sup_theta_rows(3.0, lambda t, c: c[:, None] * t**2, np.array([1.0, 0.0]))
+
+
+def test_sup_theta_rows_non_finite_row_named():
+    def pen(theta, alpha):
+        return np.where(alpha[:, None] == 0.25, np.nan, theta**2)
+
+    with pytest.raises(rate.RateError, match=r"non-finite.*x=3\.0, alpha=0\.25"):
+        rate.sup_theta_rows(3.0, pen, np.array([0.0, 0.25, 0.5]))
+
+
 # --- joint rate -------------------------------------------------------------------
 
 
@@ -81,6 +119,21 @@ def test_hat_objective_alpha_continuity():
             assert abs(jhat(x, a) - jhat(x, b)) <= ALPHA_LIPSCHITZ * abs(a - b) + 1e-9
 
 
+def test_hat_evaluator_cache_is_bounded():
+    laws = [SparseGaussian(p) for p in np.linspace(0.3, 0.9, rate._HAT_CACHE_SIZE + 3)]
+    saved = dict(rate._HAT_CACHE)
+    try:
+        for d in laws:
+            rate._hat_evaluator(d)
+        assert len(rate._HAT_CACHE) == rate._HAT_CACHE_SIZE
+        last = rate._hat_evaluator(laws[-1])
+        assert rate._hat_evaluator(laws[-1]) is last
+        assert laws[0].key() not in rate._HAT_CACHE
+    finally:
+        rate._HAT_CACHE.clear()
+        rate._HAT_CACHE.update(saved)
+
+
 # --- rate points ---------------------------------------------------------------------
 
 
@@ -95,6 +148,18 @@ def test_rate_point_sparse_gaussian_localizes():
     p = rate.rate_point(SG, 3.0, rate.HatMode())
     assert p.rate < p.goe_rate - 1e-3
     assert p.minimizer.alpha > 0.25
+
+
+@pytest.mark.parametrize("x, expected_rate, expected_alpha", [
+    (2.54, 0.268484281925, 0.292565645),
+    (2.78, 0.406723957610, 0.398764756),
+    (3.0, 0.545274547821, 0.460421615),
+])
+def test_rate_point_sparse_gaussian_pinned(x, expected_rate, expected_alpha):
+    # reference values from one scalar sup_theta search per alpha grid value
+    p = rate.rate_point(SG, x, rate.HatMode())
+    assert p.rate == pytest.approx(expected_rate, abs=1e-9)
+    assert p.minimizer.alpha == pytest.approx(expected_alpha, abs=1e-7)
 
 
 def test_rate_point_at_edge():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerld import semicircle
-from wignerld.oracles import fd_log_potential_slope, quad_goe_rate
+from wignerld.oracles import fd_log_potential_slope, quad_goe_rate, quad_log_potential
 
 
 def test_theta_roots_edge():
@@ -47,6 +47,7 @@ def test_log_potential_far_field():
 def test_log_potential_matches_closed_form():
     for x in (2.1, 2.5, 3.0, 4.0, 7.0):
         closed = x * x / 4.0 - 0.5 - semicircle.goe_rate(x)
+        assert quad_log_potential(x) == pytest.approx(closed, abs=1e-10)
         assert semicircle.log_potential(x) == pytest.approx(closed, abs=1e-10)
 
 
