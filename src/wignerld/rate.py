@@ -14,7 +14,11 @@ masses.
 The single-coordinate (hat) mode is the hot path for curve generation; its
 Gibbs term reduces to a one-variable function that is precomputed on a grid
 and interpolated by a cubic spline (values checked against the direct
-free-energy path in the test suite).
+free-energy path in the test suite).  Hat mode is batched over x: every
+(x, alpha) pair of a block of targets is one row of the row-wise theta
+search ``sup_theta_rows``, so the targets share one grid pass, one row-wise
+golden search over alpha and one final theta* pass.  The vector modes
+evaluate one target and one profile at a time.
 """
 
 from __future__ import annotations
@@ -197,40 +201,46 @@ class RateCurve:
 # inner supremum over theta
 
 
-def sup_theta_rows(x: float, pen, rows=None, bracket_hint: float = None, *,
+def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
                    n_grid: int = 512, theta_tol: float = 1e-10):
     """Maximize J(x, theta) - pen(theta, rows) over theta, row by row.
 
+    ``x`` is one target for every row or an array of one target per row.
     ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
-    that row's thetas; ``rows`` holds one scalar profile parameter per row
-    (the hat-mode mass alpha), which failures name.  With ``rows=None``
-    there is one row and ``pen`` receives None.  Returns ``(theta_star[M],
-    value[M])``.
+    that row's thetas.  ``rows`` holds each row's profile parameters: a
+    scalar mass alpha, or a record whose last entry is alpha (the hat
+    mode's (x, alpha) pairs); failures name the row's x and alpha.  With
+    ``rows=None`` there is one row and ``pen`` receives None.
+    Returns ``(theta_star[M], value[M])``.
 
-    Each row scans 512 points of [theta_minus + 1e-6, T]; its T doubles from
-    8 (or from ``bracket_hint``) until the objective at T has dropped a unit
-    below the row's maximum, failing with "unbounded objective" past
+    Each row scans 512 points of [theta_minus(x) + 1e-6, T]; its T doubles
+    from 8 (or from ``bracket_hint``) until the objective at T has dropped a
+    unit below the row's maximum, failing with "unbounded objective" past
     T = 1024 (a penalty that grows slower than J signals an infeasible
     profile).  Golden-section search then refines every row's best cell at
     once; a row whose refined value falls below its grid maximum keeps the
-    grid point.
+    grid point.  Rows never interact: a row's result does not depend on
+    the other rows of the call.
     """
-    pt = semicircle.theta_roots(x)
-    lo = pt.theta_minus + _THETA_OFFSET
     m = 1 if rows is None else len(rows)
+    x = np.broadcast_to(np.asarray(x, dtype=float), (m,))
+    lo = semicircle.theta_roots(x).theta_minus + _THETA_OFFSET
 
     def objective(theta, idx):
-        return semicircle.j_value(x, theta) - pen(theta, None if rows is None else rows[idx])
+        return (semicircle.j_value(x[idx, None], theta)
+                - pen(theta, None if rows is None else rows[idx]))
 
     def where(k):
-        return f"x={x}" if rows is None else f"x={x}, alpha={rows[k]}"
+        if rows is None:
+            return f"x={x[k]}"
+        return f"x={x[k]}, alpha={np.ravel(rows[k])[-1]}"
 
-    T = np.full(m, _T_INIT if bracket_hint is None else max(float(bracket_hint), lo + 1e-3))
+    T = np.full(m, _T_INIT) if bracket_hint is None else np.maximum(float(bracket_hint), lo + 1e-3)
     grid = np.empty((m, n_grid))
     vals = np.empty((m, n_grid))
     todo = np.arange(m)
     while todo.size:
-        g = np.linspace(lo, T[todo], n_grid, axis=1)
+        g = np.linspace(lo[todo], T[todo], n_grid, axis=1)
         v = objective(g, todo)
         bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
         if bad.size:
@@ -275,6 +285,8 @@ def sup_theta(x: float, penalty, bracket_hint: float = None, *, n_grid: int = 51
 _HAT_LOCK = threading.Lock()
 _HAT_CACHE: dict = {}  # dist.key() -> _HatEvaluator, least recently used first
 _HAT_CACHE_SIZE = 8
+_HAT_BLOCK = 16  # grid points per hat-mode rate_point call of rate_curve: bounds memory
+_PHI1_BLOCK_ROWS = 64  # u-rows per multiplier solve of the table build
 
 
 class _Phi1Table:
@@ -309,10 +321,17 @@ class _Phi1Table:
                 raise RateError("hat-mode Gibbs table did not converge in R")
 
     def _values_at(self, us: np.ndarray, R: float) -> np.ndarray:
+        # near-equal blocks of at most _PHI1_BLOCK_ROWS rows bound the
+        # row-by-node arrays; every block keeps >= 4 rows, and with them the
+        # coarse warm start of the multiplier solve, whenever the whole
+        # batch has them
         s, w = _grid_for(R)
-        H = self.dist.log_laplace(2.0 * us[:, None] * s)
-        zeta, log_mass, _ = solve_exponent_batch(H, s, w, 1.0)
-        return values_from_batch(log_mass, zeta, 1.0)
+        out = []
+        for u in np.array_split(us, -(-us.size // _PHI1_BLOCK_ROWS)):
+            H = self.dist.log_laplace(2.0 * u[:, None] * s)
+            zeta, log_mass, _ = solve_exponent_batch(H, s, w, 1.0)
+            out.append(values_from_batch(log_mass, zeta, 1.0))
+        return np.concatenate(out)
 
     def _build(self, u_max: float):
         n = int(math.ceil(u_max / self.du)) + 1
@@ -345,12 +364,16 @@ class _HatEvaluator:
         phi = self.phi1(theta * np.sqrt(alpha * beta)) + 0.5 * np.log(beta)
         return theta**2 * (beta**2 + 2.0 * self.psi_inf * alpha**2) + phi
 
-    def penalty(self, x: float, alpha: float):
+    def penalty(self, x, alpha):
         def pen(theta):
             q2 = np.clip(semicircle.overlap(x, theta) ** 2, 0.0, 1.0)
             return self.f_hat(theta, q2 * alpha)
 
         return pen
+
+    def row_penalty(self, theta, rows):
+        """``sup_theta_rows`` penalty of (x, alpha) rows ``rows[M, 2]``."""
+        return self.penalty(rows[:, :1], rows[:, 1:])(theta)
 
 
 def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
@@ -464,55 +487,82 @@ def joint_rate(dist: EntryDistribution, x: float, spec, bracket_hint: float = No
     return value, theta_star
 
 
-def _refine_scalar_minima(f, grid: np.ndarray, vals: np.ndarray):
-    """Golden-section refinement around every local minimum of f on the grid.
-
-    ``f`` maps an array of arguments to an array of values; all minima are
-    refined together, one call of ``f`` per golden step.
-    """
-    left = np.concatenate(([np.inf], vals[:-1]))
-    right = np.concatenate((vals[1:], [np.inf]))
-    i = np.flatnonzero((vals <= left) & (vals <= right))
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, grid.size - 1)]
-    xs, vneg = golden_max_rows(lambda t, _rows: -f(t), a, b, 1e-8)
-    return list(zip(xs.tolist(), (-vneg).tolist())) + list(zip(grid[i].tolist(), vals[i].tolist()))
-
-
 def _pick_smallest_minimizer(candidates):
     vmin = min(v for _, v in candidates)
     ties = [a for a, v in candidates if v <= vmin + _TIE_TOL]
     return min(ties), vmin
 
 
-def rate_point(dist: EntryDistribution, x: float, mode, cap: float = 0.95) -> RatePoint:
-    """Outer infimum over the mode's profile family at a single x.
+def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
+    """Outer infimum over the mode's profile family at x.
 
-    Below the spectral edge the rate is +inf.  The feasibility cap bounds
-    the localized mass away from 1; a warning fires when the argmin presses
-    against it.  Ties report the smallest minimizer.
+    A float ``x`` gives one ``RatePoint``; a 1-D sequence gives a tuple of
+    them, in order.  Below the spectral edge the rate is +inf.  The
+    feasibility cap bounds the localized mass away from 1; a warning fires
+    when the argmin presses against it.  Ties report the smallest minimizer.
+    In hat mode every x of a sequence shares the ``sup_theta_rows`` calls
+    (see ``_hat_points``); the vector modes evaluate one x at a time.
     """
     if not 0.0 < cap < 1.0:
         raise ValueError("cap must lie in (0, 1)")
-    if x < 2.0:
-        return RatePoint(x, math.inf, math.inf, None, math.inf)
-    goe = semicircle.goe_rate(x)
-
+    single = np.ndim(x) == 0
+    xs = [x] if single else list(x)
+    points = [RatePoint(v, math.inf, math.inf, None, math.inf) if v < 2.0 else None
+              for v in xs]
+    todo = [i for i, p in enumerate(points) if p is None]
     if isinstance(mode, HatMode):
-        ev = _hat_evaluator(dist)
+        found = _hat_points(dist, [xs[i] for i in todo], cap)
+    else:
+        found = [_vector_point(dist, xs[i], mode, cap) for i in todo]
+    for i, p in zip(todo, found):
+        points[i] = p
+    return points[0] if single else tuple(points)
 
-        def pen(theta, alpha):
-            return ev.penalty(x, alpha[:, None])(theta)
 
-        grid = np.linspace(0.0, cap, 201)
-        vals = sup_theta_rows(x, pen, grid)[1]
-        candidates = _refine_scalar_minima(lambda a: sup_theta_rows(x, pen, a)[1], grid, vals)
-        alpha_star, rate = _pick_smallest_minimizer(candidates)
-        if alpha_star > cap - 1e-3:
-            warnings.warn(f"hat-mode minimizer {alpha_star:.4f} sits at the cap {cap}")
-        theta_star = float(sup_theta_rows(x, pen, np.array([alpha_star]))[0][0])
-        return RatePoint(x, rate, theta_star, HatSpec(alpha_star), goe)
+def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
+    """Hat-mode points at targets x >= 2, evaluated as (x, alpha) rows.
 
+    One ``sup_theta_rows`` call scans all 201 alpha grid values of every
+    x; one row-wise golden search refines every local minimum in alpha of
+    every x, each step one such call; one last call gives every theta*.  Rows
+    never interact, so each point equals its own single-x evaluation.
+    """
+    if not xs:
+        return []
+    ev = _hat_evaluator(dist)
+    xa = np.array(xs, dtype=float)
+    grid = np.linspace(0.0, cap, 201)
+
+    def values(x, alpha):
+        return sup_theta_rows(x, ev.row_penalty, np.column_stack((x, alpha)))
+
+    vals = values(np.repeat(xa, grid.size), np.tile(grid, xa.size))[1].reshape(xa.size, -1)
+    inf = np.full((xa.size, 1), np.inf)
+    left = np.concatenate((inf, vals[:, :-1]), axis=1)
+    right = np.concatenate((vals[:, 1:], inf), axis=1)
+    k, i = np.nonzero((vals <= left) & (vals <= right))
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, grid.size - 1)]
+    alphas, vneg = golden_max_rows(lambda t, rows: -values(xa[k[rows]], t)[1], a, b, 1e-8)
+
+    alpha_star, rates = [], []
+    for j, x in enumerate(xs):
+        own = k == j
+        candidates = (list(zip(alphas[own].tolist(), (-vneg[own]).tolist()))
+                      + list(zip(grid[i[own]].tolist(), vals[j, i[own]].tolist())))
+        a_j, rate = _pick_smallest_minimizer(candidates)
+        if a_j > cap - 1e-3:
+            warnings.warn(f"hat-mode minimizer {a_j:.4f} sits at the cap {cap}")
+        alpha_star.append(a_j)
+        rates.append(rate)
+    theta_star = values(xa, np.array(alpha_star))[0]
+    return [RatePoint(x, r, float(th), HatSpec(a_j), semicircle.goe_rate(x))
+            for x, r, th, a_j in zip(xs, rates, theta_star, alpha_star)]
+
+
+def _vector_point(dist: EntryDistribution, x: float, mode, cap: float) -> RatePoint:
+    """Finite-N or two-scale point at one target x >= 2."""
+    goe = semicircle.goe_rate(x)
     if isinstance(mode, FiniteNMode):
         R = mode.width()
         best = None
@@ -575,10 +625,13 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
                tol: float = 1e-3, threads: int = None) -> RateCurve:
     """Evaluate rate_point across a sorted grid of targets x >= 2.
 
-    Any failed point poisons the whole curve with its diagnostic.  The
-    detected threshold ``x_mu`` is the smallest grid point where the rate
-    drops below the GOE rate by more than ``tol`` (no uniqueness claim).
-    Results are deterministic regardless of the thread count.
+    Hat mode evaluates blocks of up to ``_HAT_BLOCK`` consecutive grid
+    points per ``rate_point`` call; the vector modes one point per call.
+    With ``threads > 1`` the calls go to a thread pool.  Any failed call
+    poisons the whole curve with its diagnostic.  The detected threshold
+    ``x_mu`` is the smallest grid point where the rate drops below the GOE
+    rate by more than ``tol`` (no uniqueness claim).  Results are
+    deterministic regardless of the thread count.
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):
@@ -586,31 +639,32 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     if x_grid and x_grid[0] < 2.0:
         raise ValueError("x grid must start at or above the spectral edge 2")
 
+    size = 1
     if isinstance(mode, HatMode):
         _hat_evaluator(dist)  # prime the shared table before any fan-out
+        size = _HAT_BLOCK
+    blocks = [x_grid[i:i + size] for i in range(0, len(x_grid), size)]
 
-    def run(x):
-        return rate_point(dist, x, mode, cap)
+    def run(block):
+        try:
+            return rate_point(dist, block, mode, cap)
+        except Exception as e:  # noqa: BLE001 - rewrapped with context below
+            return e
 
-    failures = []
-    points = [None] * len(x_grid)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(run, x) for i, x in enumerate(x_grid)}
-        for i in sorted(futures):
-            try:
-                points[i] = futures[i].result()
-            except Exception as e:  # noqa: BLE001 - rewrapped with context below
-                failures.append((x_grid[i], e))
+            results = list(pool.map(run, blocks))
     else:
-        for i, x in enumerate(x_grid):
-            try:
-                points[i] = run(x)
-            except Exception as e:  # noqa: BLE001
-                failures.append((x, e))
+        results = [run(block) for block in blocks]
+    failures, points = [], []
+    for block, r in zip(blocks, results):
+        if isinstance(r, Exception):
+            where = f"x={block[0]:g}" if len(block) == 1 else f"x={block[0]:g}..{block[-1]:g}"
+            failures.append(f"{where}: {r}")
+        else:
+            points.extend(r)
     if failures:
-        detail = "; ".join(f"x={x:g}: {e}" for x, e in failures[:5])
-        raise RateCurveError(f"{len(failures)} poisoned point(s): {detail}")
+        raise RateCurveError(f"{len(failures)} poisoned block(s): " + "; ".join(failures[:5]))
 
     for p in points:
         p.check()

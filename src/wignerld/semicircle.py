@@ -1,7 +1,9 @@
 """Semicircle-law quantities entering the rate-function formulas.
 
 Stateless closed forms.  All functions require the deviation target
-x >= 2 except ``goe_rate``, which returns +inf below the bulk edge.
+x >= 2 except ``goe_rate``, which returns +inf below the bulk edge.  Every
+function accepts an array of targets; scalar and array calls agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -35,12 +37,26 @@ class SpectralPoint:
         return 2.0 * self.theta_minus
 
 
-def theta_roots(x: float) -> SpectralPoint:
-    """Both roots (x -+ sqrt(x^2-4))/4; raises for x below the edge."""
-    if x < 2.0:
-        raise ValueError(f"x={x} is below the spectral edge 2")
-    s = math.sqrt(x * x - 4.0)
-    return SpectralPoint(x, (x - s) / 4.0, (x + s) / 4.0)
+def _targets(x) -> np.ndarray:
+    """``x`` as a float array, checked to lie at or above the spectral edge."""
+    x = np.asarray(x, dtype=float)
+    below = x < 2.0
+    if below.any():
+        raise ValueError(f"x={x[below][0]} is below the spectral edge 2")
+    return x
+
+
+def theta_roots(x) -> SpectralPoint:
+    """Both roots (x -+ sqrt(x^2-4))/4; raises for x below the edge.
+
+    An array ``x`` gives array roots of the same shape.
+    """
+    xa = _targets(x)
+    s = np.sqrt(xa * xa - 4.0)
+    tm, tp = (xa - s) / 4.0, (xa + s) / 4.0
+    if xa.ndim == 0:
+        return SpectralPoint(x, float(tm), float(tp))
+    return SpectralPoint(xa, tm, tp)
 
 
 def stieltjes(x: float) -> float:
@@ -48,19 +64,23 @@ def stieltjes(x: float) -> float:
     return theta_roots(x).stieltjes
 
 
-def log_potential(x: float) -> float:
+def log_potential(x):
     """Integral of log(x - s) against the semicircle density, x >= 2.
 
     Closed form x/(x + r) - 1/2 + log((x + r)/2) with r = sqrt(x^2 - 4).  It
     equals x^2/4 - 1/2 - goe_rate(x), but subtracts no nearly equal terms,
     so it keeps full precision from the edge (value 1/2) to the far field
     (about log x).  ``oracles.quad_log_potential`` integrates it directly.
+    Accepts scalars or arrays.
     """
-    x = float(x)
-    if x < 2.0:
-        raise ValueError(f"x={x} is below the spectral edge 2")
-    r = math.sqrt((x - 2.0) * (x + 2.0))
-    return x / (x + r) - 0.5 + math.log((x + r) / 2.0)
+    x = _targets(x)
+    r = np.sqrt((x - 2.0) * (x + 2.0))
+    # the C library's log, element by element: numpy's vectorized log
+    # differs from it in the last bit for some inputs, and array and scalar
+    # calls must agree exactly
+    log = np.array(list(map(math.log, ((x + r) / 2.0).ravel().tolist()))).reshape(x.shape)
+    out = x / (x + r) - 0.5 + log
+    return float(out) if out.ndim == 0 else out
 
 
 def goe_rate(x):
@@ -80,36 +100,32 @@ def goe_rate(x):
     return float(out[0]) if scalar else out
 
 
-def j_value(x: float, theta):
+def j_value(x, theta):
     """Asymptotic spherical-integral free energy J(x, theta), theta >= 0.
 
     Quadratic branch theta^2 up to theta_minus, log branch beyond; the two
-    branches meet C^1 at theta_minus.  Vectorized over theta.
+    branches meet C^1 at theta_minus.  Vectorized over theta and x, which
+    broadcast against each other.
     """
     pt = theta_roots(x)
     L = log_potential(x)
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
-    if np.any(th < 0):
+    if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    out = np.empty_like(th)
-    low = th <= pt.theta_minus
-    out[low] = th[low] ** 2
-    hi = ~low
-    out[hi] = th[hi] * x - 0.5 * L - 0.5 * np.log(2.0 * th[hi]) - 0.5
-    return float(out[0]) if scalar else out
+    th = np.maximum(theta, pt.theta_minus)  # keeps the log branch finite at theta = 0
+    out = np.where(theta <= pt.theta_minus, theta**2,
+                   th * x - 0.5 * L - 0.5 * np.log(2.0 * th) - 0.5)
+    return float(out) if out.ndim == 0 else out
 
 
-def overlap(x: float, theta):
-    """Asymptotic alignment q_x(theta) = sqrt((1 - theta_minus/theta)_+)."""
+def overlap(x, theta):
+    """Asymptotic alignment q_x(theta) = sqrt((1 - theta_minus/theta)_+).
+
+    Vectorized over theta and x, which broadcast against each other.
+    """
     pt = theta_roots(x)
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
-    if np.any(th < 0):
+    if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q2 = np.where(th > 0, 1.0 - pt.theta_minus / np.where(th > 0, th, 1.0), 0.0)
-    out = np.sqrt(np.maximum(q2, 0.0))
-    return float(out[0]) if scalar else out
+    out = np.sqrt(1.0 - pt.theta_minus / np.maximum(theta, pt.theta_minus))
+    return float(out) if out.ndim == 0 else out

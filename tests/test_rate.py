@@ -5,6 +5,7 @@ import pytest
 
 from wignerld import free_energy, rate, semicircle
 from wignerld.entries import Gaussian, SparseGaussian
+from wignerld.gibbs import _grid_for, values_from_batch
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -76,6 +77,18 @@ def test_sup_theta_rows_non_finite_row_named():
         rate.sup_theta_rows(3.0, pen, np.array([0.0, 0.25, 0.5]))
 
 
+def test_sup_theta_rows_multi_x_nan_row_named():
+    ev = rate._hat_evaluator(SG)
+    rows = np.array([[2.5, 0.25], [3.0, 0.0], [3.0, 0.25], [3.5, 0.25]])
+
+    def pen(theta, r):
+        poisoned = (r[:, :1] == 3.0) & (r[:, 1:] == 0.25)
+        return np.where(poisoned, np.nan, ev.row_penalty(theta, r))
+
+    with pytest.raises(rate.RateError, match=r"non-finite.*x=3\.0, alpha=0\.25"):
+        rate.sup_theta_rows(rows[:, 0], pen, rows)
+
+
 # --- joint rate -------------------------------------------------------------------
 
 
@@ -134,6 +147,26 @@ def test_hat_evaluator_cache_is_bounded():
         rate._HAT_CACHE.update(saved)
 
 
+def test_phi1_table_blocks_match_one_batch(monkeypatch):
+    us = np.linspace(0.0, 6.0, 150)
+    s, w = _grid_for(32.0)
+    zeta, log_mass, _ = rate.solve_exponent_batch(SG.log_laplace(2.0 * us[:, None] * s), s, w, 1.0)
+    whole = values_from_batch(log_mass, zeta, 1.0)
+    sizes = []
+    solve = rate.solve_exponent_batch
+
+    def spy(H, *args, **kwargs):
+        sizes.append(H.shape[0])
+        return solve(H, *args, **kwargs)
+
+    monkeypatch.setattr(rate, "solve_exponent_batch", spy)
+    blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
+    assert sizes == [50, 50, 50]
+    # a BLAS matrix-vector product may round a row differently at another
+    # position in the batch, so the blocks agree with one batch to rounding
+    np.testing.assert_allclose(blocks, whole, rtol=0, atol=4 * np.finfo(float).eps * np.abs(whole).max())
+
+
 # --- rate points ---------------------------------------------------------------------
 
 
@@ -160,6 +193,17 @@ def test_rate_point_sparse_gaussian_pinned(x, expected_rate, expected_alpha):
     p = rate.rate_point(SG, x, rate.HatMode())
     assert p.rate == pytest.approx(expected_rate, abs=1e-9)
     assert p.minimizer.alpha == pytest.approx(expected_alpha, abs=1e-7)
+
+
+def test_rate_point_sequence_matches_single_x_calls():
+    xs = [1.5, 2.0, 2.38, 2.50, 2.54, 2.78, 3.0]
+    batch = rate.rate_point(SG, xs, rate.HatMode())
+    assert isinstance(batch, tuple) and len(batch) == len(xs)
+    assert batch[0].rate == math.inf and batch[0].minimizer is None
+    for x, p in zip(xs[1:], batch[1:]):
+        q = rate.rate_point(SG, x, rate.HatMode())
+        assert p.x == x
+        assert (p.rate, p.minimizer.alpha, p.theta_star) == (q.rate, q.minimizer.alpha, q.theta_star)
 
 
 def test_rate_point_at_edge():
@@ -229,6 +273,17 @@ def test_rate_curve_threaded_matches_serial():
     for a, b in zip(serial.points, threaded.points):
         assert a.rate == b.rate
         assert a.minimizer.alpha == b.minimizer.alpha
+
+
+def test_rate_curve_blocks_match_pointwise():
+    grid = np.linspace(2.0, 3.14, 20).tolist()  # two hat blocks
+    assert len(grid) > rate._HAT_BLOCK
+    single = [rate.rate_point(SG, x, rate.HatMode()) for x in grid]
+    for threads in (None, 3):
+        curve = rate.rate_curve(SG, grid, rate.HatMode(), threads=threads)
+        for p, q in zip(curve.points, single):
+            assert (p.x, p.rate, p.minimizer.alpha, p.theta_star) == (
+                q.x, q.rate, q.minimizer.alpha, q.theta_star)
 
 
 def test_rate_curve_validates_grid():

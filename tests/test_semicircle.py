@@ -120,3 +120,19 @@ def test_overlap_identity_and_monotonicity():
         q = semicircle.overlap(float(x), ths)
         assert np.allclose(q * q * ths, ths - pt.theta_minus, atol=1e-14)
         assert np.all(np.diff(q) >= 0.0)
+
+
+def test_array_x_matches_scalar_calls_exactly():
+    xs = np.concatenate(([2.0], np.linspace(2.0005, 10.0, 120), np.geomspace(10.0, 1e6, 60)))
+    thetas = np.concatenate(([0.0, 0.3, 0.5], np.geomspace(1e-3, 1e4, 40)))
+    lp = semicircle.log_potential(xs)
+    jv = semicircle.j_value(xs[:, None], thetas)
+    ov = semicircle.overlap(xs[:, None], thetas)
+    for k, x in enumerate(xs.tolist()):
+        r = math.sqrt((x - 2.0) * (x + 2.0))  # the closed form in Python floats
+        assert lp[k] == semicircle.log_potential(x) == x / (x + r) - 0.5 + math.log((x + r) / 2.0)
+        assert np.array_equal(jv[k], semicircle.j_value(x, thetas))
+        assert np.array_equal(ov[k], semicircle.overlap(x, thetas))
+        assert jv[k, 1] == semicircle.j_value(x, 0.3)
+    with pytest.raises(ValueError, match="x=1.5"):
+        semicircle.j_value(np.array([2.5, 1.5]), 1.0)
