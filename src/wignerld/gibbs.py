@@ -7,10 +7,16 @@ through the dual single-variable formulation: the optimizer has density
 proportional to exp(h(s) - zeta s^2) on [-R, R], and the multiplier zeta*
 is the unique root of a strictly monotone moment equation.
 
-Quadrature is composite Simpson, restricted to the region where the
-integrand exceeds exp(-46) of its peak and refined by doubling until two
-successive levels agree to 1e-11 relative; the exponent is max-subtracted
-since h can reach several hundred for large tilts.
+``gibbs_solve`` finds the multiplier by Brent's method on a doubling
+bracket, with composite Simpson quadrature restricted to the region where
+the integrand exceeds exp(-46) of its peak and refined by doubling until
+two successive levels agree to 1e-11 relative; the exponent is
+max-subtracted since h can reach several hundred for large tilts.  The
+rate module's hot paths solve many problems on one shared Simpson grid
+with ``solve_exponent_batch`` instead: a safeguarded Newton iteration on
+the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian weight,
+warm-started from every fourth grid node, each row independent of the
+others.
 """
 
 from __future__ import annotations
@@ -321,85 +327,75 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
 
     ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
     are the matching quadrature weights.  Returns (zeta, log_mass, m2) with
-    log_mass = log int exp(H - zeta s^2).  Uses bracketed Newton: the moment
-    map is strictly decreasing in zeta, and its derivative is the (known)
-    variance of s^2, so each step is safeguarded by a shrinking bracket.
-    Large batches warm-start from a solve on a 4x coarser grid.
+    log_mass = log int exp(H - zeta s^2).  Each row runs a safeguarded
+    Newton iteration on the reciprocal moment 1/m2(zeta), which is linear in
+    zeta for a Gaussian weight, so there one step lands on the root: the
+    step is the Newton step on alpha - m2 scaled by m2/alpha.  Without
+    ``zeta_init`` a row starts from the Gaussian fit H(R)/R^2 + 1/(2 alpha).
+    The sign of alpha - m2 at each iterate tightens the row's bracket (m2
+    decreases in zeta); while a side is still open a step is clipped to
+    max(1, |zeta|), and once both are known a step leaving the bracket
+    bisects.  A row stops when |alpha - m2| <= f_tol * max(1, alpha) or its
+    bracket is narrower than 1e-13 * max(1, |zeta|), and drops out of later
+    passes.  Grids of more than 1600 nodes warm-start from a solve on every
+    fourth node.  Rows never interact: a row's result does not depend on
+    the other rows of the batch.
     """
     P = H.shape[0]
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (P,)).copy()
     s2 = s * s
+    ws = (w, w * s2, w * s2 * s2)
 
-    if zeta_init is None and s.size > 1600 and P >= 4 and (s.size - 1) % 4 == 0:
-        nc = (s.size - 1) // 4 + 1
-        wc = _simpson_weights(nc, 4.0 * (s[1] - s[0]))
-        zeta_init, _, _ = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, f_tol=1e-9)
+    if zeta_init is None and s.size > 1600 and (s.size - 1) % 4 == 0:
+        wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
+        zeta_init, _, _ = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
 
-    def stats(zeta, rows=None):
-        Hr = H if rows is None else H[rows]
-        phi = Hr - zeta[:, None] * s2
-        m = phi.max(axis=1, keepdims=True)
-        W = np.exp(phi - m) * w
-        i0 = W.sum(axis=1)
-        m2 = (W @ s2) / i0
-        m4 = (W @ (s2 * s2)) / i0
-        return np.log(i0) + m[:, 0], m2, m4
+    def stats(zeta, rows):
+        phi = np.multiply(-zeta[:, None], s2)
+        phi += H if rows.size == P else H[rows]
+        m = phi.max(axis=1)
+        phi -= m[:, None]
+        np.exp(phi, out=phi)
+        # row-wise reductions, unlike a BLAS product, round a row the same
+        # at any position in the batch
+        i0, m2, m4 = (np.einsum("ij,j->i", phi, v) for v in ws)
+        return np.log(i0) + m, m2 / i0, m4 / i0
 
     if zeta_init is None:
-        lo = np.full(P, -1.0)
-        hi = np.full(P, 1.0)
+        edge = np.array([0, -1])
+        zeta = H[:, edge].max(axis=1) / s2[edge].max() + 0.5 / alpha
     else:
-        lo = zeta_init - 0.25
-        hi = zeta_init + 0.25
-    # expand each side monotonically until it brackets (f = alpha - m2 increasing)
-    rows = np.arange(P)
-    for _ in range(128):
-        _, m2, _ = stats(lo[rows], rows)
-        bad = alpha[rows] - m2 > 0
-        rows = rows[bad]
-        if rows.size == 0:
-            break
-        lo[rows] -= np.maximum(1.0, np.abs(lo[rows]))
-        if np.any(np.abs(lo) > _ZETA_LIMIT):
-            raise GibbsError("multiplier bracket failure in batch solve")
-    rows = np.arange(P)
-    for _ in range(128):
-        _, m2, _ = stats(hi[rows], rows)
-        bad = alpha[rows] - m2 < 0
-        rows = rows[bad]
-        if rows.size == 0:
-            break
-        hi[rows] += np.maximum(1.0, np.abs(hi[rows]))
-        if np.any(hi > _ZETA_LIMIT):
-            raise GibbsError("multiplier bracket failure in batch solve")
-
-    zeta = np.clip(zeta_init, lo, hi) if zeta_init is not None else 0.5 * (lo + hi)
+        zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
+    lo = np.full(P, -np.inf)
+    hi = np.full(P, np.inf)
     log_mass = np.empty(P)
     m2_out = np.empty(P)
-    # safeguarded Newton on the active set only: converged rows freeze, so
-    # late iterations touch a handful of rows instead of the whole batch
     rows = np.arange(P)
     for _ in range(max_iter):
-        lm_r, m2_r, m4_r = stats(zeta[rows], rows)
-        log_mass[rows] = lm_r
-        m2_out[rows] = m2_r
-        f = alpha[rows] - m2_r
-        pos = f > 0
-        hi[rows[pos]] = zeta[rows[pos]]  # f increasing in zeta: root below
-        lo[rows[~pos]] = zeta[rows[~pos]]
-        width_ok = (hi[rows] - lo[rows]) <= 1e-13 * np.maximum(1.0, np.abs(zeta[rows]))
-        done = (np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows])) | width_ok
+        z = zeta[rows]
+        log_mass[rows], m2, m4 = stats(z, rows)
+        m2_out[rows] = m2
+        f = alpha[rows] - m2
+        below = f > 0  # m2 decreases in zeta: the root lies below z
+        hi[rows[below]] = z[below]
+        lo[rows[~below]] = z[~below]
+        done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
+                | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
         keep = ~done
-        f, rows = f[keep], rows[keep]
+        rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
         if rows.size == 0:
-            break
-        var4 = np.maximum((m4_r - m2_r * m2_r)[keep], 1e-300)
-        newton = zeta[rows] - f / var4
-        inside = (newton > lo[rows]) & (newton < hi[rows])
-        zeta[rows] = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
-    else:
-        raise GibbsError(f"batch multiplier solve stalled on {rows.size} problem(s)")
-    return zeta, log_mass, m2_out
+            return zeta, log_mass, m2_out
+        lo_r, hi_r = lo[rows], hi[rows]
+        step = -f * m2 / (alpha[rows] * np.maximum(m4 - m2 * m2, 1e-300))
+        cap = np.maximum(1.0, np.abs(z))
+        one_sided = np.isinf(lo_r) | np.isinf(hi_r)
+        new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
+        inside = (new > lo_r) & (new < hi_r)
+        new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
+        if not np.all(np.abs(new) <= _ZETA_LIMIT):
+            raise GibbsError("multiplier bracket failure in batch solve")
+        zeta[rows] = new
+    raise GibbsError(f"batch multiplier solve stalled on {rows.size} problem(s)")
 
 
 def values_from_batch(log_mass: np.ndarray, zeta: np.ndarray, alpha) -> np.ndarray:

@@ -60,6 +60,7 @@ _THETA_OFFSET = 1e-6  # lower bracket sits this far above theta_minus
 _T_INIT = 8.0
 _T_MAX = 1024.0
 _DECAY_MARGIN = 1.0  # the objective at T must sit this far below the max
+_SCAN_ROWS = 256  # rows per objective call of the theta scan: bounds memory
 _TIE_TOL = 1e-9  # minimizers within this of the optimum count as ties
 
 
@@ -213,9 +214,10 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     ``rows=None`` there is one row and ``pen`` receives None.
     Returns ``(theta_star[M], value[M])``.
 
-    Each row scans 512 points of [theta_minus(x) + 1e-6, T]; its T doubles
-    from 8 (or from ``bracket_hint``) until the objective at T has dropped a
-    unit below the row's maximum, failing with "unbounded objective" past
+    Each row scans 512 points of [theta_minus(x) + 1e-6, T], in objective
+    calls of at most 256 rows; its T doubles from 8 (or from
+    ``bracket_hint``) until the objective at T has dropped a unit below the
+    row's maximum, failing with "unbounded objective" past
     T = 1024 (a penalty that grows slower than J signals an infeasible
     profile).  Golden-section search then refines every row's best cell at
     once; a row whose refined value falls below its grid maximum keeps the
@@ -241,7 +243,8 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     todo = np.arange(m)
     while todo.size:
         g = np.linspace(lo[todo], T[todo], n_grid, axis=1)
-        v = objective(g, todo)
+        v = np.concatenate([objective(g[k:k + _SCAN_ROWS], todo[k:k + _SCAN_ROWS])
+                            for k in range(0, todo.size, _SCAN_ROWS)])
         bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
         if bad.size:
             raise RateError(f"non-finite objective in theta scan at {where(todo[bad[0]])}")
@@ -322,9 +325,8 @@ class _Phi1Table:
 
     def _values_at(self, us: np.ndarray, R: float) -> np.ndarray:
         # near-equal blocks of at most _PHI1_BLOCK_ROWS rows bound the
-        # row-by-node arrays; every block keeps >= 4 rows, and with them the
-        # coarse warm start of the multiplier solve, whenever the whole
-        # batch has them
+        # row-by-node arrays; the solver treats rows independently, so the
+        # blocks give the values of one batch
         s, w = _grid_for(R)
         out = []
         for u in np.array_split(us, -(-us.size // _PHI1_BLOCK_ROWS)):
@@ -393,7 +395,10 @@ def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
 
 
 def _gibbs_penalty_batch(dist, theta_arr, scale_arr, values, counts, beta_arr, R):
-    """Gibbs values for tilts (theta_i * scale_i) * values on [-R, R]."""
+    """Gibbs values for tilts (theta_i * scale_i) * values on [-R, R].
+
+    An empty profile (no ``values``) leaves the Hamiltonian zero.
+    """
     s, w = _grid_for(R)
     H = np.zeros((theta_arr.size, s.size))
     amp = theta_arr * scale_arr
@@ -418,20 +423,11 @@ def _finite_n_penalty(dist: EntryDistribution, x: float, z, N: int, R: float):
             # localized sum with profile q*z: pair products pick up q^2
             args = coefs[:, None] * (theta * q * q)
             out += (dist.log_laplace(args).T @ mults) / N
-        near_one = nsq >= 1.0 - 1e-9
-        bulk = ~near_one
+        bulk = ~(nsq >= 1.0 - 1e-9)  # a NaN overlap reaches the solver and fails there
         if bulk.any():
             beta = 1.0 - nsq[bulk]
-            out_b = theta[bulk] ** 2 * beta**2 - 0.5 * nsq[bulk]
-            if vals.size:
-                out_b += _gibbs_penalty_batch(
-                    dist, theta[bulk], q[bulk], vals, counts, beta, R
-                )
-            else:
-                out_b += _gibbs_penalty_batch(
-                    dist, theta[bulk], q[bulk], [0.0], [0.0], beta, R
-                )
-            out[bulk] += out_b
+            out[bulk] += (theta[bulk] ** 2 * beta**2 - 0.5 * nsq[bulk]
+                          + _gibbs_penalty_batch(dist, theta[bulk], q[bulk], vals, counts, beta, R))
         return out
 
     return pen
@@ -456,10 +452,7 @@ def _tilde_penalty(dist: EntryDistribution, x: float, w_check, alpha_tilde: floa
             raise RateError("two-scale profile leaves no residual mass")
         quad = beta**2 + 2 * beta * at + 2 * psi_sel * at**2 + 2 * psi_inf * (c2**2 + 2 * at * c2)
         out = theta**2 * quad - 0.5 * (1.0 - beta)
-        out += _gibbs_penalty_batch(
-            dist, theta, np.sqrt(q2), vals if vals.size else [0.0],
-            counts if vals.size else [0.0], beta, R,
-        )
+        out += _gibbs_penalty_batch(dist, theta, np.sqrt(q2), vals, counts, beta, R)
         return out
 
     return pen

@@ -7,9 +7,11 @@ from wignerld.entries import Gaussian, SparseGaussian, rademacher
 from wignerld.gibbs import (
     GibbsError,
     GibbsProblem,
+    _grid_for,
     g_value,
     gibbs_solve,
     phi_unbounded,
+    solve_exponent_batch,
     wasserstein2,
 )
 from wignerld.oracles import gibbs_grid_oracle
@@ -109,6 +111,42 @@ def test_alpha_incompatible_with_R():
 def test_solve_requires_finite_R():
     with pytest.raises(ValueError, match="finite R"):
         gibbs_solve(GibbsProblem([0.0], GAUSS, math.inf, 1.0))
+
+
+# --- batched solve -------------------------------------------------------------
+
+
+def test_batch_gaussian_weights_closed_form():
+    # Gaussian entries give h = a s^2 with a = 2 v^2, so zeta* = a + 1/(2 alpha)
+    s, w = _grid_for(16.0)
+    v = np.array([0.0, 0.3, 1.0, 2.5, 0.7])
+    alpha = np.array([1.0, 0.5, 2.0, 0.8, 1.3])
+    zeta, log_mass, m2 = solve_exponent_batch(GAUSS.log_laplace(2.0 * v[:, None] * s), s, w, alpha)
+    np.testing.assert_allclose(zeta, 2.0 * v**2 + 0.5 / alpha, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(log_mass, 0.5 * np.log(2.0 * math.pi * alpha), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(m2, alpha, rtol=0, atol=1e-9)
+
+
+def test_batch_moment_matched_across_multiplier_range():
+    # one batch from a negative multiplier (alpha above the uniform law's
+    # R^2/3) to multipliers past 100 (strong tilts)
+    s, w = _grid_for(16.0)
+    u = np.array([0.0, 0.0, 0.5, 2.0, 5.0, 8.0])
+    alpha = np.array([150.0, 1.0, 0.3, 1.0, 0.6, 1.0])
+    zeta, _, m2 = solve_exponent_batch(SG.log_laplace(2.0 * u[:, None] * s), s, w, alpha)
+    assert zeta.min() < 0.0 and zeta.max() > 100.0
+    assert np.all(np.abs(alpha - m2) <= 1e-11 * np.maximum(1.0, alpha))
+
+
+def test_batch_failures_raise():
+    s, w = _grid_for(16.0)
+    H = np.zeros((2, s.size))
+    # alpha > R^2 drives the multiplier down past the limit (28 passes per grid)
+    with pytest.raises(GibbsError, match="bracket"):
+        solve_exponent_batch(H, s, w, np.array([1.0, 16.0**2 * 1.01]), max_iter=40)
+    H[1, 100] = np.nan
+    with pytest.raises(GibbsError):
+        solve_exponent_batch(H, s, w, 1.0, max_iter=3)
 
 
 # --- identities ---------------------------------------------------------------

@@ -167,6 +167,41 @@ def test_phi1_table_blocks_match_one_batch(monkeypatch):
     np.testing.assert_allclose(blocks, whole, rtol=0, atol=4 * np.finfo(float).eps * np.abs(whole).max())
 
 
+def test_batch_rows_independent_of_their_batch():
+    us = np.linspace(0.0, 6.0, 150)
+    s, w = _grid_for(32.0)
+    H = SG.log_laplace(2.0 * us[:, None] * s)
+    whole = rate.solve_exponent_batch(H, s, w, 1.0)
+
+    def same(part, rows):
+        return all(np.array_equal(a, b[rows]) for a, b in zip(part, whole))
+
+    for k in (1, 2, 5, 6, 35, 149):  # shifted offsets: H[k:] starts anywhere in memory
+        assert same(rate.solve_exponent_batch(H[k:], s, w, 1.0), slice(k, None))
+    for k in (0, 35, 149):
+        assert same(rate.solve_exponent_batch(H[k:k + 1].copy(), s, w, 1.0), slice(k, k + 1))
+    blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
+    assert np.array_equal(blocks, values_from_batch(whole[1], whole[0], 1.0))
+
+
+def test_sup_theta_rows_scan_blocks_match_one_row_calls():
+    ev = rate._hat_evaluator(SG)
+    rows = np.array([[x, a] for x in (2.6, 3.0) for a in np.linspace(0.0, 0.9, 130)])
+    scan_rows = []
+
+    def pen(theta, r):
+        if theta.shape[1] > 1:
+            scan_rows.append(theta.shape[0])
+        return ev.row_penalty(theta, r)
+
+    theta_star, value = rate.sup_theta_rows(rows[:, 0], pen, rows)
+    assert scan_rows[:2] == [rate._SCAN_ROWS, rows.shape[0] - rate._SCAN_ROWS]
+    assert max(scan_rows) <= rate._SCAN_ROWS
+    for k in range(rows.shape[0]):
+        one = rate.sup_theta_rows(rows[k, 0], ev.row_penalty, rows[k:k + 1])
+        assert (theta_star[k], value[k]) == (one[0][0], one[1][0])
+
+
 # --- rate points ---------------------------------------------------------------------
 
 
