@@ -192,13 +192,11 @@ class SparseGaussian(EntryDistribution):
         p = self.p
         t, log_b, log_s = self._log_components(t)
         if order == 0:
+            out = np.asarray(log_s)  # logaddexp's own output, patched in place
             small = np.abs(t) < 1e-2
-            out = np.asarray(log_s, dtype=float)
             if np.any(small):
-                ts = np.asarray(t)[small]
-                out = np.array(out, ndmin=1)
-                out[np.atleast_1d(small)] = np.log1p(p * np.expm1(ts * ts / (2 * p)))
-                out = out.reshape(np.shape(log_s))
+                ts = t[small]
+                out[small] = np.log1p(p * np.expm1(ts * ts / (2 * p)))
         elif order == 1:
             out = (t / p) * np.exp(log_b - log_s)
         elif order == 2:

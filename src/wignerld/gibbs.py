@@ -7,14 +7,15 @@ through the dual single-variable formulation: the optimizer has density
 proportional to exp(h(s) - zeta s^2) on [-R, R], and the multiplier zeta*
 is the unique root of a strictly monotone moment equation.
 
-``gibbs_solve`` finds the multiplier by Brent's method on a doubling
-bracket, with composite Simpson quadrature restricted to the region where
-the integrand exceeds exp(-46) of its peak and refined by doubling until
-two successive levels agree to 1e-11 relative; the exponent is
-max-subtracted since h can reach several hundred for large tilts.  The
-rate module's hot paths solve many problems on one shared Simpson grid
-with ``solve_exponent_batch`` instead: a safeguarded Newton iteration on
-the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian weight,
+One multiplier core serves both solvers: a safeguarded Newton iteration
+on the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian
+weight, that learns its bracket from the sign of alpha - m2.
+``gibbs_solve`` feeds it one problem's moments from composite Simpson
+quadrature restricted to the region where the integrand exceeds exp(-46)
+of its peak and refined by doubling until two successive levels agree to
+1e-11 relative; the exponent is max-subtracted since h can reach several
+hundred for large tilts.  The rate module's hot paths solve many problems
+on one shared Simpson grid with ``solve_exponent_batch`` instead,
 warm-started from every fourth grid node, each row independent of the
 others.
 """
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .entries import EntryDistribution
 
@@ -35,6 +35,8 @@ _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 _QUAD_RTOL = 1e-11
 _ACTIVE_DROP = 46.0  # exp(-46) ~ 1e-20 relative cutoff for the active region
 _ZETA_LIMIT = 1e6
+_MAX_ITER = 80  # moment evaluations per multiplier solve
+_SCALAR_F_TOL = 1e-13  # |alpha - m2| stop of gibbs_solve, ~1e-13 in zeta
 
 
 class GibbsError(RuntimeError):
@@ -183,11 +185,13 @@ def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
 class GibbsSolution:
     """Multiplier, optimum value, and accessors for the optimizing measure."""
 
-    def __init__(self, problem: GibbsProblem, zeta_star: float, value: float, log_norm: float):
+    def __init__(self, problem: GibbsProblem, zeta_star: float, value: float, log_norm: float,
+                 evaluations: int):
         self.problem = problem
         self.zeta_star = zeta_star
         self.value = value
         self.log_norm = log_norm  # log of the unnormalized mass int exp(h - zeta s^2)
+        self.evaluations = evaluations  # moment evaluations of the multiplier solve
 
     @property
     def R(self) -> float:
@@ -237,45 +241,85 @@ class GibbsSolution:
         return f"GibbsSolution(zeta_star={self.zeta_star:.6g}, value={self.value:.6g})"
 
 
-def _second_moment(problem: GibbsProblem, zeta: float) -> float:
-    lo, hi = _domain(problem, zeta)
-    return _log_integrals(problem, zeta, lo, hi)[1]
+def _newton_multipliers(stats, alpha, h_edge, r2, zeta_init, f_tol, max_iter):
+    """Multipliers of the rows of alpha by a safeguarded Newton iteration.
+
+    ``stats(zeta, rows) -> (log_mass, m2, m4)`` gives the moments of the
+    weights exp(h - zeta s^2) of the listed rows.  The iteration runs on the
+    reciprocal moment 1/m2(zeta), which is linear in zeta for a Gaussian
+    weight, so there one step lands on the root: the step is the Newton step
+    on alpha - m2 scaled by m2/alpha.  Without ``zeta_init`` a row starts
+    from the Gaussian fit h_edge/r2 + 1/(2 alpha), h_edge being h at the
+    larger interval end and r2 = R^2.  The sign of alpha - m2 at each
+    iterate tightens the row's bracket (m2 decreases in zeta); while a side
+    is still open a step is clipped to max(1, |zeta|), and once both are
+    known a step leaving the bracket bisects.  A row stops when
+    |alpha - m2| <= f_tol * max(1, alpha) or its bracket is narrower than
+    1e-13 * max(1, |zeta|), and drops out of later calls of ``stats``.
+    Returns (zeta, log_mass, m2, number of ``stats`` calls).
+    """
+    P = alpha.size
+    if zeta_init is None:
+        zeta = h_edge / r2 + 0.5 / alpha
+    else:
+        zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
+    lo = np.full(P, -np.inf)
+    hi = np.full(P, np.inf)
+    log_mass = np.empty(P)
+    m2_out = np.empty(P)
+    rows = np.arange(P)
+    for calls in range(1, max_iter + 1):
+        z = zeta[rows]
+        log_mass[rows], m2, m4 = stats(z, rows)
+        m2_out[rows] = m2
+        f = alpha[rows] - m2
+        below = f > 0  # m2 decreases in zeta: the root lies below z
+        hi[rows[below]] = z[below]
+        lo[rows[~below]] = z[~below]
+        done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
+                | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
+        keep = ~done
+        rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
+        if rows.size == 0:
+            return zeta, log_mass, m2_out, calls
+        lo_r, hi_r = lo[rows], hi[rows]
+        step = -f * m2 / (alpha[rows] * np.maximum(m4 - m2 * m2, 1e-300))
+        cap = np.maximum(1.0, np.abs(z))
+        one_sided = np.isinf(lo_r) | np.isinf(hi_r)
+        new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
+        inside = (new > lo_r) & (new < hi_r)
+        new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
+        if not np.all(np.abs(new) <= _ZETA_LIMIT):
+            raise GibbsError(f"multiplier bracket failure: |zeta| > {_ZETA_LIMIT:g} or NaN")
+        zeta[rows] = new
+    raise GibbsError(f"multiplier solve stalled on {rows.size} problem(s)")
 
 
-def gibbs_solve(problem: GibbsProblem) -> GibbsSolution:
+def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolution:
     """Solve the constrained problem through its multiplier equation.
 
     The map zeta -> g'(zeta) + alpha is strictly increasing (the second
-    moment of the Gibbs weight decreases in zeta), so once a sign change is
-    bracketed the root is unique.  The bracket starts at [-1, 1] and doubles.
+    moment of the Gibbs weight decreases in zeta), so its root is unique.
+    It is found by the safeguarded Newton iteration on 1/m2(zeta) that
+    ``solve_exponent_batch`` runs, on one row whose moments come from the
+    adaptive quadrature, started from the Gaussian fit h(R)/R^2 + 1/(2 alpha).
     """
     if not np.isfinite(problem.R):
         raise ValueError("gibbs_solve needs finite R; use phi_unbounded for R=inf")
-    alpha = problem.alpha
-    if alpha > problem.R**2 * (1.0 - 1e-8):
+    alpha, R = problem.alpha, problem.R
+    if alpha > R**2 * (1.0 - 1e-8):
         # the multiplier diverges and the boundary peak falls below any
         # quadrature resolution; treat as the bracket blowing up
         raise GibbsError("multiplier bracket failure (alpha too close to R^2)")
 
-    def f(zeta):
-        return alpha - _second_moment(problem, zeta)
+    def stats(zeta, rows):
+        return tuple(np.array([c]) for c in _log_integrals(problem, float(zeta[0]), -R, R))
 
-    lo, hi = -1.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    while flo > 0.0:
-        lo *= 2.0
-        if abs(lo) > _ZETA_LIMIT:
-            raise GibbsError("multiplier bracket failure (alpha too close to R^2?)")
-        flo = f(lo)
-    while fhi < 0.0:
-        hi *= 2.0
-        if hi > _ZETA_LIMIT:
-            raise GibbsError("multiplier bracket failure")
-        fhi = f(hi)
-    zeta_star = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    log_norm = g_value(problem, zeta_star, order=0)
-    value = log_norm + alpha * zeta_star + 0.5 * (1.0 - alpha) - 0.5 * _LOG_2PI_E
-    return GibbsSolution(problem, zeta_star, value, log_norm)
+    zeta, log_mass, _, evaluations = _newton_multipliers(
+        stats, np.array([alpha]), problem.h(np.array([-R, R])).max(), R * R, _zeta_init,
+        _SCALAR_F_TOL, _MAX_ITER)
+    value = float(values_from_batch(log_mass, zeta, alpha)[0])
+    return GibbsSolution(problem, float(zeta[0]), value, float(log_mass[0]), evaluations)
 
 
 def phi_unbounded(dist: EntryDistribution, v, alpha: float, tol: float = 1e-8,
@@ -283,20 +327,20 @@ def phi_unbounded(dist: EntryDistribution, v, alpha: float, tol: float = 1e-8,
     """Whole-line optimum as the monotone limit of finite-R solves.
 
     Doubles R from ``r_start`` until successive values agree to ``tol``; the
-    sequence is nondecreasing in R by construction.
+    sequence is nondecreasing in R by construction.  Each solve starts from
+    the multiplier of the previous R.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     R = r_start
-    prev = gibbs_solve(GibbsProblem(v, dist, R, alpha)).value
+    sol = gibbs_solve(GibbsProblem(v, dist, R, alpha))
     while R <= r_max:
         R *= 2.0
-        cur = gibbs_solve(GibbsProblem(v, dist, R, alpha)).value
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
+        prev, sol = sol, gibbs_solve(GibbsProblem(v, dist, R, alpha), _zeta_init=sol.zeta_star)
+        if abs(sol.value - prev.value) < tol:
+            return sol.value
     raise GibbsError(
-        f"whole-line value did not converge by R={r_max:g}; last iterates {prev!r}, {cur!r}"
+        f"whole-line value did not converge by R={r_max:g}; last iterates {prev.value!r}, {sol.value!r}"
     )
 
 
@@ -322,24 +366,16 @@ def _grid_for(R: float, max_points: int = 16385) -> tuple:
 
 
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
-                         f_tol: float = 1e-11, max_iter: int = 80, zeta_init=None):
+                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None):
     """Vectorized multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
     are the matching quadrature weights.  Returns (zeta, log_mass, m2) with
-    log_mass = log int exp(H - zeta s^2).  Each row runs a safeguarded
-    Newton iteration on the reciprocal moment 1/m2(zeta), which is linear in
-    zeta for a Gaussian weight, so there one step lands on the root: the
-    step is the Newton step on alpha - m2 scaled by m2/alpha.  Without
-    ``zeta_init`` a row starts from the Gaussian fit H(R)/R^2 + 1/(2 alpha).
-    The sign of alpha - m2 at each iterate tightens the row's bracket (m2
-    decreases in zeta); while a side is still open a step is clipped to
-    max(1, |zeta|), and once both are known a step leaving the bracket
-    bisects.  A row stops when |alpha - m2| <= f_tol * max(1, alpha) or its
-    bracket is narrower than 1e-13 * max(1, |zeta|), and drops out of later
-    passes.  Grids of more than 1600 nodes warm-start from a solve on every
-    fourth node.  Rows never interact: a row's result does not depend on
-    the other rows of the batch.
+    log_mass = log int exp(H - zeta s^2), from the Newton iteration of
+    ``_newton_multipliers`` (the stopping rule takes ``f_tol``) on moments
+    reduced row by row on the grid.  Grids of more than 1600 nodes
+    warm-start from a solve on every fourth node.  Rows never interact: a
+    row's result does not depend on the other rows of the batch.
     """
     P = H.shape[0]
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (P,)).copy()
@@ -361,44 +397,13 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
         i0, m2, m4 = (np.einsum("ij,j->i", phi, v) for v in ws)
         return np.log(i0) + m, m2 / i0, m4 / i0
 
-    if zeta_init is None:
-        edge = np.array([0, -1])
-        zeta = H[:, edge].max(axis=1) / s2[edge].max() + 0.5 / alpha
-    else:
-        zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
-    lo = np.full(P, -np.inf)
-    hi = np.full(P, np.inf)
-    log_mass = np.empty(P)
-    m2_out = np.empty(P)
-    rows = np.arange(P)
-    for _ in range(max_iter):
-        z = zeta[rows]
-        log_mass[rows], m2, m4 = stats(z, rows)
-        m2_out[rows] = m2
-        f = alpha[rows] - m2
-        below = f > 0  # m2 decreases in zeta: the root lies below z
-        hi[rows[below]] = z[below]
-        lo[rows[~below]] = z[~below]
-        done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
-                | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
-        keep = ~done
-        rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
-        if rows.size == 0:
-            return zeta, log_mass, m2_out
-        lo_r, hi_r = lo[rows], hi[rows]
-        step = -f * m2 / (alpha[rows] * np.maximum(m4 - m2 * m2, 1e-300))
-        cap = np.maximum(1.0, np.abs(z))
-        one_sided = np.isinf(lo_r) | np.isinf(hi_r)
-        new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
-        inside = (new > lo_r) & (new < hi_r)
-        new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
-        if not np.all(np.abs(new) <= _ZETA_LIMIT):
-            raise GibbsError("multiplier bracket failure in batch solve")
-        zeta[rows] = new
-    raise GibbsError(f"batch multiplier solve stalled on {rows.size} problem(s)")
+    edge = np.array([0, -1])
+    zeta, log_mass, m2, _ = _newton_multipliers(stats, alpha, H[:, edge].max(axis=1),
+                                                s2[edge].max(), zeta_init, f_tol, max_iter)
+    return zeta, log_mass, m2
 
 
 def values_from_batch(log_mass: np.ndarray, zeta: np.ndarray, alpha) -> np.ndarray:
-    """Optimum values from a batch solve (same formula as gibbs_solve)."""
+    """Optimum values log_mass + alpha zeta + (1 - alpha)/2 - log(2 pi e)/2."""
     alpha = np.asarray(alpha, dtype=float)
     return log_mass + alpha * zeta + 0.5 * (1.0 - alpha) - 0.5 * _LOG_2PI_E

@@ -218,22 +218,17 @@ def experiment(config: dict, threads: int = None) -> MCReport:
         theta = float(config["theta"])
         u = np.full(N, 1.0 / math.sqrt(N))
         lams, stats = _run_replicas(dist, N, reps, seed, eta, (theta, u), threads)
+        params = {"theta": theta}
         if theta >= 0.5:
             extra = {"prediction": 2.0 * theta + 0.5 / theta, "regime": "supercritical"}
         else:
             # below the transition the top eigenvalue stays at the bulk edge
             extra = {"prediction": 2.0, "regime": "subcritical"}
         extra["theta"] = theta
-        return MCReport(
-            **base, params={"theta": theta},
-            lambda1=tuple(lams), mean=float(lams.mean()),
-            stderr=float(lams.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            vec_stats=stats, extra=extra,
-        )
-
-    if kind == "localization":
+    elif kind == "localization":
         top_fraction = float(config.get("top_fraction", 0.01))
         lams, stats = _run_replicas(dist, N, reps, seed, eta, None, threads)
+        params = {"top_fraction": top_fraction}
         k = max(1, int(round(top_fraction * reps)))
         order = np.argsort(lams)[::-1][:k]
         sel = np.zeros(reps, dtype=bool)
@@ -250,16 +245,10 @@ def experiment(config: dict, threads: int = None) -> MCReport:
             "unconditional_mean_linf": float(arr[:, 1].mean()),
             "unconditional_mean_support": float(arr[:, 2].mean()),
         }
-        return MCReport(
-            **base, params={"top_fraction": top_fraction},
-            lambda1=tuple(lams), mean=float(lams.mean()),
-            stderr=float(lams.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            vec_stats=stats, extra=extra,
-        )
-
-    if kind == "tail":
+    elif kind == "tail":
         x = float(config["x"])
         lams, stats = _run_replicas(dist, N, reps, seed, eta, None, threads)
+        params = {"x": x}
         hits = int((lams >= x).sum())
         extra = {"x": x, "hits": hits}
         if hits < 5:
@@ -277,11 +266,12 @@ def experiment(config: dict, threads: int = None) -> MCReport:
             center = (p + z * z / (2 * reps)) / denom
             half = z * math.sqrt(p * (1 - p) / reps + z * z / (4 * reps * reps)) / denom
             extra["wilson_interval"] = [center - half, center + half]
-        return MCReport(
-            **base, params={"x": x},
-            lambda1=tuple(lams), mean=float(lams.mean()),
-            stderr=float(lams.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
-            vec_stats=stats, extra=extra,
-        )
+    else:
+        raise ValueError(f"unknown experiment kind '{kind}'")
 
-    raise ValueError(f"unknown experiment kind '{kind}'")
+    return MCReport(
+        **base, params=params,
+        lambda1=tuple(lams), mean=float(lams.mean()),
+        stderr=float(lams.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
+        vec_stats=stats, extra=extra,
+    )

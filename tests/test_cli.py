@@ -84,6 +84,7 @@ def test_run_gibbs_solve(capsys):
     doc = json.loads(capsys.readouterr().out.strip())
     assert doc["second_moment"] == pytest.approx(0.9, abs=1e-8)
     assert doc["root_residual"] < 1e-9
+    assert 1 <= doc["moment_evaluations"] <= 8
 
 
 def test_run_free_energy(capsys):

@@ -48,6 +48,20 @@ def test_sparse_gaussian_value():
     assert round(expected, 5) == 0.62011
 
 
+def test_sparse_gaussian_array_matches_scalar_calls():
+    # the small-|t| branch is patched into the array result; it must give the
+    # scalar path's values bit for bit on both sides of |t| = 1e-2
+    for p in (0.5, 0.1):
+        dist = SparseGaussian(p)
+        t = np.concatenate([np.linspace(-0.03, 0.03, 60), [-1e-2, 1e-2, 0.0, 7.5, -40.0, 300.0]])
+        t = t.reshape(2, -1)
+        out = dist.log_laplace(t)
+        assert out.shape == t.shape
+        scalars = np.array([[dist.log_laplace(float(x)) for x in row] for row in t])
+        assert np.array_equal(out, scalars)
+        assert type(dist.log_laplace(0.005)) is float
+
+
 def test_rademacher_unit_variance():
     assert rademacher().log_laplace(0.0, 2) == pytest.approx(1.0, abs=1e-12)
 

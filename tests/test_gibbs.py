@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from wignerld.entries import Gaussian, SparseGaussian, rademacher
 from wignerld.gibbs import (
@@ -62,6 +63,49 @@ def test_solve_constraint_and_residual():
         sol = gibbs_solve(prob)
         assert sol.moment(2) == pytest.approx(prob.alpha, abs=1e-8)
         assert sol.root_residual() < 1e-9
+
+
+def _criterion_4_problems(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = rng.uniform(-0.8, 0.8, size=rng.integers(1, 3))
+        yield GibbsProblem(v, SG, rng.uniform(4.0, 9.0), rng.uniform(0.3, 1.4))
+
+
+def test_solve_matches_brent_root_oracle():
+    for prob in _criterion_4_problems(14, 12):
+        sol = gibbs_solve(prob)
+
+        def f(zeta):
+            return prob.alpha + g_value(prob, zeta, 1)
+
+        lo, hi = -1.0, 1.0
+        while f(lo) > 0.0:
+            lo *= 2.0
+        while f(hi) < 0.0:
+            hi *= 2.0
+        oracle = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        assert sol.zeta_star == pytest.approx(oracle, rel=1e-12)
+        assert type(sol.zeta_star) is float
+
+
+def test_solve_moment_evaluations_counted():
+    counts = [gibbs_solve(prob).evaluations for prob in _criterion_4_problems(15, 20)]
+    assert 1 <= min(counts) and max(counts) <= 8
+
+
+def test_solve_alpha_near_R_squared():
+    # the multiplier runs far negative; the solve may give up on the bracket
+    # but must not stall at the iteration cap
+    R = 4.0
+    prob = GibbsProblem([0.5], SG, R, R * R * (1.0 - 1e-7))
+    try:
+        sol = gibbs_solve(prob)
+    except GibbsError as err:
+        assert "bracket" in str(err)
+        return
+    assert sol.zeta_star < 0.0
+    assert sol.root_residual() < 1e-9
 
 
 def test_phi_unbounded_gaussian_entropy_closed_form():

@@ -162,9 +162,7 @@ def test_phi1_table_blocks_match_one_batch(monkeypatch):
     monkeypatch.setattr(rate, "solve_exponent_batch", spy)
     blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
     assert sizes == [50, 50, 50]
-    # a BLAS matrix-vector product may round a row differently at another
-    # position in the batch, so the blocks agree with one batch to rounding
-    np.testing.assert_allclose(blocks, whole, rtol=0, atol=4 * np.finfo(float).eps * np.abs(whole).max())
+    np.testing.assert_array_equal(blocks, whole)
 
 
 def test_batch_rows_independent_of_their_batch():
