@@ -20,36 +20,27 @@ import math
 import numpy as np
 
 from .entries import EntryDistribution
-from .gibbs import GibbsProblem, gibbs_solve, phi_unbounded
+from .gibbs import GibbsProblem, _consolidate, gibbs_solve, phi_unbounded
 
 __all__ = ["f_loc", "f_restricted", "f_hat", "f_tilde"]
 
 _NORM_ONE_CLAMP = 1e-9  # profiles within this of unit norm use the degenerate branch
 
 
-def _loc_terms(w, N: int):
-    """(coefficient, multiplicity) pairs so that the localized sum becomes
-    sum_k mult_k * L(coef_k * theta) / N.  Diagonal pairs carry sqrt(2),
-    off-diagonal pairs carry 2."""
-    w = np.asarray(w, dtype=float)
-    vals, counts = np.unique(w[w != 0.0], return_counts=True)
-    if vals.size == 0:
-        return np.empty(0), np.empty(0)
+def _loc_terms(vals, counts, N: int):
+    """(coefficient, multiplicity) arrays [M, K] of profiles with distinct
+    nonzero entries vals[M, T] and counts counts[M, T] (zero-padded), so that
+    row i's localized sum becomes sum_k mult[i, k] * L(coef[i, k] * theta) / N.
+    Diagonal pairs carry sqrt(2), off-diagonal pairs carry 2; unused terms 0."""
     root_n = math.sqrt(N)
-    coefs = []
-    mults = []
-    for a, ca in zip(vals, counts):
-        coefs.append(math.sqrt(2.0) * root_n * a * a)
-        mults.append(float(ca))
-        if ca > 1:
-            coefs.append(2.0 * root_n * a * a)
-            mults.append(ca * (ca - 1) / 2.0)
-    k = vals.size
-    for i in range(k):
-        for j in range(i + 1, k):
-            coefs.append(2.0 * root_n * vals[i] * vals[j])
-            mults.append(float(counts[i] * counts[j]))
-    return np.asarray(coefs), np.asarray(mults)
+    i, j = np.nonzero(~np.tri(vals.shape[1], dtype=bool))  # pairs i < j
+    coefs = np.concatenate([math.sqrt(2.0) * root_n * vals * vals, 2.0 * root_n * vals * vals,
+                            2.0 * root_n * vals[:, i] * vals[:, j]], axis=1)
+    mults = np.concatenate([counts, counts * (counts - 1) / 2.0, counts[:, i] * counts[:, j]],
+                           axis=1)
+    used = mults > 0
+    keep = used.any(axis=0)
+    return np.where(used, coefs, 0.0)[:, keep], mults[:, keep]
 
 
 def f_loc(dist: EntryDistribution, theta, w, N: int):
@@ -59,14 +50,15 @@ def f_loc(dist: EntryDistribution, theta, w, N: int):
     theta; cost is quadratic in the number of distinct nonzero values of w,
     not in the support size.
     """
-    coefs, mults = _loc_terms(w, N)
+    vals, counts = _consolidate(w)
+    coefs, mults = _loc_terms(vals[None], counts[None], N)
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
     th = np.atleast_1d(theta)
     if coefs.size == 0:
         out = np.zeros_like(th)
     else:
-        out = (dist.log_laplace(coefs[:, None] * th).T @ mults) / N
+        out = (dist.log_laplace(coefs[0][:, None] * th).T @ mults[0]) / N
     return float(out[0]) if scalar else out.reshape(theta.shape)
 
 

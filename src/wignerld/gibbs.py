@@ -253,7 +253,9 @@ def _newton_multipliers(stats, alpha, h_edge, r2, zeta_init, f_tol, max_iter):
     larger interval end and r2 = R^2.  The sign of alpha - m2 at each
     iterate tightens the row's bracket (m2 decreases in zeta); while a side
     is still open a step is clipped to max(1, |zeta|), and once both are
-    known a step leaving the bracket bisects.  A row stops when
+    known a step leaving the bracket bisects, as does the step of a row
+    whose bracket and residual both failed to halve over two passes
+    (Dekker 1969; Brent 1973, ch. 4).  A row stops when
     |alpha - m2| <= f_tol * max(1, alpha) or its bracket is narrower than
     1e-13 * max(1, |zeta|), and drops out of later calls of ``stats``.
     Returns (zeta, log_mass, m2, number of ``stats`` calls).
@@ -265,6 +267,7 @@ def _newton_multipliers(stats, alpha, h_edge, r2, zeta_init, f_tol, max_iter):
         zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
     lo = np.full(P, -np.inf)
     hi = np.full(P, np.inf)
+    past = np.full((2, 2, P), np.inf)  # (width, |f|) two passes and one pass back
     log_mass = np.empty(P)
     m2_out = np.empty(P)
     rows = np.arange(P)
@@ -283,11 +286,17 @@ def _newton_multipliers(stats, alpha, h_edge, r2, zeta_init, f_tol, max_iter):
         if rows.size == 0:
             return zeta, log_mass, m2_out, calls
         lo_r, hi_r = lo[rows], hi[rows]
-        step = -f * m2 / (alpha[rows] * np.maximum(m4 - m2 * m2, 1e-300))
+        # steps beyond 4 _ZETA_LIMIT leave any bracket: flooring them keeps the
+        # quotient finite where m4 - m2^2 cancels to zero (boundary-peaked rows)
+        den = np.maximum(alpha[rows] * (m4 - m2 * m2), np.abs(f * m2) / (4 * _ZETA_LIMIT) + 1e-300)
+        step = -f * m2 / den
         cap = np.maximum(1.0, np.abs(z))
         one_sided = np.isinf(lo_r) | np.isinf(hi_r)
         new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
-        inside = (new > lo_r) & (new < hi_r)
+        now = np.array([hi_r - lo_r, np.abs(f)])
+        slow = (now > 0.5 * past[0][:, rows]).all(axis=0)  # neither halved in two passes
+        past[:, :, rows] = past[1][:, rows], now
+        inside = (new > lo_r) & (new < hi_r) & ~slow
         new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
         if not np.all(np.abs(new) <= _ZETA_LIMIT):
             raise GibbsError(f"multiplier bracket failure: |zeta| > {_ZETA_LIMIT:g} or NaN")

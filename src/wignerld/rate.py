@@ -18,7 +18,7 @@ free-energy path in the test suite).  Hat mode is batched over x: every
 (x, alpha) pair of a block of targets is one row of the row-wise theta
 search ``sup_theta_rows``, so the targets share one grid pass, one row-wise
 golden search over alpha and one final theta* pass.  The vector modes
-evaluate one target and one profile at a time.
+make one such call per target, with a row per profile of the search family.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy.interpolate import CubicSpline
 
 from . import free_energy, semicircle
 from .entries import EntryDistribution
-from .gibbs import _grid_for, solve_exponent_batch, values_from_batch
+from .gibbs import _consolidate, _grid_for, solve_exponent_batch, values_from_batch
 from .golden import golden_max_rows
 
 __all__ = [
@@ -82,6 +82,9 @@ class HatSpec:
 
     alpha: float
 
+    def _row(self, dist, x):
+        return _hat_evaluator(dist).row_penalty, np.array([[x, self.alpha]], dtype=float)
+
 
 @dataclass(frozen=True)
 class FiniteNSpec:
@@ -95,6 +98,10 @@ class FiniteNSpec:
     def mass(self) -> float:
         z = np.asarray(self.z)
         return float(z @ z)
+
+    def _row(self, dist, x):
+        row = np.concatenate(([x, 0.0], *_consolidate(self.z)))[None]
+        return _VectorPenalty(dist, self.R, self.N), row
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,10 @@ class TildeSpec:
     def mass(self) -> float:
         w = np.asarray(self.w_check)
         return float(w @ w) + self.alpha_tilde
+
+    def _row(self, dist, x):
+        row = np.concatenate(([x, self.alpha_tilde], *_consolidate(self.w_check)))[None]
+        return _VectorPenalty(dist, self.R, t=self.t), row
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,10 @@ class FiniteNMode:
     def width(self) -> float:
         return self.R if self.R is not None else self.N ** 0.2
 
+    def _rows(self, dist, x, cap):
+        rows = _family_rows(self.family, self.N, None, x, [cap], [0.0])
+        return _VectorPenalty(dist, self.width(), self.N), rows
+
 
 @dataclass(frozen=True)
 class TildeMode:
@@ -164,6 +179,11 @@ class TildeMode:
 
     def width(self) -> float:
         return self.R if self.R is not None else self.N ** 0.2
+
+    def _rows(self, dist, x, cap):
+        alphas = np.linspace(0.0, cap, self.n_alpha)
+        rows = _family_rows(self.family, self.N, self.xi, x, np.sqrt(cap - alphas), alphas)
+        return _VectorPenalty(dist, self.width(), t=self.t), rows
 
 
 @dataclass(frozen=True)
@@ -210,12 +230,14 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
     that row's thetas.  ``rows`` holds each row's profile parameters: a
     scalar mass alpha, or a record whose last entry is alpha (the hat
-    mode's (x, alpha) pairs); failures name the row's x and alpha.  With
+    mode's (x, alpha) pairs); failures name the row's x and alpha, or
+    ``pen.label(row)`` where ``pen`` has one.  With
     ``rows=None`` there is one row and ``pen`` receives None.
     Returns ``(theta_star[M], value[M])``.
 
     Each row scans 512 points of [theta_minus(x) + 1e-6, T], in objective
-    calls of at most 256 rows; its T doubles from 8 (or from
+    calls of at most 256 rows, each kept only as the row's best point and
+    its neighbours; a row's T doubles from 8 (or from
     ``bracket_hint``) until the objective at T has dropped a unit below the
     row's maximum, failing with "unbounded objective" past
     T = 1024 (a penalty that grows slower than J signals an infeasible
@@ -235,37 +257,38 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     def where(k):
         if rows is None:
             return f"x={x[k]}"
+        if hasattr(pen, "label"):
+            return pen.label(rows[k])
         return f"x={x[k]}, alpha={np.ravel(rows[k])[-1]}"
 
     T = np.full(m, _T_INIT) if bracket_hint is None else np.maximum(float(bracket_hint), lo + 1e-3)
-    grid = np.empty((m, n_grid))
-    vals = np.empty((m, n_grid))
+    best, top, a, b, last = np.empty((5, m))  # per row: max, its theta, neighbours, value at T
     todo = np.arange(m)
     while todo.size:
-        g = np.linspace(lo[todo], T[todo], n_grid, axis=1)
-        v = np.concatenate([objective(g[k:k + _SCAN_ROWS], todo[k:k + _SCAN_ROWS])
-                            for k in range(0, todo.size, _SCAN_ROWS)])
-        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
-        if bad.size:
-            raise RateError(f"non-finite objective in theta scan at {where(todo[bad[0]])}")
-        grid[todo], vals[todo] = g, v
-        todo = todo[v[:, -1] > v.max(axis=1) - _DECAY_MARGIN]
+        for k in range(0, todo.size, _SCAN_ROWS):
+            idx = todo[k:k + _SCAN_ROWS]
+            g = np.linspace(lo[idx], T[idx], n_grid, axis=1)
+            v = objective(g, idx)
+            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+            if bad.size:
+                raise RateError(f"non-finite objective in theta scan at {where(idx[bad[0]])}")
+            r = np.arange(idx.size)
+            i = v.argmax(axis=1)
+            best[idx], top[idx], last[idx] = v[r, i], g[r, i], v[:, -1]
+            a[idx] = g[r, np.maximum(i - 1, 0)]
+            b[idx] = g[r, np.minimum(i + 1, n_grid - 1)]
+        todo = todo[last[todo] > best[todo] - _DECAY_MARGIN]
         stuck = todo[T[todo] >= _T_MAX]
         if stuck.size:
             k = stuck[0]
             raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
         T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
 
-    r = np.arange(m)
-    i = vals.argmax(axis=1)
-    best = vals[r, i]
-    a = grid[r, np.maximum(i - 1, 0)]
-    b = grid[r, np.minimum(i + 1, n_grid - 1)]
     theta_star, value = golden_max_rows(
         lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, theta_tol
     )
     low = value < best
-    theta_star[low], value[low] = grid[r, i][low], best[low]
+    theta_star[low], value[low] = top[low], best[low]
     return theta_star, value
 
 
@@ -289,7 +312,7 @@ _HAT_LOCK = threading.Lock()
 _HAT_CACHE: dict = {}  # dist.key() -> _HatEvaluator, least recently used first
 _HAT_CACHE_SIZE = 8
 _HAT_BLOCK = 16  # grid points per hat-mode rate_point call of rate_curve: bounds memory
-_PHI1_BLOCK_ROWS = 64  # u-rows per multiplier solve of the table build
+_GIBBS_BLOCK_ROWS = 64  # rows per multiplier solve of _gibbs_values: bounds memory
 
 
 class _Phi1Table:
@@ -324,16 +347,7 @@ class _Phi1Table:
                 raise RateError("hat-mode Gibbs table did not converge in R")
 
     def _values_at(self, us: np.ndarray, R: float) -> np.ndarray:
-        # near-equal blocks of at most _PHI1_BLOCK_ROWS rows bound the
-        # row-by-node arrays; the solver treats rows independently, so the
-        # blocks give the values of one batch
-        s, w = _grid_for(R)
-        out = []
-        for u in np.array_split(us, -(-us.size // _PHI1_BLOCK_ROWS)):
-            H = self.dist.log_laplace(2.0 * u[:, None] * s)
-            zeta, log_mass, _ = solve_exponent_batch(H, s, w, 1.0)
-            out.append(values_from_batch(log_mass, zeta, 1.0))
-        return np.concatenate(out)
+        return _gibbs_values(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
 
     def _build(self, u_max: float):
         n = int(math.ceil(u_max / self.du)) + 1
@@ -350,6 +364,22 @@ class _Phi1Table:
                 if self.spline is None or top > self.u_max:
                     self._build(max(6.0, 1.5 * top))
         return self.spline(u)
+
+
+def _gibbs_values(dist, amp, vals, counts, beta, R):
+    """Gibbs values on [-R, R] of rows i with budget beta[i] (or a shared
+    beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), solved
+    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows."""
+    s, w = _grid_for(R)
+    beta = np.broadcast_to(beta, amp.shape)
+    out = []
+    for b in np.array_split(np.arange(amp.size), -(-amp.size // _GIBBS_BLOCK_ROWS) or 1):
+        terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[b, None] * s)
+                 for v, c in zip(vals[b].T, counts[b].T) if c.any()]  # padding adds nothing
+        H = sum(terms[1:], terms[0]) if terms else np.zeros((b.size, s.size))
+        zeta, log_mass, _ = solve_exponent_batch(H, s, w, beta[b])
+        out.append(values_from_batch(log_mass, zeta, beta[b]))
+    return np.concatenate(out)
 
 
 class _HatEvaluator:
@@ -391,71 +421,75 @@ def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# batched penalties for the vector modes
+# vector modes: a row is (x, alpha_tilde, v_1..v_T, n_1..n_T), a target with
+# a profile's moderate-scale mass (0 in finite-N mode) and its distinct
+# nonzero entries v_j with their counts n_j, zero-padded
 
 
-def _gibbs_penalty_batch(dist, theta_arr, scale_arr, values, counts, beta_arr, R):
-    """Gibbs values for tilts (theta_i * scale_i) * values on [-R, R].
-
-    An empty profile (no ``values``) leaves the Hamiltonian zero.
-    """
-    s, w = _grid_for(R)
-    H = np.zeros((theta_arr.size, s.size))
-    amp = theta_arr * scale_arr
-    for v, c in zip(values, counts):
-        H += c * dist.log_laplace(2.0 * v * amp[:, None] * s)
-    zeta, log_mass, _ = solve_exponent_batch(H, s, w, beta_arr)
-    return values_from_batch(log_mass, zeta, beta_arr)
+def _terms(rows):
+    """Entries, counts and squared norm of each vector row's profile."""
+    T = (rows.shape[1] - 2) // 2
+    v, n = rows[:, 2:2 + T], rows[:, 2 + T:]
+    return v, n, (n * v * v).sum(axis=1)
 
 
-def _finite_n_penalty(dist: EntryDistribution, x: float, z, N: int, R: float):
-    z = np.asarray(z, dtype=float)
-    zsq = float(z @ z)
-    vals, counts = np.unique(z[z != 0.0], return_counts=True)
-    coefs, mults = free_energy._loc_terms(z, N)
+@dataclass(frozen=True)
+class _VectorPenalty:
+    """``sup_theta_rows`` penalty of vector rows, in finite-N mode for an N
+    and in two-scale mode for N None, with alpha_tilde priced at psi(t), or
+    at sup psi for t None."""
 
-    def pen(theta):
-        theta = np.asarray(theta, dtype=float)
-        q = semicircle.overlap(x, theta)
-        nsq = np.clip(q * q * zsq, 0.0, 1.0)
-        out = np.zeros_like(theta)
-        if coefs.size:
+    dist: EntryDistribution
+    R: float
+    N: int = None
+    t: float = None
+
+    def label(self, row) -> str:
+        _, n, csq = _terms(row[None])
+        out = f"x={row[0]}, k={n.sum():g}, c={math.sqrt(csq[0])}"
+        return out if self.N else out + f", alpha_tilde={row[1]}"
+
+    def spec(self, row):
+        v, n, _ = _terms(row[None])
+        z = tuple(np.repeat(v[0], n[0].astype(int))) or (0.0,)
+        return (FiniteNSpec(z, self.N, self.R) if self.N
+                else TildeSpec(z, float(row[1]), self.R, self.t))
+
+    def __call__(self, theta, rows):
+        dist = self.dist
+        vals, counts, csq = _terms(rows)
+        q = semicircle.overlap(rows[:, :1], theta)
+
+        def gibbs(amp, beta, where):
+            owner = np.nonzero(where)[0]
+            return _gibbs_values(dist, amp[where], vals[owner], counts[owner], beta[where], self.R)
+
+        if self.N:
+            nsq = np.clip(q * q * csq[:, None], 0.0, 1.0)
+            coefs, mults = free_energy._loc_terms(vals, counts, self.N)
             # localized sum with profile q*z: pair products pick up q^2
-            args = coefs[:, None] * (theta * q * q)
-            out += (dist.log_laplace(args).T @ mults) / N
-        bulk = ~(nsq >= 1.0 - 1e-9)  # a NaN overlap reaches the solver and fails there
-        if bulk.any():
-            beta = 1.0 - nsq[bulk]
-            out[bulk] += (theta[bulk] ** 2 * beta**2 - 0.5 * nsq[bulk]
-                          + _gibbs_penalty_batch(dist, theta[bulk], q[bulk], vals, counts, beta, R))
-        return out
+            args = coefs[:, :, None] * (theta * q * q)[:, None, :]
+            out = (dist.log_laplace(args) * mults[:, :, None]).sum(axis=1) / self.N
+            bulk = ~(nsq >= 1.0 - 1e-9)  # a NaN overlap reaches the solver and fails there
+            beta = 1.0 - nsq
+            out[bulk] += (theta[bulk] ** 2 * beta[bulk] ** 2 - 0.5 * nsq[bulk]
+                          + gibbs(theta * q, beta, bulk))
+            return out
 
-    return pen
-
-
-def _tilde_penalty(dist: EntryDistribution, x: float, w_check, alpha_tilde: float,
-                   R: float, t: float):
-    w_check = np.asarray(w_check, dtype=float)
-    csq = float(w_check @ w_check)
-    vals, counts = np.unique(w_check[w_check != 0.0], return_counts=True)
-    ext = dist.psi_extremes()
-    psi_sel = ext.psi_max if t is None else float(dist.psi(t))
-    psi_inf = ext.psi_infty
-
-    def pen(theta):
-        theta = np.asarray(theta, dtype=float)
-        q2 = np.clip(semicircle.overlap(x, theta) ** 2, 0.0, 1.0)
-        c2 = q2 * csq
-        at = q2 * alpha_tilde
+        ext = dist.psi_extremes()
+        psi_sel = ext.psi_max if self.t is None else float(dist.psi(self.t))
+        q2 = np.clip(q * q, 0.0, 1.0)
+        c2 = q2 * csq[:, None]
+        at = q2 * rows[:, 1:2]
         beta = 1.0 - at - c2
-        if np.any(beta <= 0):
-            raise RateError("two-scale profile leaves no residual mass")
-        quad = beta**2 + 2 * beta * at + 2 * psi_sel * at**2 + 2 * psi_inf * (c2**2 + 2 * at * c2)
-        out = theta**2 * quad - 0.5 * (1.0 - beta)
-        out += _gibbs_penalty_batch(dist, theta, np.sqrt(q2), vals, counts, beta, R)
-        return out
-
-    return pen
+        empty = np.flatnonzero((beta <= 0).any(axis=1))
+        if empty.size:
+            where = self.label(rows[empty[0]])
+            raise RateError(f"two-scale profile leaves no residual mass at {where}")
+        quad = (beta**2 + 2 * beta * at + 2 * psi_sel * at**2
+                + 2 * ext.psi_infty * (c2**2 + 2 * at * c2))
+        return (theta**2 * quad - 0.5 * (1.0 - beta)
+                + gibbs(theta * np.sqrt(q2), beta, ~(beta <= 0)).reshape(theta.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +500,11 @@ def joint_rate(dist: EntryDistribution, x: float, spec, bracket_hint: float = No
     """Inner supremum for a fixed localization profile: (value, theta_star).
 
     The profile is scaled by the overlap before entering the free energy:
-    linearly for vector components, quadratically for scalar masses.
+    linearly for vector components, quadratically for scalar masses.  It is
+    one row of ``sup_theta_rows``, as in ``rate_point``.
     """
-    if isinstance(spec, HatSpec):
-        pen = _hat_evaluator(dist).penalty(x, spec.alpha)
-    elif isinstance(spec, FiniteNSpec):
-        pen = _finite_n_penalty(dist, x, spec.z, spec.N, spec.R)
-    elif isinstance(spec, TildeSpec):
-        pen = _tilde_penalty(dist, x, spec.w_check, spec.alpha_tilde, spec.R, spec.t)
-    else:
-        raise TypeError(f"unknown localization spec {spec!r}")
-    theta_star, value = sup_theta(x, pen, bracket_hint)
-    return value, theta_star
+    theta_star, value = sup_theta_rows(x, *spec._row(dist, x), bracket_hint)
+    return float(value[0]), float(theta_star[0])
 
 
 def _pick_smallest_minimizer(candidates):
@@ -494,7 +521,8 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
     feasibility cap bounds the localized mass away from 1; a warning fires
     when the argmin presses against it.  Ties report the smallest minimizer.
     In hat mode every x of a sequence shares the ``sup_theta_rows`` calls
-    (see ``_hat_points``); the vector modes evaluate one x at a time.
+    (see ``_hat_points``); the vector modes make one ``sup_theta_rows``
+    call per x whose rows are the family's profiles (see ``_vector_point``).
     """
     if not 0.0 < cap < 1.0:
         raise ValueError("cap must lie in (0, 1)")
@@ -554,64 +582,34 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
 
 
 def _vector_point(dist: EntryDistribution, x: float, mode, cap: float) -> RatePoint:
-    """Finite-N or two-scale point at one target x >= 2."""
-    goe = semicircle.goe_rate(x)
-    if isinstance(mode, FiniteNMode):
-        R = mode.width()
-        best = None
-        for k, c in _vector_family(mode.family, mode.N, cap, None):
-            z = np.full(k, c / math.sqrt(k)) if c > 0 else np.zeros(1)
-            spec = FiniteNSpec(tuple(z), mode.N, R)
-            value, th = joint_rate(dist, x, spec)
-            cand = (value, c, k, th, spec)
-            if best is None or _better(cand, best):
-                best = cand
-        value, c, _, th, spec = best
-        if c > cap - 1e-3:
-            warnings.warn(f"finite-N minimizer mass {c:.4f} sits at the cap {cap}")
-        return RatePoint(x, value, th, spec, goe)
-
-    if isinstance(mode, TildeMode):
-        R = mode.width()
-        best = None
-        for at in np.linspace(0.0, cap, mode.n_alpha):
-            room = cap - at
-            if room < 0:
-                continue
-            for k, c in _vector_family(mode.family, mode.N, math.sqrt(room), mode.xi):
-                w = np.full(k, c / math.sqrt(k)) if c > 0 else np.zeros(1)
-                spec = TildeSpec(tuple(w), float(at), R, mode.t)
-                value, th = joint_rate(dist, x, spec)
-                cand = (value, c * c + at, k, th, spec)
-                if best is None or _better(cand, best):
-                    best = cand
-        value, mass, _, th, spec = best
-        if mass > cap - 1e-3:
-            warnings.warn(f"two-scale minimizer mass {mass:.4f} sits at the cap {cap}")
-        return RatePoint(x, value, th, spec, goe)
-
-    raise TypeError(f"unknown mode {mode!r}")
+    """Finite-N or two-scale point at one target x >= 2: one row per
+    profile of the family, the tie rule of hat mode on (mass, k)."""
+    pen, rows = mode._rows(dist, x, cap)
+    theta_star, value = sup_theta_rows(x, pen, rows)
+    _, n, csq = _terms(rows)
+    mass = csq + rows[:, 1]
+    keys = zip(mass, n.sum(axis=1), range(len(rows)))
+    (_, _, i), _ = _pick_smallest_minimizer(list(zip(keys, value)))
+    # the finite-N family caps the norm c, the two-scale family the mass
+    size, name = (math.sqrt(mass[i]), "finite-N") if pen.N else (mass[i], "two-scale")
+    if size > cap - 1e-3:
+        warnings.warn(f"{name} minimizer mass {size:.4f} sits at the cap {cap}")
+    return RatePoint(x, float(value[i]), float(theta_star[i]), pen.spec(rows[i]),
+                     semicircle.goe_rate(x))
 
 
-def _better(cand, best) -> bool:
-    # order: smaller value, then smaller mass, then smaller spread
-    if cand[0] < best[0] - _TIE_TOL:
-        return True
-    if cand[0] > best[0] + _TIE_TOL:
-        return False
-    return (cand[1], cand[2]) < (best[1], best[2])
-
-
-def _vector_family(family: ProfileFamily, N: int, c_max: float, xi: float):
-    """(k, c) pairs of the structured search family; includes the zero profile."""
-    yield (1, 0.0)
-    c2_grid = np.linspace(0.0, c_max * c_max, family.n_mass)[1:]
-    for k in family.ks(N):
-        for c2 in c2_grid:
-            c = math.sqrt(c2)
-            if xi is not None and c / math.sqrt(k) < xi:
-                continue  # entries fall below the large-coordinate threshold
-            yield (k, c)
+def _family_rows(family: ProfileFamily, N: int, xi: float, x: float, c_tops, alphas):
+    """Vector rows of the search family at x: for each alpha_tilde, the zero
+    profile and every c * 1_[k] / sqrt(k) with c^2 on the mass grid up to
+    c_top^2, save those with entries below the large-coordinate threshold xi."""
+    rows = []
+    for c_top, at in zip(c_tops, alphas):
+        rows.append((x, at, 0.0, 0.0))
+        c2_grid = np.linspace(0.0, c_top * c_top, family.n_mass)[1:]
+        for k in family.ks(N):
+            rows.extend((x, at, v, k) for v in np.sqrt(c2_grid[c2_grid > 0]) / math.sqrt(k)
+                        if xi is None or v >= xi)
+    return np.array(rows, dtype=float)
 
 
 def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,

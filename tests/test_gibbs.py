@@ -193,6 +193,27 @@ def test_batch_failures_raise():
         solve_exponent_batch(H, s, w, 1.0, max_iter=3)
 
 
+@pytest.mark.parametrize("R, ks", [
+    ((10**6) ** 0.2, (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)),  # the default family
+    (64.0, (1000,)),
+])
+def test_batch_converges_over_default_family(R, ks):
+    # tilts a = c theta q / sqrt(k) of the default finite-N family up to
+    # c = 0.95 and theta q = 8 (the first T of the theta scan), budgets
+    # beta in [0.05, 1].  At the default width R = N^0.2 the grid holds rows
+    # on which Newton steps alternate between two bracket ends that barely
+    # move (k = 32, a = 0.336, beta = 0.074); at R = 64 it holds
+    # boundary-peaked rows whose variance m4 - m2^2 cancels to zero
+    s, w = _grid_for(R)
+    beta = np.linspace(0.05, 1.0, 41)
+    for k in ks:
+        for a in np.linspace(0.0, 0.95 * 8.0 / math.sqrt(k), 17)[1:]:
+            H = np.repeat(k * SG.log_laplace(2.0 * a * s)[None], beta.size, axis=0)
+            zeta, log_mass, m2 = solve_exponent_batch(H, s, w, beta)
+            assert np.all(np.isfinite(zeta) & np.isfinite(log_mass))
+            assert np.all(np.abs(m2 - beta) <= 1e-6), (k, a)
+
+
 # --- identities ---------------------------------------------------------------
 
 

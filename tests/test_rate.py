@@ -266,6 +266,11 @@ def test_rate_point_finite_n_small_family():
     assert p.rate >= hat.rate - 1e-7
     assert p.rate == pytest.approx(hat.rate, abs=5e-3)
     assert len(p.minimizer.z) == 1  # single-coordinate optimum for this law
+    # reference from one sup_theta search per profile, before the family
+    # became rows of one sup_theta_rows call
+    assert p.rate == pytest.approx(0.5453422207003429, abs=1e-12)
+    assert p.minimizer == rate.FiniteNSpec((0.6717514421272202,), 10**6, (10**6) ** 0.2)
+    assert p.minimizer.mass == pytest.approx(0.45125, abs=1e-15)
 
 
 def test_rate_point_tilde_small_family():
@@ -273,6 +278,85 @@ def test_rate_point_tilde_small_family():
     p = rate.rate_point(SG, 3.0, rate.TildeMode(N=10**6, family=fam, n_alpha=7))
     assert p.rate <= semicircle.goe_rate(3.0) + 1e-6
     assert p.minimizer.mass <= 0.95
+    # reference from one sup_theta search per profile (see above)
+    assert p.rate == pytest.approx(0.5454417156987299, abs=1e-12)
+    assert p.minimizer == rate.TildeSpec((0.689202437604511,), 0.0, (10**6) ** 0.2)
+    assert p.minimizer.mass == pytest.approx(0.475, abs=1e-15)
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """Arguments and results of every sup_theta_rows call."""
+    calls = []
+    inner = rate.sup_theta_rows
+
+    def spy(x, pen, rows=None, *args, **kwargs):
+        out = inner(x, pen, rows, *args, **kwargs)
+        calls.append((pen, rows, out))
+        return out
+
+    monkeypatch.setattr(rate, "sup_theta_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [
+    rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=3)),
+    rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=3), n_alpha=2),
+])
+def test_vector_rows_equal_one_row_joint_rate(mode, row_calls):
+    p = rate.rate_point(SG, 3.0, mode)
+    (pen, rows, (theta_star, value)), = row_calls
+    assert len(rows) > 3
+    for i, row in enumerate(rows):
+        assert rate.joint_rate(SG, 3.0, pen.spec(row)) == (value[i], theta_star[i])
+    assert p.minimizer in [pen.spec(row) for row in rows]
+
+
+def test_vector_rate_point_one_row_call_per_x(row_calls):
+    fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
+    rate.rate_point(SG, [1.5, 2.8, 3.0], rate.FiniteNMode(N=10**6, family=fam))
+    assert [rows.shape[0] for _, rows, _ in row_calls] == [5, 5]
+    assert [rows[0, 0] for _, rows, _ in row_calls] == [2.8, 3.0]
+
+
+@pytest.mark.parametrize("mode, poisoned, name", [
+    (rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=3)),
+     lambda k, alpha_tilde: k == 4, r"x=3\.0, k=4, c=0\.67175"),
+    (rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=3), n_alpha=2),
+     lambda k, alpha_tilde: alpha_tilde > 0.9, r"x=3\.0, k=0, c=0\.0, alpha_tilde=0\.95"),
+])
+def test_vector_row_nan_penalty_named(mode, poisoned, name):
+    # rows (x, alpha_tilde, v, k) of one-entry profiles; the first poisoned
+    # row is the one named
+    vector_pen, rows = mode._rows(SG, 3.0, 0.95)
+
+    class Pen:
+        label = vector_pen.label
+
+        def __call__(self, theta, r):
+            bad = poisoned(r[:, 3], r[:, 1])[:, None]
+            return np.where(bad, np.nan, vector_pen(theta, r))
+
+    with pytest.raises(rate.RateError, match="non-finite.*" + name):
+        rate.sup_theta_rows(3.0, Pen(), rows)
+
+
+def test_tilde_row_without_residual_mass_named():
+    spec = rate.TildeSpec((0.8,), 0.5, 8.0)
+    name = r"x=3\.0, k=1, c=0\.8, alpha_tilde=0\.5"
+    with pytest.raises(rate.RateError, match="no residual mass at " + name):
+        rate.joint_rate(SG, 3.0, spec)
+
+
+def test_joint_rate_default_family_profile_solves():
+    # the k = 256 profile of the default family at c^2 = cap^2 / 7; its
+    # multiplier solve used to stall.  Reference from the earlier
+    # bracketing (Brent) multiplier solver.
+    c = math.sqrt(0.95**2 / 7)
+    spec = rate.FiniteNSpec(tuple(np.full(256, c / 16.0)), 10**6, (10**6) ** 0.2)
+    value, theta_star = rate.joint_rate(SG, 3.0, spec)
+    assert value == pytest.approx(0.7661849897559994, abs=1e-10)
+    assert theta_star == pytest.approx(1.3005990536186598, abs=1e-7)
 
 
 def test_rate_point_cap_warning():
