@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .golden import golden_max_rows
+from .brent import brent_max_rows
 
 __all__ = [
     "EntryDistribution",
@@ -429,7 +429,7 @@ def standardize_atoms(atoms) -> DiscreteAtoms:
 
 
 def _numeric_psi_max(dist: EntryDistribution, psi_inf: float, max_doublings: int = 40) -> float:
-    """sup_t psi(t) via grid search plus golden-section refinement.
+    """sup_t psi(t) via grid search plus bounded Brent refinement of the best cell.
 
     The half-line bracket [0, B] (and its mirror) expands by doubling from
     B = 64 until psi(+-B) is within 1e-8 of the tail limit.
@@ -454,8 +454,8 @@ def _numeric_psi_max(dist: EntryDistribution, psi_inf: float, max_doublings: int
         if vals[i] > best:
             lo = grid[max(i - 1, 0)]
             hi = grid[min(i + 1, grid.size - 1)]
-            _, v_star = golden_max_rows(lambda t, _rows: dist.psi(sign * t), [lo], [hi],
-                                        1e-12, relative=True)
+            _, v_star = brent_max_rows(lambda t, _rows: dist.psi(sign * t), [lo], [hi],
+                                       1e-12, relative=True)
             best = max(best, float(v_star[0]), float(vals[i]))
     return best
 

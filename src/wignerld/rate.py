@@ -17,7 +17,7 @@ and interpolated by a cubic spline (values checked against the direct
 free-energy path in the test suite).  Hat mode is batched over x: every
 (x, alpha) pair of a block of targets is one row of the row-wise theta
 search ``sup_theta_rows``, so the targets share one grid pass, one row-wise
-golden search over alpha and one final theta* pass.  The vector modes
+Brent search over alpha and one final theta* pass.  The vector modes
 make one such call per target, with a row per profile of the search family.
 """
 
@@ -33,9 +33,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import free_energy, semicircle
+from .brent import brent_max_rows
 from .entries import EntryDistribution
 from .gibbs import _consolidate, _grid_for, solve_exponent_batch, values_from_batch
-from .golden import golden_max_rows
 
 __all__ = [
     "HatSpec",
@@ -156,6 +156,12 @@ class HatMode:
 
 @dataclass(frozen=True)
 class FiniteNMode:
+    """Finite-N vector profiles of dimension N and width R (N^0.2 by default).
+
+    ``rate_point``'s ``cap`` bounds the profile's norm c, so its mass c^2 is
+    at most cap^2.
+    """
+
     N: int
     R: float = None
     family: ProfileFamily = field(default_factory=ProfileFamily)
@@ -170,6 +176,12 @@ class FiniteNMode:
 
 @dataclass(frozen=True)
 class TildeMode:
+    """Two-scale profiles: a large-entry vector of norm c plus a
+    moderate-scale mass alpha_tilde on ``n_alpha`` values.
+
+    ``rate_point``'s ``cap`` bounds the total mass c^2 + alpha_tilde.
+    """
+
     N: int
     xi: float = 1e-3
     R: float = None
@@ -223,7 +235,7 @@ class RateCurve:
 
 
 def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
-                   n_grid: int = 512, theta_tol: float = 1e-10):
+                   n_grid: int = 64, theta_tol: float = 1e-10):
     """Maximize J(x, theta) - pen(theta, rows) over theta, row by row.
 
     ``x`` is one target for every row or an array of one target per row.
@@ -235,15 +247,16 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     ``rows=None`` there is one row and ``pen`` receives None.
     Returns ``(theta_star[M], value[M])``.
 
-    Each row scans 512 points of [theta_minus(x) + 1e-6, T], in objective
-    calls of at most 256 rows, each kept only as the row's best point and
-    its neighbours; a row's T doubles from 8 (or from
+    Each row scans ``n_grid`` points of [theta_minus(x) + 1e-6, T], in
+    objective calls of at most 256 rows, each kept only as the row's best
+    point and its neighbours; a row's T doubles from 8 (or from
     ``bracket_hint``) until the objective at T has dropped a unit below the
     row's maximum, failing with "unbounded objective" past
     T = 1024 (a penalty that grows slower than J signals an infeasible
-    profile).  Golden-section search then refines every row's best cell at
-    once; a row whose refined value falls below its grid maximum keeps the
-    grid point.  Rows never interact: a row's result does not depend on
+    profile).  The default 64 points match a 512-point scan on the tested
+    hat and vector rows.  Bounded Brent search (``brent_max_rows``) then
+    refines every row's best cell at once; a row whose refined value falls
+    below its grid maximum keeps the grid point.  Rows never interact: a row's result does not depend on
     the other rows of the call.
     """
     m = 1 if rows is None else len(rows)
@@ -284,7 +297,7 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
             raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
         T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
 
-    theta_star, value = golden_max_rows(
+    theta_star, value = brent_max_rows(
         lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, theta_tol
     )
     low = value < best
@@ -292,14 +305,14 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     return theta_star, value
 
 
-def sup_theta(x: float, penalty, bracket_hint: float = None, *, n_grid: int = 512,
+def sup_theta(x: float, penalty, bracket_hint: float = None, *, n_grid: int = 64,
               theta_tol: float = 1e-10):
     """Maximize J(x, theta) - penalty(theta) over theta: one row of ``sup_theta_rows``.
 
     ``penalty`` must accept 1-D numpy arrays.
     """
     theta_star, value = sup_theta_rows(
-        x, lambda theta, _rows: penalty(theta.ravel()), None, bracket_hint,
+        x, lambda theta, _rows: penalty(theta.ravel()).reshape(theta.shape), None, bracket_hint,
         n_grid=n_grid, theta_tol=theta_tol,
     )
     return float(theta_star[0]), float(value[0])
@@ -518,8 +531,10 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
 
     A float ``x`` gives one ``RatePoint``; a 1-D sequence gives a tuple of
     them, in order.  Below the spectral edge the rate is +inf.  The
-    feasibility cap bounds the localized mass away from 1; a warning fires
-    when the argmin presses against it.  Ties report the smallest minimizer.
+    feasibility cap keeps the localized mass away from 1: it bounds alpha
+    in hat mode, the norm c (mass at most cap^2) in finite-N mode and
+    c^2 + alpha_tilde in two-scale mode; a warning fires when the argmin
+    presses against it.  Ties report the smallest minimizer.
     In hat mode every x of a sequence shares the ``sup_theta_rows`` calls
     (see ``_hat_points``); the vector modes make one ``sup_theta_rows``
     call per x whose rows are the family's profiles (see ``_vector_point``).
@@ -544,8 +559,9 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     """Hat-mode points at targets x >= 2, evaluated as (x, alpha) rows.
 
     One ``sup_theta_rows`` call scans all 201 alpha grid values of every
-    x; one row-wise golden search refines every local minimum in alpha of
-    every x, each step one such call; one last call gives every theta*.  Rows
+    x; one row-wise Brent search (``brent_max_rows``) refines every local
+    minimum in alpha of every x, each step one such call; one last call
+    gives every theta*.  Rows
     never interact, so each point equals its own single-x evaluation.
     """
     if not xs:
@@ -564,7 +580,7 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     k, i = np.nonzero((vals <= left) & (vals <= right))
     a = grid[np.maximum(i - 1, 0)]
     b = grid[np.minimum(i + 1, grid.size - 1)]
-    alphas, vneg = golden_max_rows(lambda t, rows: -values(xa[k[rows]], t)[1], a, b, 1e-8)
+    alphas, vneg = brent_max_rows(lambda t, rows: -values(xa[k[rows]], t)[1], a, b, 1e-8)
 
     alpha_star, rates = [], []
     for j, x in enumerate(xs):
@@ -590,10 +606,12 @@ def _vector_point(dist: EntryDistribution, x: float, mode, cap: float) -> RatePo
     mass = csq + rows[:, 1]
     keys = zip(mass, n.sum(axis=1), range(len(rows)))
     (_, _, i), _ = _pick_smallest_minimizer(list(zip(keys, value)))
-    # the finite-N family caps the norm c, the two-scale family the mass
-    size, name = (math.sqrt(mass[i]), "finite-N") if pen.N else (mass[i], "two-scale")
+    if pen.N:
+        size, name = math.sqrt(mass[i]), "finite-N minimizer norm c"
+    else:
+        size, name = mass[i], "two-scale minimizer mass"
     if size > cap - 1e-3:
-        warnings.warn(f"{name} minimizer mass {size:.4f} sits at the cap {cap}")
+        warnings.warn(f"{name} {size:.4f} sits at the cap {cap}")
     return RatePoint(x, float(value[i]), float(theta_star[i]), pen.spec(rows[i]),
                      semicircle.goe_rate(x))
 

@@ -54,7 +54,8 @@ def test_sup_theta_rows_quadratic_penalties():
     theta_star, value = rate.sup_theta_rows(x, pen, c)
     exact = (x + np.sqrt(x * x - 4.0 * c)) / (4.0 * c)
     for k in range(c.size):
-        # a golden search pins a flat maximum's argmax only to ~1e-8 relative
+        # from values alone a flat maximum's argmax is pinned only to ~1e-8
+        # relative: Brent's steps stop at sqrt(eps) |theta| + tol / 3
         assert theta_star[k] == pytest.approx(exact[k], rel=1e-8, abs=1e-8)
         top = semicircle.j_value(x, exact[k]) - c[k] * exact[k] ** 2
         assert value[k] == pytest.approx(top, abs=1e-8)
@@ -362,6 +363,12 @@ def test_joint_rate_default_family_profile_solves():
 def test_rate_point_cap_warning():
     with pytest.warns(UserWarning, match="cap"):
         rate.rate_point(SG, 3.0, rate.HatMode(), cap=0.2)
+
+
+def test_finite_n_cap_warning_names_the_norm():
+    fam = rate.ProfileFamily(k_values=(1,), n_mass=3)
+    with pytest.warns(UserWarning, match=r"finite-N minimizer norm c 0\.2000 sits at the cap"):
+        rate.rate_point(SG, 3.0, rate.FiniteNMode(N=10**6, family=fam), cap=0.2)
 
 
 def test_rate_point_smallest_tie_reported():
