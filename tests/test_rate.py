@@ -54,8 +54,9 @@ def test_sup_theta_rows_quadratic_penalties():
     theta_star, value = rate.sup_theta_rows(x, pen, c)
     exact = (x + np.sqrt(x * x - 4.0 * c)) / (4.0 * c)
     for k in range(c.size):
-        # from values alone a flat maximum's argmax is pinned only to ~1e-8
-        # relative: Brent's steps stop at sqrt(eps) |theta| + tol / 3
+        # comparisons of values pin a flat maximum's argmax only to ~1e-8
+        # relative, the width of its rounding plateau; the maximizer's
+        # closing vertex step gets inside it
         assert theta_star[k] == pytest.approx(exact[k], rel=1e-8, abs=1e-8)
         top = semicircle.j_value(x, exact[k]) - c[k] * exact[k] ** 2
         assert value[k] == pytest.approx(top, abs=1e-8)
