@@ -109,13 +109,19 @@ class EntryDistribution:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, n: int, tilt=None, rng: np.random.Generator = None):
-        """iid draws from the law, or from its exponential tilt.
+    def sampler(self, n: int, tilt=None):
+        """``draw(rng)`` returning n iid draws from the law or its exponential tilt.
 
         ``tilt`` may be a scalar or an array of per-draw tilt parameters t;
-        the tilted law reweights by exp(t x - L(t)).
+        the tilted law reweights by exp(t x - L(t)).  Everything that does
+        not depend on the stream is computed here, once, so a caller drawing
+        many samples of one shape and tilt pays only for the random numbers.
         """
         raise NotImplementedError
+
+    def sample(self, n: int, tilt=None, rng: np.random.Generator = None):
+        """n iid draws from the law, or from its exponential tilt (see ``sampler``)."""
+        return self.sampler(n, tilt)(rng)
 
     # -- identity ----------------------------------------------------------
 
@@ -159,11 +165,11 @@ class Gaussian(EntryDistribution):
     def _psi_max(self, psi_inf):
         return 0.5
 
-    def sample(self, n, tilt=None, rng=None):
-        z = rng.standard_normal(n)
+    def sampler(self, n, tilt=None):
         if tilt is None:
-            return z
-        return z + np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
+            return lambda rng: rng.standard_normal(n)
+        shift = np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
+        return lambda rng: rng.standard_normal(n) + shift
 
 
 class SparseGaussian(EntryDistribution):
@@ -221,17 +227,22 @@ class SparseGaussian(EntryDistribution):
         # psi is symmetric and nondecreasing on R+ with limit 1/(2p)
         return 0.5 / self.p
 
-    def sample(self, n, tilt=None, rng=None):
-        p = self.p
-        if tilt is None:
-            mask = rng.random(n) < p
-            return np.where(mask, rng.standard_normal(n) / math.sqrt(p), 0.0)
-        t = np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
-        _, log_b, log_s = self._log_components(t)
-        q = np.exp(log_b - log_s)  # tilted weight of the Gaussian component
-        mask = rng.random(n) < q
-        gauss = t / p + rng.standard_normal(n) / math.sqrt(p)
-        return np.where(mask, gauss, 0.0)
+    def sampler(self, n, tilt=None):
+        p, root_p = self.p, math.sqrt(self.p)
+        q, mean = p, None  # weight and mean of the Gaussian component
+        if tilt is not None:
+            t = np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
+            _, log_b, log_s = self._log_components(t)
+            q, mean = np.exp(log_b - log_s), t / p
+
+        def draw(rng):
+            mask = rng.random(n) < q
+            gauss = rng.standard_normal(n) / root_p
+            if mean is not None:
+                gauss += mean
+            return np.where(mask, gauss, 0.0)
+
+        return draw
 
     def key(self):
         return (self.kind, self.p)
@@ -316,16 +327,20 @@ class DiscreteAtoms(EntryDistribution):
     def _psi_infty(self):
         return 0.0  # compact support
 
-    def sample(self, n, tilt=None, rng=None):
+    def sampler(self, n, tilt=None):
+        xs = self.locations
         if tilt is None:
-            return rng.choice(self.locations, size=n, p=self.masses)
+            return lambda rng: rng.choice(xs, size=n, p=self.masses)
         t = np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
-        logs = self._log_masses + t[:, None] * self.locations
+        logs = self._log_masses + t[:, None] * xs
         logs -= logsumexp(logs, axis=1, keepdims=True)
-        cum = np.cumsum(np.exp(logs), axis=1)
-        u = rng.random(n)
-        idx = (u[:, None] > cum).sum(axis=1)
-        return self.locations[np.minimum(idx, self.locations.size - 1)]
+        cum = np.cumsum(np.exp(logs), axis=1)  # per-draw CDF of the tilted atoms
+
+        def draw(rng):
+            idx = (rng.random(n)[:, None] > cum).sum(axis=1)
+            return xs[np.minimum(idx, xs.size - 1)]
+
+        return draw
 
     def key(self):
         if self._subkind:

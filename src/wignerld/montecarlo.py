@@ -7,6 +7,11 @@ the derivative of the log-Laplace transform entrywise.
 
 Randomness comes from counter-based Philox streams keyed by (seed, replica
 index), so serial and parallel runs produce bit-identical reports.
+
+An experiment builds one sampling plan for its (law, N, tilt): the triangle
+positions, the entry scales, and the law's ``sampler``, which does the
+tilt's rng-free work (mixture weights, means, CDF tables) up front.  A
+replica then costs its random draws, two scatters and one eigensolve.
 """
 
 from __future__ import annotations
@@ -59,34 +64,55 @@ class WignerSample:
     tilt: tuple = None  # (theta, u) if tilted
 
 
+class _WignerPlan:
+    """The rng-free part of sampling one ensemble (law, N, tilt), built once.
+
+    It holds the law's ``draw`` for the N(N+1)/2 upper-triangle entries in
+    ``np.triu_indices`` order, their scales, and their flat positions in the
+    upper and in the lower triangle.  ``draw(rng)`` scales one draw and writes
+    it to both positions of an empty N x N array (a diagonal entry twice), so
+    every replica of an experiment pays only for its random numbers.
+    """
+
+    def __init__(self, dist: EntryDistribution, N: int, tilt=None):
+        if N < 2:
+            raise ValueError("N must be at least 2")
+        iu, ju = np.triu_indices(N)
+        diag = iu == ju
+        tparams = None
+        if tilt is not None:
+            theta, u = tilt
+            u = np.asarray(u, dtype=float)
+            if u.shape != (N,):
+                raise ValueError(f"tilt direction u has shape {u.shape}; N={N} needs ({N},)")
+            if abs(u @ u - 1.0) > 1e-9:
+                raise ValueError("tilt direction u must be a unit vector")
+            root_n = math.sqrt(N)
+            tparams = np.where(diag, math.sqrt(2.0), 2.0) * theta * root_n * u[iu] * u[ju]
+            tilt = (float(theta), tuple(u))
+        self.dist, self.N, self.tilt = dist, N, tilt
+        self._entries = dist.sampler(iu.size, tparams)
+        self._scale = np.where(diag, math.sqrt(2.0 / N), math.sqrt(1.0 / N))
+        self._upper = iu * N + ju
+        self._lower = ju * N + iu
+
+    def draw(self, rng: np.random.Generator) -> WignerSample:
+        a = self._entries(rng) * self._scale
+        H = np.empty(self.N * self.N)
+        H[self._upper] = a
+        H[self._lower] = a
+        return WignerSample(self.N, H.reshape(self.N, self.N), self.dist.kind, self.tilt)
+
+
 def sample_wigner(dist: EntryDistribution, N: int, tilt=None,
                   rng: np.random.Generator = None) -> WignerSample:
     """Symmetric N x N sample; optionally from the tilted ensemble (theta, u).
 
     The per-entry tilt parameter is sqrt(2)*theta*sqrt(N)*u_i^2 on the
     diagonal and 2*theta*sqrt(N)*u_i*u_j off it, so the tilted entry means
-    are the entry scale times L'(tilt).
+    are the entry scale times L'(tilt).  u must be a unit vector of length N.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    iu, ju = np.triu_indices(N)
-    diag = iu == ju
-    if tilt is not None:
-        theta, u = tilt
-        u = np.asarray(u, dtype=float)
-        if abs(u @ u - 1.0) > 1e-9:
-            raise ValueError("tilt direction u must be a unit vector")
-        root_n = math.sqrt(N)
-        tparams = np.where(diag, math.sqrt(2.0), 2.0) * theta * root_n * u[iu] * u[ju]
-        x = dist.sample(iu.size, tilt=tparams, rng=rng)
-    else:
-        x = dist.sample(iu.size, rng=rng)
-    scale = np.where(diag, math.sqrt(2.0 / N), math.sqrt(1.0 / N))
-    H = np.zeros((N, N))
-    H[iu, ju] = x * scale
-    H = H + H.T
-    H[np.arange(N), np.arange(N)] /= 2.0
-    return WignerSample(N, H, dist.kind, (float(tilt[0]), tuple(u)) if tilt else None)
+    return _WignerPlan(dist, N, tilt).draw(rng)
 
 
 def _as_matrix(sample):
@@ -104,7 +130,7 @@ def lambda1_and_vector(sample):
         raise ValueError("matrix has non-finite entries")
     n = H.shape[0]
     if n <= _DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(H, subset_by_index=(n - 1, n - 1))
+        vals, vecs = scipy.linalg.eigh(H, subset_by_index=(n - 1, n - 1), check_finite=False)
         lam, v = float(vals[0]), vecs[:, 0]
     else:
         try:
@@ -180,10 +206,11 @@ class MCReport:
 
 
 def _run_replicas(dist, N, reps, seed, eta, tilt, threads):
+    plan = _WignerPlan(dist, N, tilt)
+
     def one(i):
         rng = replica_rng(seed, i)
-        s = sample_wigner(dist, N, tilt=tilt, rng=rng)
-        lam, v = lambda1_and_vector(s)
+        lam, v = lambda1_and_vector(plan.draw(rng))
         return lam, eigvec_localization(v, eta)
 
     if threads and threads > 1:

@@ -366,7 +366,8 @@ class _Phi1Table:
         n = int(math.ceil(u_max / self.du)) + 1
         us = np.linspace(0.0, self.du * (n - 1), n)
         vals = self._solve_grid(us)
-        self.spline = CubicSpline(us, vals)
+        # phi1 is even in u: clamp the slope at u = 0 instead of a not-a-knot end
+        self.spline = CubicSpline(us, vals, bc_type=((1, 0.0), "not-a-knot"))
         self.u_max = us[-1]
 
     def __call__(self, u):

@@ -96,6 +96,16 @@ def test_criterion_2_figure_one_reproduction(fig1_curve):
     )
 
 
+def test_figure_one_goe_regime_is_goe(fig1_curve):
+    # phi1 is even, so the table's spline starts flat; a stray slope at u = 0
+    # used to pull x <= 2.50 up to 2.7e-11 below the GOE rate
+    spline = rate._hat_evaluator(SG).phi1.spline
+    assert spline(0.0, 1) == 0.0
+    curve, _ = fig1_curve
+    low = np.array(curve.grid) <= 2.50 + 1e-12
+    assert np.max(np.abs(curve.rates[low] - curve.goe_rates[low])) <= 1e-14
+
+
 def test_criterion_3_sharpness_classification():
     cases = [
         (rademacher(), True),

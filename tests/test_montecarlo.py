@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from wignerld import montecarlo as mc
-from wignerld.entries import Gaussian, SparseGaussian, rademacher
+from wignerld.entries import (DiscreteAtoms, Gaussian, SparseGaussian, bernoulli_std,
+                              rademacher, sparse_rademacher)
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -78,6 +82,77 @@ def test_tilted_entry_means():
 def test_non_unit_direction_rejected():
     with pytest.raises(ValueError, match="unit"):
         mc.sample_wigner(GAUSS, 50, tilt=(1.0, np.ones(50)), rng=mc.replica_rng(7, 0))
+
+
+@pytest.mark.parametrize("n_u", [51, 49])
+def test_direction_of_wrong_length_rejected(n_u):
+    # a unit vector one entry too long passes the norm check
+    u = np.full(n_u, 1.0 / math.sqrt(n_u))
+    with pytest.raises(ValueError, match=rf"shape \({n_u},\); N=50"):
+        mc.sample_wigner(GAUSS, 50, tilt=(1.0, u), rng=mc.replica_rng(7, 0))
+
+
+# --- sampling plan: bit-identical to the per-replica construction -----------------
+
+
+def _reference_entries(dist, n, tilt, rng):
+    """Each law's draws as built one call at a time, with no precomputation."""
+    if isinstance(dist, Gaussian):
+        z = rng.standard_normal(n)
+        return z if tilt is None else z + np.broadcast_to(tilt, (n,))
+    if isinstance(dist, SparseGaussian):
+        p = dist.p
+        if tilt is None:
+            mask = rng.random(n) < p
+            return np.where(mask, rng.standard_normal(n) / math.sqrt(p), 0.0)
+        _, log_b, log_s = dist._log_components(tilt)
+        mask = rng.random(n) < np.exp(log_b - log_s)
+        return np.where(mask, tilt / p + rng.standard_normal(n) / math.sqrt(p), 0.0)
+    assert isinstance(dist, DiscreteAtoms)
+    if tilt is None:
+        return rng.choice(dist.locations, size=n, p=dist.masses)
+    logs = dist._log_masses + tilt[:, None] * dist.locations
+    logs -= logsumexp(logs, axis=1, keepdims=True)
+    cum = np.cumsum(np.exp(logs), axis=1)
+    idx = (rng.random(n)[:, None] > cum).sum(axis=1)
+    return dist.locations[np.minimum(idx, dist.locations.size - 1)]
+
+
+def _reference_matrix(dist, N, tilt, rng):
+    """zeros, scatter the upper triangle, add the transpose, halve the diagonal."""
+    iu, ju = np.triu_indices(N)
+    diag = iu == ju
+    tparams = None
+    if tilt is not None:
+        theta, u = tilt
+        tparams = np.where(diag, math.sqrt(2.0), 2.0) * theta * math.sqrt(N) * u[iu] * u[ju]
+    x = _reference_entries(dist, iu.size, tparams, rng)
+    scale = np.where(diag, math.sqrt(2.0 / N), math.sqrt(1.0 / N))
+    H = np.zeros((N, N))
+    H[iu, ju] = x * scale
+    H = H + H.T
+    H[np.arange(N), np.arange(N)] /= 2.0
+    return H
+
+
+PLAN_LAWS = [GAUSS, SG, SparseGaussian(0.2), sparse_rademacher(0.2), bernoulli_std(0.3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=st.sampled_from(PLAN_LAWS),
+    N=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.none() | st.floats(-3.0, 3.0),
+)
+def test_sample_matches_reference_construction(law, N, seed, theta):
+    tilt = None
+    if theta is not None:
+        u = np.random.default_rng(seed).normal(size=N)
+        tilt = (theta, u / np.linalg.norm(u))
+    s = mc.sample_wigner(law, N, tilt=tilt, rng=mc.replica_rng(seed, N))
+    ref = _reference_matrix(law, N, tilt, mc.replica_rng(seed, N))
+    assert s.matrix.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
 
 
 # --- eigensolver -----------------------------------------------------------------
@@ -234,3 +309,45 @@ def test_report_schema():
     csv = rep.samples_csv()
     assert csv.splitlines()[0] == "replica,lambda1,mass_eta,linf,support_eta"
     assert len(csv.splitlines()) == 4
+
+
+# reprs of lambda1_samples recorded with the per-replica construction the plan replaced
+PINNED_RUNS = [
+    ({"kind": "bbp", "dist": SG, "N": 24, "reps": 4, "seed": 11, "theta": 1.0},
+     ["2.343180047705744", "3.204361901612241", "2.6953075819710217", "2.721634707403202"]),
+    ({"kind": "bbp", "dist": bernoulli_std(0.3), "N": 16, "reps": 3, "seed": 12, "theta": 0.8},
+     ["1.996299093176857", "2.658296688989361", "2.3205171728586067"]),
+    ({"kind": "localization", "dist": sparse_rademacher(0.2), "N": 20, "reps": 5, "seed": 13,
+      "top_fraction": 0.4},
+     ["1.858029977697078", "1.6913866150160854", "1.8182613669526673", "1.9198837366598835",
+      "1.5313537231925445"]),
+    ({"kind": "tail", "dist": GAUSS, "N": 12, "reps": 6, "seed": 14, "x": 1.5},
+     ["1.8052795166053779", "1.949571074863441", "1.6290785791070894", "1.7614865679656553",
+      "1.1559754726024007", "1.8050863695503396"]),
+]
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("config, expected", PINNED_RUNS,
+                         ids=[f"{c['kind']}-{c['dist'].spec_dict()['kind']}" for c, _ in PINNED_RUNS])
+def test_experiment_samples_pinned(config, expected, threads):
+    rep = mc.experiment(config, threads=threads)
+    assert [repr(float(lam)) for lam in rep.lambda1] == expected
+
+
+def test_tilt_prepared_once_per_experiment(monkeypatch):
+    law = SparseGaussian(0.5)
+    calls = {"sampler": 0, "log_components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(law, "sampler", counted("sampler", law.sampler))
+    monkeypatch.setattr(law, "_log_components", counted("log_components", law._log_components))
+    mc.experiment({"kind": "bbp", "dist": law, "N": 30, "reps": 6, "theta": 1.0, "seed": 3},
+                  threads=2)
+    assert calls == {"sampler": 1, "log_components": 1}
