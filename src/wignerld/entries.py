@@ -59,6 +59,9 @@ class EntryDistribution:
     """Base class; concrete laws implement the transform and sampling."""
 
     kind = "abstract"
+    # True when the law is invariant under x -> -x, so that L(-t) == L(t)
+    # bit for bit; solvers then integrate even weights over half the line
+    symmetric = False
 
     # -- log-Laplace transform -------------------------------------------
 
@@ -140,6 +143,7 @@ class Gaussian(EntryDistribution):
     """Standard normal entries: L(t) = t^2/2, psi identically 1/2."""
 
     kind = "gaussian"
+    symmetric = True
 
     def log_laplace(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
@@ -185,6 +189,7 @@ class SparseGaussian(EntryDistribution):
         self.p = float(p)
 
     kind = "sparse_gaussian"
+    symmetric = True
 
     def _log_components(self, t):
         # log of the Gaussian branch p*exp(t^2/2p) and of the total, both

@@ -17,7 +17,8 @@ of its peak and refined by doubling until two successive levels agree to
 hundred for large tilts.  The rate module's hot paths solve many problems
 on one shared Simpson grid with ``solve_exponent_batch`` instead,
 warm-started from every fourth grid node, each row independent of the
-others.
+others.  For a symmetric entry law h is even, and that grid covers only
+[0, R] with doubled weights (``_grid_for``), half the nodes of [-R, R].
 """
 
 from __future__ import annotations
@@ -366,12 +367,25 @@ def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10
 # batched solves on a shared quadrature grid (hot paths in the rate module)
 
 
-def _grid_for(R: float, max_points: int = 16385) -> tuple:
+def _grid_for(R: float, max_points: int = 16385, symmetric: bool = True) -> tuple:
+    """Composite-Simpson nodes s and weights w for integrals over [-R, R].
+
+    The full rule has n odd nodes at spacing about 0.008.  With
+    ``symmetric`` the integrand must be even (an even Hamiltonian gives an
+    even Gibbs weight): the nodes cover [0, R] only, with doubled weights,
+    since the full rule whose middle node is 0 is twice the same rule on
+    [0, R].  The half grid keeps (n + 1) / 2 nodes, rounded up to h with
+    (h - 1) % 8 == 0, so that it and its every fourth node (the coarse warm
+    start of ``solve_exponent_batch``) are both Simpson grids.
+    """
     n = int(min(max_points, max(4097, 2 * round(R / 0.008) + 1)))
     if n % 2 == 0:
         n += 1
-    s = np.linspace(-R, R, n)
-    return s, _simpson_weights(n, 2.0 * R / (n - 1))
+    if not symmetric:
+        return np.linspace(-R, R, n), _simpson_weights(n, 2.0 * R / (n - 1))
+    h = (n + 1) // 2
+    h += -(h - 1) % 8
+    return np.linspace(0.0, R, h), 2.0 * _simpson_weights(h, R / (h - 1))
 
 
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
@@ -379,7 +393,9 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     """Vectorized multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
-    are the matching quadrature weights.  Returns (zeta, log_mass, m2) with
+    are the matching quadrature weights, those of ``_grid_for``'s full grid
+    or, for even Hamiltonians, of its half grid.  The Gaussian-fit start
+    reads H where s^2 is largest.  Returns (zeta, log_mass, m2) with
     log_mass = log int exp(H - zeta s^2), from the Newton iteration of
     ``_newton_multipliers`` (the stopping rule takes ``f_tol``) on moments
     reduced row by row on the grid.  Grids of more than 1600 nodes
@@ -406,9 +422,9 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
         i0, m2, m4 = (np.einsum("ij,j->i", phi, v) for v in ws)
         return np.log(i0) + m, m2 / i0, m4 / i0
 
-    edge = np.array([0, -1])
+    edge = s2 == s2.max()  # both ends of a full grid, the far end of a half grid
     zeta, log_mass, m2, _ = _newton_multipliers(stats, alpha, H[:, edge].max(axis=1),
-                                                s2[edge].max(), zeta_init, f_tol, max_iter)
+                                                s2.max(), zeta_init, f_tol, max_iter)
     return zeta, log_mass, m2
 
 

@@ -240,7 +240,10 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
 
     ``x`` is one target for every row or an array of one target per row.
     ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
-    that row's thetas.  ``rows`` holds each row's profile parameters: a
+    that row's thetas; a penalty with a true ``takes_overlap`` attribute is
+    called as ``pen(theta, rows, q=q)`` with the overlap q_x(theta) of each
+    row's target, which the driver computes from per-row constants of x it
+    holds anyway.  ``rows`` holds each row's profile parameters: a
     scalar mass alpha, or a record whose last entry is alpha (the hat
     mode's (x, alpha) pairs); failures name the row's x and alpha, or
     ``pen.label(row)`` where ``pen`` has one.  With
@@ -261,11 +264,19 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
     """
     m = 1 if rows is None else len(rows)
     x = np.broadcast_to(np.asarray(x, dtype=float), (m,))
-    lo = semicircle.theta_roots(x).theta_minus + _THETA_OFFSET
+    # per-row constants of x, computed once for every objective call
+    tm = semicircle.theta_roots(x).theta_minus
+    log_pot = semicircle.log_potential(x)
+    lo = tm + _THETA_OFFSET
+    takes_q = getattr(pen, "takes_overlap", False)
 
     def objective(theta, idx):
-        return (semicircle.j_value(x[idx, None], theta)
-                - pen(theta, None if rows is None else rows[idx]))
+        xi, tmi = x[idx, None], tm[idx, None]
+        r = None if rows is None else rows[idx]
+        j = semicircle.j_value(xi, theta, theta_minus=tmi, log_pot=log_pot[idx, None])
+        if takes_q:
+            return j - pen(theta, r, q=semicircle.overlap(xi, theta, theta_minus=tmi))
+        return j - pen(theta, r)
 
     def where(k):
         if rows is None:
@@ -381,10 +392,11 @@ class _Phi1Table:
 
 
 def _gibbs_values(dist, amp, vals, counts, beta, R):
-    """Gibbs values on [-R, R] of rows i with budget beta[i] (or a shared
+    """Gibbs values over [-R, R] of rows i with budget beta[i] (or a shared
     beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), solved
-    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows."""
-    s, w = _grid_for(R)
+    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows.  A symmetric
+    law has an even Hamiltonian, integrated on the half grid of [0, R]."""
+    s, w = _grid_for(R, symmetric=dist.symmetric)
     beta = np.broadcast_to(beta, amp.shape)
     out = []
     for b in np.array_split(np.arange(amp.size), -(-amp.size // _GIBBS_BLOCK_ROWS) or 1):
@@ -410,16 +422,19 @@ class _HatEvaluator:
         phi = self.phi1(theta * np.sqrt(alpha * beta)) + 0.5 * np.log(beta)
         return theta**2 * (beta**2 + 2.0 * self.psi_inf * alpha**2) + phi
 
-    def penalty(self, x, alpha):
+    def penalty(self, x, alpha, q=None):
+        """theta -> f_hat(theta, q^2 alpha), q the overlap q_x(theta) unless given."""
         def pen(theta):
-            q2 = np.clip(semicircle.overlap(x, theta) ** 2, 0.0, 1.0)
+            q2 = np.clip((semicircle.overlap(x, theta) if q is None else q) ** 2, 0.0, 1.0)
             return self.f_hat(theta, q2 * alpha)
 
         return pen
 
-    def row_penalty(self, theta, rows):
+    def row_penalty(self, theta, rows, q=None):
         """``sup_theta_rows`` penalty of (x, alpha) rows ``rows[M, 2]``."""
-        return self.penalty(rows[:, :1], rows[:, 1:])(theta)
+        return self.penalty(rows[:, :1], rows[:, 1:], q)(theta)
+
+    row_penalty.takes_overlap = True
 
 
 def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
@@ -457,6 +472,7 @@ class _VectorPenalty:
     R: float
     N: int = None
     t: float = None
+    takes_overlap = True  # see sup_theta_rows
 
     def label(self, row) -> str:
         _, n, csq = _terms(row[None])
@@ -469,10 +485,11 @@ class _VectorPenalty:
         return (FiniteNSpec(z, self.N, self.R) if self.N
                 else TildeSpec(z, float(row[1]), self.R, self.t))
 
-    def __call__(self, theta, rows):
+    def __call__(self, theta, rows, q=None):
         dist = self.dist
         vals, counts, csq = _terms(rows)
-        q = semicircle.overlap(rows[:, :1], theta)
+        if q is None:
+            q = semicircle.overlap(rows[:, :1], theta)
 
         def gibbs(amp, beta, where):
             owner = np.nonzero(where)[0]

@@ -100,32 +100,34 @@ def goe_rate(x):
     return float(out[0]) if scalar else out
 
 
-def j_value(x, theta):
+def j_value(x, theta, *, theta_minus=None, log_pot=None):
     """Asymptotic spherical-integral free energy J(x, theta), theta >= 0.
 
     Quadratic branch theta^2 up to theta_minus, log branch beyond; the two
     branches meet C^1 at theta_minus.  Vectorized over theta and x, which
-    broadcast against each other.
+    broadcast against each other.  A caller evaluating the same targets at
+    many thetas may pass ``theta_roots(x).theta_minus`` and
+    ``log_potential(x)``, computed once; the result is the same bit for bit.
     """
-    pt = theta_roots(x)
-    L = log_potential(x)
+    tm = theta_roots(x).theta_minus if theta_minus is None else theta_minus
+    L = log_potential(x) if log_pot is None else log_pot
     theta = np.asarray(theta, dtype=float)
     if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    th = np.maximum(theta, pt.theta_minus)  # keeps the log branch finite at theta = 0
-    out = np.where(theta <= pt.theta_minus, theta**2,
-                   th * x - 0.5 * L - 0.5 * np.log(2.0 * th) - 0.5)
+    th = np.maximum(theta, tm)  # keeps the log branch finite at theta = 0
+    out = np.where(theta <= tm, theta**2, th * x - 0.5 * L - 0.5 * np.log(2.0 * th) - 0.5)
     return float(out) if out.ndim == 0 else out
 
 
-def overlap(x, theta):
+def overlap(x, theta, *, theta_minus=None):
     """Asymptotic alignment q_x(theta) = sqrt((1 - theta_minus/theta)_+).
 
     Vectorized over theta and x, which broadcast against each other.
+    ``theta_minus`` may be passed precomputed, as in ``j_value``.
     """
-    pt = theta_roots(x)
+    tm = theta_roots(x).theta_minus if theta_minus is None else theta_minus
     theta = np.asarray(theta, dtype=float)
     if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    out = np.sqrt(1.0 - pt.theta_minus / np.maximum(theta, pt.theta_minus))
+    out = np.sqrt(1.0 - tm / np.maximum(theta, tm))
     return float(out) if out.ndim == 0 else out

@@ -148,6 +148,39 @@ def test_psi_symmetric_exact(dist):
     assert np.all(dist.psi(-ts) == dist.psi(ts))
 
 
+def _symmetric_atoms(halves):
+    """Standardized law with atoms +-x of mass m/2 each (and the rest at 0)."""
+    total = sum(m for _, m in halves) * 1.25  # leave a fifth of the mass at 0
+    atoms = [(0.0, 0.2)] + [(s * x, 0.5 * m / total) for x, m in halves for s in (-1.0, 1.0)]
+    return standardize_atoms(atoms)
+
+
+SYMMETRIC_LAWS = st.one_of(
+    st.just(Gaussian()),
+    st.floats(0.01, 1.0).map(SparseGaussian),
+    st.just(rademacher()),
+    st.floats(0.01, 1.0).map(sparse_rademacher),
+    st.lists(st.tuples(st.floats(0.1, 20.0), st.floats(0.01, 1.0)), min_size=1, max_size=4,
+             unique_by=lambda a: round(a[0], 6)).map(_symmetric_atoms),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SYMMETRIC_LAWS, st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=20))
+def test_symmetric_law_transform_is_even(dist, ts):
+    # the half-line Gibbs grid of symmetric laws relies on L(-t) == L(t) exactly
+    assert dist.symmetric
+    t = np.concatenate([ts, np.geomspace(1e-8, 1e-1, 15)])  # the small-|t| branches too
+    for order in (0, 2):
+        assert np.array_equal(dist.log_laplace(-t, order), dist.log_laplace(t, order))
+
+
+def test_asymmetric_laws_not_flagged():
+    assert not bernoulli_std(0.3).symmetric
+    assert not standardize_atoms([(-1.0, 0.3), (0.5, 0.5), (2.0, 0.2)]).symmetric
+    assert bernoulli_std(0.5).symmetric  # the fair case is Rademacher
+
+
 # --- psi extremes ----------------------------------------------------------
 
 

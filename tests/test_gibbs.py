@@ -193,6 +193,36 @@ def test_batch_failures_raise():
         solve_exponent_batch(H, s, w, 1.0, max_iter=3)
 
 
+@pytest.mark.parametrize("R", [15.85, 16.008, 16.016, 16.392, 20.008, 32.0, 64.0, 200.0])
+def test_half_grid_is_the_folded_full_rule(R):
+    # for an even integrand the rule on [0, R] with doubled weights is the
+    # full Simpson rule whose middle node is 0
+    s, w = _grid_for(R)
+    full, _ = _grid_for(R, symmetric=False)
+    assert (s.size - 1) % 8 == 0 and s.size >= (full.size + 1) // 2
+    assert s[0] == 0.0 and s[-1] == R
+    step = R / (s.size - 1)
+    assert (w * s**2).sum() == pytest.approx(2 * R**3 / 3, rel=1e-14)
+    # Simpson's error for s^4 is (b - a) step^4 f/180, f = 24
+    assert (w * s**4).sum() == pytest.approx(2 * R**5 / 5 + 2 * R * step**4 * 24 / 180, rel=1e-13)
+
+
+def test_half_grid_takes_the_coarse_warm_start(monkeypatch):
+    from wignerld import gibbs
+
+    sizes = []
+    solve = gibbs.solve_exponent_batch
+
+    def spy(H, s, *args, **kwargs):
+        sizes.append(s.size)
+        return solve(H, s, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "solve_exponent_batch", spy)
+    s, w = _grid_for((10**6) ** 0.2)
+    gibbs.solve_exponent_batch(SG.log_laplace(2.0 * np.array([[0.5], [2.0]]) * s), s, w, 1.0)
+    assert sizes == [s.size, (s.size - 1) // 4 + 1]
+
+
 @pytest.mark.parametrize("R, ks", [
     ((10**6) ** 0.2, (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)),  # the default family
     (64.0, (1000,)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerld import free_energy, rate, semicircle
-from wignerld.entries import Gaussian, SparseGaussian
+from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
 from wignerld.gibbs import _grid_for, values_from_batch
 
 GAUSS = Gaussian()
@@ -182,6 +182,68 @@ def test_batch_rows_independent_of_their_batch():
         assert same(rate.solve_exponent_batch(H[k:k + 1].copy(), s, w, 1.0), slice(k, k + 1))
     blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
     assert np.array_equal(blocks, values_from_batch(whole[1], whole[0], 1.0))
+
+
+@pytest.fixture
+def full_grid(monkeypatch):
+    """Runs the rate module's Gibbs batches on the full grid of [-R, R]."""
+    def use_full_grid():
+        monkeypatch.setattr(rate, "_grid_for", lambda R, symmetric=True: _grid_for(R, symmetric=False))
+
+    return use_full_grid
+
+
+@pytest.mark.parametrize("dist", [SG, SparseGaussian(0.1), rademacher(), sparse_rademacher(0.2)],
+                         ids=repr)
+@pytest.mark.parametrize("R", [16.0, 32.0, 64.0])
+def test_half_grid_matches_full_grid_on_phi1_rows(dist, R, full_grid):
+    us = np.linspace(0.0, 6.0, 61)
+    half = rate._Phi1Table(dist)._values_at(us, R)
+    full_grid()
+    full = rate._Phi1Table(dist)._values_at(us, R)
+    np.testing.assert_allclose(half, full, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("R, ks", [
+    ((10**6) ** 0.2, (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)),
+    (64.0, (1000,)),
+])
+def test_half_grid_matches_full_grid_on_default_family_rows(R, ks, full_grid):
+    # the rows of test_gibbs.test_batch_converges_over_default_family
+    beta = np.tile(np.linspace(0.05, 1.0, 41), 16)
+    rows = [(np.repeat(np.linspace(0.0, 0.95 * 8.0 / math.sqrt(k), 17)[1:], 41), k) for k in ks]
+    half = [rate._gibbs_values(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta, R)
+            for a, k in rows]
+    full_grid()
+    for (a, k), h in zip(rows, half):
+        full = rate._gibbs_values(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta, R)
+        np.testing.assert_allclose(h, full, rtol=0, atol=1e-13)
+
+
+def test_asymmetric_law_keeps_the_full_grid(full_grid):
+    law = bernoulli_std(0.3)
+    us = np.linspace(0.0, 6.0, 61)
+    fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
+    table = rate._Phi1Table(law)._solve_grid(us)
+    point = rate.rate_point(law, 3.0, rate.FiniteNMode(N=10**6, family=fam))
+    full_grid()
+    assert np.array_equal(table, rate._Phi1Table(law)._solve_grid(us))
+    again = rate.rate_point(law, 3.0, rate.FiniteNMode(N=10**6, family=fam))
+    assert (point.rate, point.theta_star, point.minimizer) == (again.rate, again.theta_star,
+                                                               again.minimizer)
+
+
+def test_sup_theta_rows_given_overlap_matches_recomputed():
+    # penalties that take the driver's overlap give the bits of recomputing it
+    ev = rate._hat_evaluator(SG)
+    hat_rows = np.array([[x, a] for x in (2.3, 2.6, 3.0) for a in (0.0, 0.3, 0.6)])
+    fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
+    vector_pen, vector_rows = rate.FiniteNMode(N=10**6, family=fam)._rows(SG, 3.0, 0.95)
+    for pen, rows in ((ev.row_penalty, hat_rows), (vector_pen, vector_rows)):
+        assert pen.takes_overlap
+        given = rate.sup_theta_rows(rows[:, 0], pen, rows)
+        recomputed = rate.sup_theta_rows(rows[:, 0], lambda theta, r: pen(theta, r), rows)
+        assert all(np.array_equal(a, b) for a, b in zip(given, recomputed))
 
 
 def test_sup_theta_rows_scan_blocks_match_one_row_calls():
