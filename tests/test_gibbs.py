@@ -203,7 +203,7 @@ def test_half_grid_is_the_folded_full_rule(R):
     assert s[0] == 0.0 and s[-1] == R
     step = R / (s.size - 1)
     assert (w * s**2).sum() == pytest.approx(2 * R**3 / 3, rel=1e-14)
-    # Simpson's error for s^4 is (b - a) step^4 f/180, f = 24
+    # Simpson's error for s^4 is (b - a) step^4 f^(4) / 180 with f^(4) = 24
     assert (w * s**4).sum() == pytest.approx(2 * R**5 / 5 + 2 * R * step**4 * 24 / 180, rel=1e-13)
 
 
