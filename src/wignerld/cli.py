@@ -297,7 +297,7 @@ def run(spec: RunSpec, out: str = None, seed: int = None, threads: int = None,
         else:
             sol = gibbs_solve(GibbsProblem(p["v"], dist, p["R"], p["alpha"]))
             doc = {"value": sol.value, "zeta_star": sol.zeta_star,
-                   "second_moment": sol.moment(2), "root_residual": sol.root_residual(),
+                   "second_moment": sol.m2, "root_residual": sol.root_residual(),
                    "moment_evaluations": sol.evaluations}
         doc.update(meta)
         doc["dist"] = dist.spec_dict()

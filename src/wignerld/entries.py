@@ -448,16 +448,16 @@ def standardize_atoms(atoms) -> DiscreteAtoms:
 # numeric psi maximization
 
 
-def _numeric_psi_max(dist: EntryDistribution, psi_inf: float, max_doublings: int = 40) -> float:
+def _numeric_psi_max(dist: EntryDistribution, psi_inf: float) -> float:
     """sup_t psi(t) via grid search plus bounded Brent refinement of the best cell.
 
     The half-line bracket [0, B] (and its mirror) expands by doubling from
-    B = 64 until psi(+-B) is within 1e-8 of the tail limit.
+    B = 64, at most 40 times, until psi(+-B) is within 1e-8 of the tail limit.
     """
     best = 0.5  # psi(0)
     for sign in (1.0, -1.0):
         B = 64.0
-        for _ in range(max_doublings):
+        for _ in range(40):
             if abs(dist.psi(sign * B) - psi_inf) < 1e-8:
                 break
             B *= 2.0

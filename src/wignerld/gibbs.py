@@ -13,12 +13,15 @@ weight, that learns its bracket from the sign of alpha - m2.
 ``gibbs_solve`` feeds it one problem's moments from composite Simpson
 quadrature restricted to the region where the integrand exceeds exp(-46)
 of its peak and refined by doubling until two successive levels agree to
-1e-11 relative; the exponent is max-subtracted since h can reach several
-hundred for large tilts.  The rate module's hot paths solve many problems
-on one shared Simpson grid with ``solve_exponent_batch`` instead,
-warm-started from every fourth grid node, each row independent of the
-others.  For a symmetric entry law h is even, and that grid covers only
-[0, R] with doubled weights (``_grid_for``), half the nodes of [-R, R].
+1e-11 relative, the loop ``GibbsSolution.moment`` runs too; the exponent
+is max-subtracted since h can reach several hundred for large tilts.  The
+solution keeps its last iterate's m2, so its residual costs no quadrature.
+The rate module's hot paths solve many problems on one shared Simpson
+grid with ``solve_exponent_batch`` instead, warm-started from every fourth
+grid node, each row independent of the others.  For a symmetric entry law
+h is even, and that grid covers only [0, R] with doubled weights
+(``_grid_for``), half the nodes of [-R, R].  The one whole-line limit
+R -> inf, ``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ def _active_interval(problem: GibbsProblem, zeta: float, lo: float, hi: float):
     return s[i0], s[i1]
 
 
-def _log_integrals(problem: GibbsProblem, zeta: float, lo: float, hi: float):
-    """(log I0, m2, m4) for the weight exp(h(s) - zeta s^2) on [lo, hi]."""
+def _log_integrals(problem: GibbsProblem, zeta: float, lo: float, hi: float, k: int = 2):
+    """(log I0, m_k, m_2k) for the weight exp(h(s) - zeta s^2) on [lo, hi]."""
     a, b = _active_interval(problem, zeta, lo, hi)
     prev = None
     n = 1025
@@ -125,11 +128,9 @@ def _log_integrals(problem: GibbsProblem, zeta: float, lo: float, hi: float):
         phi = problem.h(s) - zeta * s * s
         m = phi.max()
         w = _simpson_weights(n, (b - a) / (n - 1)) * np.exp(phi - m)
-        s2 = s * s
+        sk = s**k
         i0 = w.sum()
-        m2 = (w @ s2) / i0
-        m4 = (w @ (s2 * s2)) / i0
-        cur = (math.log(i0) + m, m2, m4)
+        cur = (math.log(i0) + m, (w @ sk) / i0, (w @ (sk * sk)) / i0)
         if prev is not None:
             if (
                 abs(cur[0] - prev[0]) <= _QUAD_RTOL * max(1.0, abs(cur[0]))
@@ -187,11 +188,12 @@ class GibbsSolution:
     """Multiplier, optimum value, and accessors for the optimizing measure."""
 
     def __init__(self, problem: GibbsProblem, zeta_star: float, value: float, log_norm: float,
-                 evaluations: int):
+                 m2: float, evaluations: int):
         self.problem = problem
         self.zeta_star = zeta_star
         self.value = value
         self.log_norm = log_norm  # log of the unnormalized mass int exp(h - zeta s^2)
+        self.m2 = m2  # second moment at zeta_star, from the solve's last evaluation
         self.evaluations = evaluations  # moment evaluations of the multiplier solve
 
     @property
@@ -207,23 +209,12 @@ class GibbsSolution:
         return float(out) if out.ndim == 0 else out
 
     def moment(self, k: int) -> float:
-        """int s^k dnu for the optimizing measure (adaptive quadrature)."""
-        a, b = _active_interval(self.problem, self.zeta_star, -self.problem.R, self.problem.R)
-        prev = None
-        n = 2049
-        while True:
-            s = np.linspace(a, b, n)
-            phi = self.problem.h(s) - self.zeta_star * s * s
-            w = _simpson_weights(n, (b - a) / (n - 1)) * np.exp(phi - phi.max())
-            val = float((w @ s**k) / w.sum())
-            if prev is not None and (abs(val - prev) <= 1e-11 * max(1.0, abs(val)) or n >= 32769):
-                return val
-            prev = val
-            n = 2 * n - 1
+        """int s^k dnu for the optimizing measure (the solve's adaptive quadrature)."""
+        return float(_log_integrals(self.problem, self.zeta_star, -self.R, self.R, k)[1])
 
     def root_residual(self) -> float:
-        """|g'(zeta*) + alpha|, the first-order optimality defect."""
-        return abs(g_value(self.problem, self.zeta_star, order=1) + self.problem.alpha)
+        """|m2 - alpha| = |g'(zeta*) + alpha|, the first-order optimality defect."""
+        return abs(self.m2 - self.problem.alpha)
 
     def quantiles(self, q):
         """Inverse CDF at probabilities q (array), by interpolation."""
@@ -325,33 +316,54 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     def stats(zeta, rows):
         return tuple(np.array([c]) for c in _log_integrals(problem, float(zeta[0]), -R, R))
 
-    zeta, log_mass, _, evaluations = _newton_multipliers(
+    zeta, log_mass, m2, evaluations = _newton_multipliers(
         stats, np.array([alpha]), problem.h(np.array([-R, R])).max(), R * R, _zeta_init,
         _SCALAR_F_TOL, _MAX_ITER)
     value = float(values_from_batch(log_mass, zeta, alpha)[0])
-    return GibbsSolution(problem, float(zeta[0]), value, float(log_mass[0]), evaluations)
+    return GibbsSolution(problem, float(zeta[0]), value, float(log_mass[0]), float(m2[0]), evaluations)
 
 
-def phi_unbounded(dist: EntryDistribution, v, alpha: float, tol: float = 1e-8,
-                  r_start: float = 16.0, r_max: float = 2.0**16) -> float:
+def whole_line_rows(values_at, n: int, where) -> np.ndarray:
+    """Whole-line limits of n rows of finite-R values, R doubling from 16.
+
+    ``values_at(R, rows)`` gives the values at half-width R of the listed
+    rows (an index array); a row drops out once its value moves by less
+    than 1e-8 from one R to the next and keeps that last value.  Past
+    R = 2^12, where the batch grid's spacing reaches 0.5, a row still moving
+    raises ``GibbsError`` naming the R reached and ``where(row)``.
+    """
+    R = 16.0
+    vals = np.array(values_at(R, np.arange(n)), dtype=float)
+    rows = np.arange(n)
+    while R < 2.0**12:
+        R *= 2.0
+        nxt = values_at(R, rows)
+        moving = ~(np.abs(nxt - vals[rows]) < 1e-8)
+        vals[rows] = nxt
+        rows = rows[moving]
+        if rows.size == 0:
+            return vals
+    raise GibbsError(f"whole-line value did not settle by R={R:g}: {where(rows[0])}")
+
+
+def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
     """Whole-line optimum as the monotone limit of finite-R solves.
 
-    Doubles R from ``r_start`` until successive values agree to ``tol``; the
-    sequence is nondecreasing in R by construction.  Each solve starts from
-    the multiplier of the previous R.
+    One row of ``whole_line_rows``; the sequence is nondecreasing in R by
+    construction.  Each solve starts from the multiplier of the previous R.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    R = r_start
-    sol = gibbs_solve(GibbsProblem(v, dist, R, alpha))
-    while R <= r_max:
-        R *= 2.0
-        prev, sol = sol, gibbs_solve(GibbsProblem(v, dist, R, alpha), _zeta_init=sol.zeta_star)
-        if abs(sol.value - prev.value) < tol:
-            return sol.value
-    raise GibbsError(
-        f"whole-line value did not converge by R={r_max:g}; last iterates {prev.value!r}, {sol.value!r}"
-    )
+    zeta = None
+
+    def values_at(R, _rows):
+        nonlocal zeta
+        sol = gibbs_solve(GibbsProblem(v, dist, R, alpha), _zeta_init=zeta)
+        zeta = sol.zeta_star
+        return np.array([sol.value])
+
+    where = f"phi_unbounded at v={np.ravel(v).tolist()}, alpha={alpha}"
+    return float(whole_line_rows(values_at, 1, lambda _row: where)[0])
 
 
 def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10_000) -> float:
@@ -367,24 +379,22 @@ def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10
 # batched solves on a shared quadrature grid (hot paths in the rate module)
 
 
-def _grid_for(R: float, max_points: int = 16385, symmetric: bool = True) -> tuple:
+def _grid_for(R: float, symmetric: bool = True) -> tuple:
     """Composite-Simpson nodes s and weights w for integrals over [-R, R].
 
-    The full rule has n odd nodes at spacing about 0.008.  With
-    ``symmetric`` the integrand must be even (an even Hamiltonian gives an
-    even Gibbs weight): the nodes cover [0, R] only, with doubled weights,
-    since the full rule whose middle node is 0 is twice the same rule on
-    [0, R].  The half grid keeps (n + 1) / 2 nodes, rounded up to h with
-    (h - 1) % 8 == 0, so that it and its every fourth node (the coarse warm
-    start of ``solve_exponent_batch``) are both Simpson grids.
+    The nodes sit at spacing about 0.008, between 4097 and 16385 on
+    [-R, R].  With ``symmetric`` the integrand must be even (an even
+    Hamiltonian gives an even Gibbs weight): the nodes cover [0, R] only,
+    with doubled weights, since the full rule whose middle node is 0 is
+    twice the same rule on [0, R].  The half grid has h nodes with
+    (h - 1) % 8 == 0 and the full grid 2h - 1 on the same spacing, so that a
+    grid and its every fourth node (the coarse warm start of
+    ``solve_exponent_batch``) are both Simpson grids.
     """
-    n = int(min(max_points, max(4097, 2 * round(R / 0.008) + 1)))
-    if n % 2 == 0:
-        n += 1
-    if not symmetric:
-        return np.linspace(-R, R, n), _simpson_weights(n, 2.0 * R / (n - 1))
-    h = (n + 1) // 2
+    h = (min(16385, max(4097, 2 * round(R / 0.008) + 1)) + 1) // 2
     h += -(h - 1) % 8
+    if not symmetric:
+        return np.linspace(-R, R, 2 * h - 1), _simpson_weights(2 * h - 1, 2.0 * R / (2 * h - 2))
     return np.linspace(0.0, R, h), 2.0 * _simpson_weights(h, R / (h - 1))
 
 
@@ -407,7 +417,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     s2 = s * s
     ws = (w, w * s2, w * s2 * s2)
 
-    if zeta_init is None and s.size > 1600 and (s.size - 1) % 4 == 0:
+    if zeta_init is None and s.size > 1600 and (s.size - 1) % 8 == 0:
         wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
         zeta_init, _, _ = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
 

@@ -47,7 +47,8 @@ class EigensolverError(RuntimeError):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    """The stream of replica 0."""
+    return replica_rng(seed, 0)
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:

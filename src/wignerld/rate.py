@@ -35,7 +35,7 @@ from scipy.interpolate import CubicSpline
 from . import free_energy, semicircle
 from .brent import brent_max_rows
 from .entries import EntryDistribution
-from .gibbs import _consolidate, _grid_for, solve_exponent_batch, values_from_batch
+from .gibbs import _consolidate, _grid_for, solve_exponent_batch, values_from_batch, whole_line_rows
 
 __all__ = [
     "HatSpec",
@@ -234,8 +234,7 @@ class RateCurve:
 # inner supremum over theta
 
 
-def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
-                   n_grid: int = 64, theta_tol: float = 1e-10):
+def sup_theta_rows(x, pen, rows=None, *, n_grid: int = 64):
     """Maximize J(x, theta) - pen(theta, rows) over theta, row by row.
 
     ``x`` is one target for every row or an array of one target per row.
@@ -252,14 +251,14 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
 
     Each row scans ``n_grid`` points of [theta_minus(x) + 1e-6, T], in
     objective calls of at most 256 rows, each kept only as the row's best
-    point and its neighbours; a row's T doubles from 8 (or from
-    ``bracket_hint``) until the objective at T has dropped a unit below the
-    row's maximum, failing with "unbounded objective" past
-    T = 1024 (a penalty that grows slower than J signals an infeasible
-    profile).  The default 64 points match a 512-point scan on the tested
-    hat and vector rows.  Bounded Brent search (``brent_max_rows``) then
-    refines every row's best cell at once; a row whose refined value falls
-    below its grid maximum keeps the grid point.  Rows never interact: a row's result does not depend on
+    point and its neighbours; a row's T doubles from 8 until the objective
+    at T has dropped a unit below the row's maximum, failing with
+    "unbounded objective" past T = 1024 (a penalty that grows slower than J
+    signals an infeasible profile).  The default 64 points match a 512-point
+    scan on the tested hat and vector rows.  Bounded Brent search
+    (``brent_max_rows``, to 1e-10) then refines every row's best cell at
+    once; a row whose refined value falls below its grid maximum keeps the
+    grid point.  Rows never interact: a row's result does not depend on
     the other rows of the call.
     """
     m = 1 if rows is None else len(rows)
@@ -285,7 +284,7 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
             return pen.label(rows[k])
         return f"x={x[k]}, alpha={np.ravel(rows[k])[-1]}"
 
-    T = np.full(m, _T_INIT) if bracket_hint is None else np.maximum(float(bracket_hint), lo + 1e-3)
+    T = np.full(m, _T_INIT)
     best, top, a, b, last = np.empty((5, m))  # per row: max, its theta, neighbours, value at T
     todo = np.arange(m)
     while todo.size:
@@ -308,23 +307,19 @@ def sup_theta_rows(x, pen, rows=None, bracket_hint: float = None, *,
             raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
         T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
 
-    theta_star, value = brent_max_rows(
-        lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, theta_tol
-    )
+    theta_star, value = brent_max_rows(lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, 1e-10)
     low = value < best
     theta_star[low], value[low] = top[low], best[low]
     return theta_star, value
 
 
-def sup_theta(x: float, penalty, bracket_hint: float = None, *, n_grid: int = 64,
-              theta_tol: float = 1e-10):
+def sup_theta(x: float, penalty, *, n_grid: int = 64):
     """Maximize J(x, theta) - penalty(theta) over theta: one row of ``sup_theta_rows``.
 
     ``penalty`` must accept 1-D numpy arrays.
     """
     theta_star, value = sup_theta_rows(
-        x, lambda theta, _rows: penalty(theta.ravel()).reshape(theta.shape), None, bracket_hint,
-        n_grid=n_grid, theta_tol=theta_tol,
+        x, lambda theta, _rows: penalty(theta.ravel()).reshape(theta.shape), None, n_grid=n_grid
     )
     return float(theta_star[0]), float(value[0])
 
@@ -347,35 +342,22 @@ class _Phi1Table:
     grid reproduces the direct solve to ~1e-8 (asserted in tests).
     """
 
-    def __init__(self, dist: EntryDistribution, du: float = 0.01):
+    def __init__(self, dist: EntryDistribution):
         self.dist = dist
-        self.du = du
         self.u_max = 0.0
         self.spline = None
         self.lock = threading.Lock()
 
     def _solve_grid(self, us: np.ndarray) -> np.ndarray:
-        R = 16.0
-        vals = self._values_at(us, R)
-        active = np.ones(us.size, dtype=bool)
-        while True:
-            R *= 2.0
-            nxt = self._values_at(us[active], R)
-            moved = np.abs(nxt - vals[active]) >= 1e-8
-            vals[active] = nxt
-            idx = np.flatnonzero(active)
-            active[idx[~moved]] = False
-            if not active.any():
-                return vals
-            if R > 2.0**12:
-                raise RateError("hat-mode Gibbs table did not converge in R")
+        return whole_line_rows(lambda R, rows: self._values_at(us[rows], R), us.size,
+                               lambda k: f"hat-mode Gibbs table at u={us[k]}")
 
     def _values_at(self, us: np.ndarray, R: float) -> np.ndarray:
         return _gibbs_values(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
 
     def _build(self, u_max: float):
-        n = int(math.ceil(u_max / self.du)) + 1
-        us = np.linspace(0.0, self.du * (n - 1), n)
+        n = int(math.ceil(u_max / 0.01)) + 1
+        us = np.linspace(0.0, 0.01 * (n - 1), n)
         vals = self._solve_grid(us)
         # phi1 is even in u: clamp the slope at u = 0 instead of a not-a-knot end
         self.spline = CubicSpline(us, vals, bc_type=((1, 0.0), "not-a-knot"))
@@ -527,14 +509,14 @@ class _VectorPenalty:
 # joint rate and outer minimization
 
 
-def joint_rate(dist: EntryDistribution, x: float, spec, bracket_hint: float = None):
+def joint_rate(dist: EntryDistribution, x: float, spec):
     """Inner supremum for a fixed localization profile: (value, theta_star).
 
     The profile is scaled by the overlap before entering the free energy:
     linearly for vector components, quadratically for scalar masses.  It is
     one row of ``sup_theta_rows``, as in ``rate_point``.
     """
-    theta_star, value = sup_theta_rows(x, *spec._row(dist, x), bracket_hint)
+    theta_star, value = sup_theta_rows(x, *spec._row(dist, x))
     return float(value[0]), float(theta_star[0])
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from wignerld.entries import Gaussian, SparseGaussian, rademacher
+from wignerld import gibbs
+from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher
 from wignerld.gibbs import (
     GibbsError,
     GibbsProblem,
@@ -14,6 +15,7 @@ from wignerld.gibbs import (
     phi_unbounded,
     solve_exponent_batch,
     wasserstein2,
+    whole_line_rows,
 )
 from wignerld.oracles import gibbs_grid_oracle
 
@@ -65,11 +67,21 @@ def test_solve_constraint_and_residual():
         assert sol.root_residual() < 1e-9
 
 
-def _criterion_4_problems(seed, n):
+def _criterion_4_problems(seed, n, dist=SG):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         v = rng.uniform(-0.8, 0.8, size=rng.integers(1, 3))
-        yield GibbsProblem(v, SG, rng.uniform(4.0, 9.0), rng.uniform(0.3, 1.4))
+        yield GibbsProblem(v, dist, rng.uniform(4.0, 9.0), rng.uniform(0.3, 1.4))
+
+
+@pytest.mark.parametrize("dist", [SG, bernoulli_std(0.3)], ids=repr)
+def test_solution_keeps_the_last_iterate(dist):
+    # the residual and second moment come from the solve's last quadrature
+    # at zeta*, the same bits as computing them again there
+    for prob in _criterion_4_problems(16, 20, dist):
+        sol = gibbs_solve(prob)
+        assert sol.root_residual() == abs(g_value(prob, sol.zeta_star, 1) + prob.alpha)
+        assert sol.moment(2) == sol.m2
 
 
 def test_solve_matches_brent_root_oracle():
@@ -114,6 +126,21 @@ def test_phi_unbounded_gaussian_entropy_closed_form():
     assert phi_unbounded(GAUSS, [0.0], 0.5) == pytest.approx(expected, abs=1e-6)
     expected7 = 0.5 * 0.3 + 0.5 * math.log(0.7)
     assert phi_unbounded(GAUSS, [0.0], 0.7) == pytest.approx(expected7, abs=1e-6)
+
+
+def test_whole_line_rows_failure_names_R_and_row():
+    # a stub that never settles: every row still moves at the cap R = 2^12
+    with pytest.raises(GibbsError, match=r"did not settle by R=4096: row 0"):
+        whole_line_rows(lambda R, rows: R + rows, 3, lambda k: f"row {k}")
+
+
+def test_phi_unbounded_failure_names_v_and_alpha(monkeypatch):
+    def rising(problem, _zeta_init=None):
+        return gibbs.GibbsSolution(problem, 0.5, problem.R, 0.0, problem.alpha, 1)
+
+    monkeypatch.setattr(gibbs, "gibbs_solve", rising)
+    with pytest.raises(GibbsError, match=r"R=4096: phi_unbounded at v=\[0\.3\], alpha=0\.8"):
+        phi_unbounded(SG, [0.3], 0.8)
 
 
 def test_phi_monotone_in_R():
@@ -207,9 +234,28 @@ def test_half_grid_is_the_folded_full_rule(R):
     assert (w * s**4).sum() == pytest.approx(2 * R**5 / 5 + 2 * R * step**4 * 24 / 180, rel=1e-13)
 
 
-def test_half_grid_takes_the_coarse_warm_start(monkeypatch):
-    from wignerld import gibbs
+@pytest.mark.parametrize("R", [16.4, 16.5, 17.1, 40.3])
+def test_full_grid_coarse_warm_start_is_a_simpson_rule(R, monkeypatch):
+    # an asymmetric law's full grid and its every fourth node, the coarse
+    # warm start, both integrate s^2 exactly
+    grids = []
+    solve = gibbs.solve_exponent_batch
 
+    def spy(H, s, w, *args, **kwargs):
+        grids.append((s, w))
+        return solve(H, s, w, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "solve_exponent_batch", spy)
+    s, w = _grid_for(R, symmetric=False)
+    law = bernoulli_std(0.3)
+    gibbs.solve_exponent_batch(law.log_laplace(2.0 * np.array([[0.5], [2.0]]) * s), s, w, 1.0)
+    sizes = [g.size for g, _ in grids]
+    assert len(sizes) >= 2 and all(b == (a - 1) // 4 + 1 for a, b in zip(sizes, sizes[1:]))
+    for s, w in grids:
+        assert (w * s**2).sum() == pytest.approx(2 * R**3 / 3, rel=1e-12)
+
+
+def test_half_grid_takes_the_coarse_warm_start(monkeypatch):
     sizes = []
     solve = gibbs.solve_exponent_batch
 

@@ -5,7 +5,7 @@ import pytest
 
 from wignerld import free_energy, rate, semicircle
 from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
-from wignerld.gibbs import _grid_for, values_from_batch
+from wignerld.gibbs import GibbsError, _grid_for, values_from_batch
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -32,11 +32,6 @@ def test_sup_theta_at_edge():
 def test_sup_theta_unbounded_objective():
     with pytest.raises(rate.RateError, match="unbounded"):
         rate.sup_theta(3.0, lambda t: np.zeros_like(t))
-
-
-def test_sup_theta_bracket_hint():
-    th, v = rate.sup_theta(3.0, lambda t: t * t, bracket_hint=16.0)
-    assert v == pytest.approx(semicircle.goe_rate(3.0), abs=1e-9)
 
 
 def test_sup_theta_rows_quadratic_penalties():
@@ -231,6 +226,13 @@ def test_asymmetric_law_keeps_the_full_grid(full_grid):
     again = rate.rate_point(law, 3.0, rate.FiniteNMode(N=10**6, family=fam))
     assert (point.rate, point.theta_star, point.minimizer) == (again.rate, again.theta_star,
                                                                again.minimizer)
+
+
+def test_phi1_table_failure_names_u(monkeypatch):
+    # values that never settle in R: the table's whole-line limit names the layer and u
+    monkeypatch.setattr(rate._Phi1Table, "_values_at", lambda self, us, R: us + R)
+    with pytest.raises(GibbsError, match=r"R=4096: hat-mode Gibbs table at u=0\.5"):
+        rate._Phi1Table(SG)._solve_grid(np.array([0.5, 1.0]))
 
 
 def test_sup_theta_rows_given_overlap_matches_recomputed():
