@@ -333,8 +333,8 @@ def whole_line_rows(values_at, n: int, where) -> np.ndarray:
     raises ``GibbsError`` naming the R reached and ``where(row)``.
     """
     R = 16.0
-    vals = np.array(values_at(R, np.arange(n)), dtype=float)
     rows = np.arange(n)
+    vals = np.array(values_at(R, rows), dtype=float)
     while R < 2.0**12:
         R *= 2.0
         nxt = values_at(R, rows)
