@@ -7,21 +7,20 @@ through the dual single-variable formulation: the optimizer has density
 proportional to exp(h(s) - zeta s^2) on [-R, R], and the multiplier zeta*
 is the unique root of a strictly monotone moment equation.
 
-One multiplier core serves both solvers: a safeguarded Newton iteration
-on the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian
-weight, that learns its bracket from the sign of alpha - m2.
-``gibbs_solve`` feeds it one problem's moments from composite Simpson
-quadrature restricted to the region where the integrand exceeds exp(-46)
-of its peak and refined by doubling until two successive levels agree to
-1e-11 relative, the loop ``GibbsSolution.moment`` runs too; the exponent
-is max-subtracted since h can reach several hundred for large tilts.  The
-solution keeps its last iterate's m2, so its residual costs no quadrature.
-The rate module's hot paths solve many problems on one shared Simpson
-grid with ``solve_exponent_batch`` instead, warm-started from every fourth
-grid node, each row independent of the others.  For a symmetric entry law
-h is even, and that grid covers only [0, R] with doubled weights
-(``_grid_for``), half the nodes of [-R, R].  The one whole-line limit
-R -> inf, ``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
+One quadrature rule and one multiplier core serve every solve.  The rule is
+the composite Simpson grid of ``_grid_for`` (spacing about 0.008), reduced
+row by row by ``_grid_moments`` with the exponent max-subtracted, since h
+can reach several hundred for large tilts.  For a symmetric entry law h is
+even, and the grid covers only [0, R] with doubled weights, half the nodes
+of [-R, R].  The core is a safeguarded Newton iteration on the reciprocal
+moment 1/m2(zeta), exact in one step for a Gaussian weight, that learns its
+bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
+many rows of one grid, warm-started from every fourth grid node, each row
+independent of the others; ``gibbs_solve`` is its one-row case, and
+``g_value`` and ``GibbsSolution.moment`` reduce on the same grid with the
+same arithmetic.  The solution keeps its last iterate's m2, so its residual
+costs no quadrature.  The one whole-line limit R -> inf,
+``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from .entries import EntryDistribution
 __all__ = ["GibbsProblem", "GibbsSolution", "GibbsError", "g_value", "gibbs_solve", "phi_unbounded", "wasserstein2"]
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
-_QUAD_RTOL = 1e-11
-_ACTIVE_DROP = 46.0  # exp(-46) ~ 1e-20 relative cutoff for the active region
+_TAIL_DROP = 92.0  # R = inf truncates where the weight is below exp(-92) ~ 1e-40 of its peak
 _ZETA_LIMIT = 1e6
-_MAX_ITER = 80  # moment evaluations per multiplier solve
+_MAX_ITER = 80  # moment evaluations per Newton pass of a multiplier solve
 _SCALAR_F_TOL = 1e-13  # |alpha - m2| stop of gibbs_solve, ~1e-13 in zeta
 
 
@@ -108,43 +106,8 @@ def _simpson_weights(n: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _active_interval(problem: GibbsProblem, zeta: float, lo: float, hi: float):
-    """Hull of the region where the exponent is within _ACTIVE_DROP of its max."""
-    s = np.linspace(lo, hi, 513)
-    phi = problem.h(s) - zeta * s * s
-    m = phi.max()
-    keep = np.nonzero(phi >= m - _ACTIVE_DROP)[0]
-    i0, i1 = max(keep[0] - 2, 0), min(keep[-1] + 2, s.size - 1)
-    return s[i0], s[i1]
-
-
-def _log_integrals(problem: GibbsProblem, zeta: float, lo: float, hi: float, k: int = 2):
-    """(log I0, m_k, m_2k) for the weight exp(h(s) - zeta s^2) on [lo, hi]."""
-    a, b = _active_interval(problem, zeta, lo, hi)
-    prev = None
-    n = 1025
-    while True:
-        s = np.linspace(a, b, n)
-        phi = problem.h(s) - zeta * s * s
-        m = phi.max()
-        w = _simpson_weights(n, (b - a) / (n - 1)) * np.exp(phi - m)
-        sk = s**k
-        i0 = w.sum()
-        cur = (math.log(i0) + m, (w @ sk) / i0, (w @ (sk * sk)) / i0)
-        if prev is not None:
-            if (
-                abs(cur[0] - prev[0]) <= _QUAD_RTOL * max(1.0, abs(cur[0]))
-                and abs(cur[1] - prev[1]) <= _QUAD_RTOL * max(1.0, abs(cur[1]))
-            ):
-                return cur
-            if n >= 32769:
-                return cur
-        prev = cur
-        n = 2 * n - 1
-
-
-def _infinite_domain(problem: GibbsProblem, zeta: float):
-    """Truncation interval for R = inf; requires super-quadratic decay."""
+def _infinite_domain(problem: GibbsProblem, zeta: float) -> float:
+    """Truncation half-width for R = inf; requires super-quadratic decay."""
     growth = problem.h_growth_bound()
     if zeta <= growth:
         raise GibbsError(
@@ -156,27 +119,31 @@ def _infinite_domain(problem: GibbsProblem, zeta: float):
         phi = problem.h(s) - zeta * s * s
         m = phi.max()
         edge = max(phi[0], phi[-1])
-        if edge < m - 2.0 * _ACTIVE_DROP:
-            return -S, S
+        if edge < m - _TAIL_DROP:
+            return S
         if S > 2**20:
             raise GibbsError("integrand not normalizable: no decay found")
         S *= 2.0
 
 
-def _domain(problem: GibbsProblem, zeta: float):
-    if np.isfinite(problem.R):
-        return -problem.R, problem.R
-    return _infinite_domain(problem, zeta)
+def _moments_at(problem: GibbsProblem, R: float, zeta: float, k: int):
+    """(log I0, m_k) of the weight exp(h(s) - zeta s^2) on [-R, R], on the
+    grid and with the arithmetic of ``gibbs_solve``; odd k on the full grid,
+    whose moment a symmetric law's half grid would double instead of cancel."""
+    s, w = _grid_for(R, problem.dist.symmetric and k % 2 == 0)
+    log_i0, mk = _grid_moments(problem.h(s)[None], s * s, np.array([zeta]), (w, w * s**k))
+    return float(log_i0[0]), float(mk[0])
 
 
 def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
     """log int exp(-zeta s^2 + h(s)) ds over [-R, R], or its zeta-derivative.
 
     Order 1 returns -m2 of the normalized integrand (a moment, never a
-    finite difference of order 0).
+    finite difference of order 0).  For R = inf the integral is truncated
+    where the weight has fallen below exp(-92) of its peak.
     """
-    lo, hi = _domain(problem, zeta)
-    log_i0, m2, _ = _log_integrals(problem, zeta, lo, hi)
+    R = problem.R if np.isfinite(problem.R) else _infinite_domain(problem, zeta)
+    log_i0, m2 = _moments_at(problem, R, zeta, 2)
     if order == 0:
         return log_i0
     if order == 1:
@@ -209,91 +176,31 @@ class GibbsSolution:
         return float(out) if out.ndim == 0 else out
 
     def moment(self, k: int) -> float:
-        """int s^k dnu for the optimizing measure (the solve's adaptive quadrature)."""
-        return float(_log_integrals(self.problem, self.zeta_star, -self.R, self.R, k)[1])
+        """int s^k dnu for the optimizing measure, on the solve's grid.
+
+        Even k on the grid of the solve itself, so moment(2) is its m2 bit
+        for bit; odd k on the full grid of [-R, R] (0 to rounding for a
+        symmetric law).
+        """
+        return _moments_at(self.problem, self.R, self.zeta_star, k)[1]
 
     def root_residual(self) -> float:
         """|m2 - alpha| = |g'(zeta*) + alpha|, the first-order optimality defect."""
         return abs(self.m2 - self.problem.alpha)
 
     def quantiles(self, q):
-        """Inverse CDF at probabilities q (array), by interpolation."""
-        lo, hi = -self.problem.R, self.problem.R
-        a, b = _active_interval(self.problem, self.zeta_star, lo, hi)
-        n = 32769
-        s = np.linspace(a, b, n)
+        """Inverse CDF at probabilities q (array), by interpolation of the
+        trapezoid CDF on the full grid of [-R, R]."""
+        s, _ = _grid_for(self.R, symmetric=False)
         phi = self.problem.h(s) - self.zeta_star * s * s
         dens = np.exp(phi - phi.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5)])
         cdf /= cdf[-1]
-        # strictly increasing by positivity of the density
+        # nondecreasing, and flat only where the density underflows in the tails
         return np.interp(q, cdf, s)
 
     def __repr__(self):
         return f"GibbsSolution(zeta_star={self.zeta_star:.6g}, value={self.value:.6g})"
-
-
-def _newton_multipliers(stats, alpha, h_edge, r2, zeta_init, f_tol, max_iter):
-    """Multipliers of the rows of alpha by a safeguarded Newton iteration.
-
-    ``stats(zeta, rows) -> (log_mass, m2, m4)`` gives the moments of the
-    weights exp(h - zeta s^2) of the listed rows.  The iteration runs on the
-    reciprocal moment 1/m2(zeta), which is linear in zeta for a Gaussian
-    weight, so there one step lands on the root: the step is the Newton step
-    on alpha - m2 scaled by m2/alpha.  Without ``zeta_init`` a row starts
-    from the Gaussian fit h_edge/r2 + 1/(2 alpha), h_edge being h at the
-    larger interval end and r2 = R^2.  The sign of alpha - m2 at each
-    iterate tightens the row's bracket (m2 decreases in zeta); while a side
-    is still open a step is clipped to max(1, |zeta|), and once both are
-    known a step leaving the bracket bisects, as does the step of a row
-    whose bracket and residual both failed to halve over two passes
-    (Dekker 1969; Brent 1973, ch. 4).  A row stops when
-    |alpha - m2| <= f_tol * max(1, alpha) or its bracket is narrower than
-    1e-13 * max(1, |zeta|), and drops out of later calls of ``stats``.
-    Returns (zeta, log_mass, m2, number of ``stats`` calls).
-    """
-    P = alpha.size
-    if zeta_init is None:
-        zeta = h_edge / r2 + 0.5 / alpha
-    else:
-        zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
-    lo = np.full(P, -np.inf)
-    hi = np.full(P, np.inf)
-    past = np.full((2, 2, P), np.inf)  # (width, |f|) two passes and one pass back
-    log_mass = np.empty(P)
-    m2_out = np.empty(P)
-    rows = np.arange(P)
-    for calls in range(1, max_iter + 1):
-        z = zeta[rows]
-        log_mass[rows], m2, m4 = stats(z, rows)
-        m2_out[rows] = m2
-        f = alpha[rows] - m2
-        below = f > 0  # m2 decreases in zeta: the root lies below z
-        hi[rows[below]] = z[below]
-        lo[rows[~below]] = z[~below]
-        done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
-                | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
-        keep = ~done
-        rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
-        if rows.size == 0:
-            return zeta, log_mass, m2_out, calls
-        lo_r, hi_r = lo[rows], hi[rows]
-        # steps beyond 4 _ZETA_LIMIT leave any bracket: flooring them keeps the
-        # quotient finite where m4 - m2^2 cancels to zero (boundary-peaked rows)
-        den = np.maximum(alpha[rows] * (m4 - m2 * m2), np.abs(f * m2) / (4 * _ZETA_LIMIT) + 1e-300)
-        step = -f * m2 / den
-        cap = np.maximum(1.0, np.abs(z))
-        one_sided = np.isinf(lo_r) | np.isinf(hi_r)
-        new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
-        now = np.array([hi_r - lo_r, np.abs(f)])
-        slow = (now > 0.5 * past[0][:, rows]).all(axis=0)  # neither halved in two passes
-        past[:, :, rows] = past[1][:, rows], now
-        inside = (new > lo_r) & (new < hi_r) & ~slow
-        new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
-        if not np.all(np.abs(new) <= _ZETA_LIMIT):
-            raise GibbsError(f"multiplier bracket failure: |zeta| > {_ZETA_LIMIT:g} or NaN")
-        zeta[rows] = new
-    raise GibbsError(f"multiplier solve stalled on {rows.size} problem(s)")
 
 
 def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolution:
@@ -301,9 +208,11 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
 
     The map zeta -> g'(zeta) + alpha is strictly increasing (the second
     moment of the Gibbs weight decreases in zeta), so its root is unique.
-    It is found by the safeguarded Newton iteration on 1/m2(zeta) that
-    ``solve_exponent_batch`` runs, on one row whose moments come from the
-    adaptive quadrature, started from the Gaussian fit h(R)/R^2 + 1/(2 alpha).
+    The solve is one row of ``solve_exponent_batch`` on the grid
+    ``_grid_for(R, dist.symmetric)``, stopped at |alpha - m2| <= 1e-13
+    max(1, alpha): from the Gaussian fit h(R)/R^2 + 1/(2 alpha) with the
+    coarse warm start, or from ``_zeta_init``.  ``evaluations`` counts the
+    moment evaluations of both passes.
     """
     if not np.isfinite(problem.R):
         raise ValueError("gibbs_solve needs finite R; use phi_unbounded for R=inf")
@@ -312,13 +221,9 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
         # the multiplier diverges and the boundary peak falls below any
         # quadrature resolution; treat as the bracket blowing up
         raise GibbsError("multiplier bracket failure (alpha too close to R^2)")
-
-    def stats(zeta, rows):
-        return tuple(np.array([c]) for c in _log_integrals(problem, float(zeta[0]), -R, R))
-
-    zeta, log_mass, m2, evaluations = _newton_multipliers(
-        stats, np.array([alpha]), problem.h(np.array([-R, R])).max(), R * R, _zeta_init,
-        _SCALAR_F_TOL, _MAX_ITER)
+    s, w = _grid_for(R, problem.dist.symmetric)
+    zeta, log_mass, m2, evaluations = solve_exponent_batch(
+        problem.h(s)[None], s, w, alpha, _SCALAR_F_TOL, zeta_init=_zeta_init, counted=True)
     value = float(values_from_batch(log_mass, zeta, alpha)[0])
     return GibbsSolution(problem, float(zeta[0]), value, float(log_mass[0]), float(m2[0]), evaluations)
 
@@ -376,7 +281,7 @@ def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10
 
 
 # ---------------------------------------------------------------------------
-# batched solves on a shared quadrature grid (hot paths in the rate module)
+# the quadrature grid and the multiplier solve on it
 
 
 def _grid_for(R: float, symmetric: bool = True) -> tuple:
@@ -398,44 +303,102 @@ def _grid_for(R: float, symmetric: bool = True) -> tuple:
     return np.linspace(0.0, R, h), 2.0 * _simpson_weights(h, R / (h - 1))
 
 
+def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) -> tuple:
+    """(log I0, m_1, ...) of the weights exp(H[i] - zeta[i] s^2) on a grid.
+
+    ``ws`` holds the quadrature weights w first, then w times each function
+    of s to average: I0 = sum_j exp(...) w_j and m = sum_j exp(...) v_j / I0
+    for every later v.  The exponent is max-subtracted row by row.
+    """
+    phi = np.multiply(-zeta[:, None], s2)
+    phi += H
+    m = phi.max(axis=1)
+    phi -= m[:, None]
+    np.exp(phi, out=phi)
+    # row-wise reductions, unlike a BLAS product, round a row the same at
+    # any position in the batch
+    i0, *mk = (np.einsum("ij,j->i", phi, v) for v in ws)
+    return (np.log(i0) + m, *(x / i0 for x in mk))
+
+
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
-                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None):
-    """Vectorized multiplier solve for many Gibbs weights on one grid.
+                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None,
+                         *, counted: bool = False):
+    """Multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
     are the matching quadrature weights, those of ``_grid_for``'s full grid
-    or, for even Hamiltonians, of its half grid.  The Gaussian-fit start
-    reads H where s^2 is largest.  Returns (zeta, log_mass, m2) with
-    log_mass = log int exp(H - zeta s^2), from the Newton iteration of
-    ``_newton_multipliers`` (the stopping rule takes ``f_tol``) on moments
-    reduced row by row on the grid.  Grids of more than 1600 nodes
-    warm-start from a solve on every fourth node.  Rows never interact: a
-    row's result does not depend on the other rows of the batch.
+    or, for even Hamiltonians, of its half grid.  Returns (zeta, log_mass,
+    m2) with log_mass = log int exp(H - zeta s^2), and with ``counted`` also
+    the number of moment evaluations (``_grid_moments`` calls).  Rows never
+    interact: a row's result does not depend on the other rows of the batch.
+
+    Grids of more than 1600 nodes warm-start from a solve on every fourth
+    node, whose evaluations count too.  Without a warm start or
+    ``zeta_init`` a row starts from the Gaussian fit H_edge/R^2 + 1/(2 alpha),
+    H_edge being H where s^2 is largest.  The safeguarded Newton iteration
+    runs on the reciprocal moment 1/m2(zeta), which is linear in zeta for a
+    Gaussian weight, so there one step lands on the root: the step is the
+    Newton step on alpha - m2 scaled by m2/alpha.  The sign of alpha - m2 at
+    each iterate tightens the row's bracket (m2 decreases in zeta); while a
+    side is still open a step is clipped to max(1, |zeta|), and once both
+    are known a step leaving the bracket bisects, as does the step of a row
+    whose bracket and residual both failed to halve over two passes
+    (Dekker 1969; Brent 1973, ch. 4).  A row stops when
+    |alpha - m2| <= f_tol * max(1, alpha) or its bracket is narrower than
+    1e-13 * max(1, |zeta|), and drops out of later evaluations.
     """
     P = H.shape[0]
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (P,)).copy()
     s2 = s * s
     ws = (w, w * s2, w * s2 * s2)
-
+    coarse = 0
     if zeta_init is None and s.size > 1600 and (s.size - 1) % 8 == 0:
         wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
-        zeta_init, _, _ = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
-
-    def stats(zeta, rows):
-        phi = np.multiply(-zeta[:, None], s2)
-        phi += H if rows.size == P else H[rows]
-        m = phi.max(axis=1)
-        phi -= m[:, None]
-        np.exp(phi, out=phi)
-        # row-wise reductions, unlike a BLAS product, round a row the same
-        # at any position in the batch
-        i0, m2, m4 = (np.einsum("ij,j->i", phi, v) for v in ws)
-        return np.log(i0) + m, m2 / i0, m4 / i0
-
-    edge = s2 == s2.max()  # both ends of a full grid, the far end of a half grid
-    zeta, log_mass, m2, _ = _newton_multipliers(stats, alpha, H[:, edge].max(axis=1),
-                                                s2.max(), zeta_init, f_tol, max_iter)
-    return zeta, log_mass, m2
+        zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9,
+                                                       max_iter, counted=True)
+    if zeta_init is None:
+        edge = s2 == s2.max()  # both ends of a full grid, the far end of a half grid
+        zeta = H[:, edge].max(axis=1) / s2.max() + 0.5 / alpha
+    else:
+        zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
+    lo = np.full(P, -np.inf)
+    hi = np.full(P, np.inf)
+    past = np.full((2, 2, P), np.inf)  # (width, |f|) two passes and one pass back
+    log_mass = np.empty(P)
+    m2_out = np.empty(P)
+    rows = np.arange(P)
+    for calls in range(coarse + 1, coarse + max_iter + 1):
+        z = zeta[rows]
+        log_mass[rows], m2, m4 = _grid_moments(H if rows.size == P else H[rows], s2, z, ws)
+        m2_out[rows] = m2
+        f = alpha[rows] - m2
+        below = f > 0  # m2 decreases in zeta: the root lies below z
+        hi[rows[below]] = z[below]
+        lo[rows[~below]] = z[~below]
+        done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
+                | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
+        keep = ~done
+        rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
+        if rows.size == 0:
+            return (zeta, log_mass, m2_out, calls) if counted else (zeta, log_mass, m2_out)
+        lo_r, hi_r = lo[rows], hi[rows]
+        # steps beyond 4 _ZETA_LIMIT leave any bracket: flooring them keeps the
+        # quotient finite where m4 - m2^2 cancels to zero (boundary-peaked rows)
+        den = np.maximum(alpha[rows] * (m4 - m2 * m2), np.abs(f * m2) / (4 * _ZETA_LIMIT) + 1e-300)
+        step = -f * m2 / den
+        cap = np.maximum(1.0, np.abs(z))
+        one_sided = np.isinf(lo_r) | np.isinf(hi_r)
+        new = z + np.where(one_sided, np.clip(step, -cap, cap), step)
+        now = np.array([hi_r - lo_r, np.abs(f)])
+        slow = (now > 0.5 * past[0][:, rows]).all(axis=0)  # neither halved in two passes
+        past[:, :, rows] = past[1][:, rows], now
+        inside = (new > lo_r) & (new < hi_r) & ~slow
+        new = np.where(inside, new, np.where(one_sided, z - np.copysign(cap, f), 0.5 * (lo_r + hi_r)))
+        if not np.all(np.abs(new) <= _ZETA_LIMIT):
+            raise GibbsError(f"multiplier bracket failure: |zeta| > {_ZETA_LIMIT:g} or NaN")
+        zeta[rows] = new
+    raise GibbsError(f"multiplier solve stalled on {rows.size} problem(s)")
 
 
 def values_from_batch(log_mass: np.ndarray, zeta: np.ndarray, alpha) -> np.ndarray:

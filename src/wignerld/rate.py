@@ -151,7 +151,7 @@ class ProfileFamily:
 
 @dataclass(frozen=True)
 class HatMode:
-    pass
+    """Single-coordinate reduction; needs psi symmetric and nondecreasing on t > 0."""
 
 
 @dataclass(frozen=True)
@@ -390,8 +390,27 @@ def _gibbs_values(dist, amp, vals, counts, beta, R):
     return np.concatenate(out)
 
 
+def _check_hat_domain(dist: EntryDistribution):
+    """Raise ``RateError`` unless psi is symmetric and nondecreasing on t > 0,
+    the laws for which f_hat holds, checked on a 0.01 grid of [0, 60] up to
+    a rounding slack of 1e-12."""
+    t = np.linspace(0.0, 60.0, 6001)
+    psi = dist.psi(t)
+    faults = []
+    down = np.nonzero(np.diff(psi) < -1e-12)[0]
+    if down.size:
+        faults.append(f"psi decreases between t={t[down[0]]:.2f} and t={t[down[0] + 1]:.2f}")
+    gap = np.abs(psi - dist.psi(-t))
+    if gap.max() > 1e-12:
+        faults.append(f"|psi(t) - psi(-t)| reaches {gap.max():.3g} at t={t[gap.argmax()]:.2f}")
+    if faults:
+        raise RateError(f"hat mode needs psi symmetric and nondecreasing on t > 0; "
+                        f"for {dist!r} {' and '.join(faults)}")
+
+
 class _HatEvaluator:
     def __init__(self, dist: EntryDistribution):
+        _check_hat_domain(dist)
         self.dist = dist
         self.phi1 = _Phi1Table(dist)
         self.psi_inf = dist.psi_extremes().psi_infty

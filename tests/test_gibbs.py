@@ -14,6 +14,7 @@ from wignerld.gibbs import (
     gibbs_solve,
     phi_unbounded,
     solve_exponent_batch,
+    values_from_batch,
     wasserstein2,
     whole_line_rows,
 )
@@ -82,6 +83,36 @@ def test_solution_keeps_the_last_iterate(dist):
         sol = gibbs_solve(prob)
         assert sol.root_residual() == abs(g_value(prob, sol.zeta_star, 1) + prob.alpha)
         assert sol.moment(2) == sol.m2
+
+
+@pytest.mark.parametrize("dist", [SG, bernoulli_std(0.3)], ids=repr)
+def test_solve_is_row_zero_of_the_batch(dist):
+    # one quadrature rule: the scalar solve is the batch solve of its one row
+    for prob in _criterion_4_problems(16, 20, dist):
+        sol = gibbs_solve(prob)
+        s, w = _grid_for(prob.R, dist.symmetric)
+        zeta, log_mass, m2 = solve_exponent_batch(prob.h(s)[None], s, w, prob.alpha, 1e-13)
+        assert sol.zeta_star == zeta[0]
+        assert sol.value == values_from_batch(log_mass, zeta, prob.alpha)[0]
+        assert sol.m2 == m2[0]
+
+
+def test_odd_moments_symmetric_law_vanish():
+    for prob in _criterion_4_problems(17, 6):
+        sol = gibbs_solve(prob)
+        assert abs(sol.moment(1)) < 1e-12 and abs(sol.moment(3)) < 1e-12
+
+
+def test_odd_moments_match_fine_trapezoid():
+    law = bernoulli_std(0.3)
+    for prob in _criterion_4_problems(18, 4, law):
+        sol = gibbs_solve(prob)
+        s = np.linspace(-prob.R, prob.R, 1_000_001)
+        phi = prob.h(s) - sol.zeta_star * s * s
+        dens = np.exp(phi - phi.max())
+        mass = np.trapezoid(dens, s)
+        for k in (1, 3):
+            assert sol.moment(k) == pytest.approx(np.trapezoid(s**k * dens, s) / mass, abs=1e-9)
 
 
 def test_solve_matches_brent_root_oracle():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +281,24 @@ def test_rate_point_sparse_gaussian_localizes():
     p = rate.rate_point(SG, 3.0, rate.HatMode())
     assert p.rate < p.goe_rate - 1e-3
     assert p.minimizer.alpha > 0.25
+
+
+@pytest.mark.parametrize("law, fault", [
+    (rademacher(), r"rademacher\]\(\) psi decreases between t=0\.00 and t=0\.01$"),
+    (sparse_rademacher(0.2), r"psi decreases between t=1\.54 and t=1\.55$"),
+    (bernoulli_std(0.3), r"t=0\.78 and t=0\.79 and \|psi\(t\) - psi\(-t\)\| reaches 0\.236"),
+], ids=repr)
+def test_hat_mode_refuses_laws_outside_its_domain(law, fault):
+    # f_hat holds for symmetric psi nondecreasing on t > 0; these compact-
+    # support laws used to rebuild the Phi1 table for minutes
+    start = time.perf_counter()
+    for call in (lambda: rate.rate_point(law, 3.0, rate.HatMode()),
+                 lambda: rate.joint_rate(law, 3.0, rate.HatSpec(0.3)),
+                 lambda: rate.rate_curve(law, [2.5, 3.0], rate.HatMode())):
+        with pytest.raises(rate.RateError, match=fault):
+            call()
+    assert time.perf_counter() - start < 1.0
+    assert law.key() not in rate._HAT_CACHE
 
 
 @pytest.mark.parametrize("x, expected_rate, expected_alpha", [
