@@ -209,10 +209,10 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     The map zeta -> g'(zeta) + alpha is strictly increasing (the second
     moment of the Gibbs weight decreases in zeta), so its root is unique.
     The solve is one row of ``solve_exponent_batch`` on the grid
-    ``_grid_for(R, dist.symmetric)``, stopped at |alpha - m2| <= 1e-13
-    max(1, alpha): from the Gaussian fit h(R)/R^2 + 1/(2 alpha) with the
-    coarse warm start, or from ``_zeta_init``.  ``evaluations`` counts the
-    moment evaluations of both passes.
+    ``_grid_for(R, dist.symmetric)``, stopped once |alpha - m2| <= 1e-13
+    max(1, alpha).  It starts from ``_zeta_init`` when given, else from the
+    coarse warm start.  ``evaluations`` counts the moment evaluations of
+    both passes.
     """
     if not np.isfinite(problem.R):
         raise ValueError("gibbs_solve needs finite R; use phi_unbounded for R=inf")
@@ -304,11 +304,11 @@ def _grid_for(R: float, symmetric: bool = True) -> tuple:
 
 
 def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) -> tuple:
-    """(log I0, m_1, ...) of the weights exp(H[i] - zeta[i] s^2) on a grid.
+    """log I0 and averages of the weights exp(H[i] - zeta[i] s^2) on a grid.
 
-    ``ws`` holds the quadrature weights w first, then w times each function
-    of s to average: I0 = sum_j exp(...) w_j and m = sum_j exp(...) v_j / I0
-    for every later v.  The exponent is max-subtracted row by row.
+    ``ws`` holds the quadrature weights w, then w times each function f of
+    s to average: I0 = sum_j exp(...) w_j, and each average is
+    sum_j exp(...) w_j f(s_j) / I0.  The exponent is max-subtracted by row.
     """
     phi = np.multiply(-zeta[:, None], s2)
     phi += H

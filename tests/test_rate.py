@@ -287,7 +287,7 @@ def test_rate_point_sparse_gaussian_localizes():
     (rademacher(), r"rademacher\]\(\) psi decreases between t=0\.00 and t=0\.01$"),
     (sparse_rademacher(0.2), r"psi decreases between t=1\.54 and t=1\.55$"),
     (bernoulli_std(0.3), r"t=0\.78 and t=0\.79 and \|psi\(t\) - psi\(-t\)\| reaches 0\.236"),
-], ids=repr)
+], ids=["rademacher", "sparse_rademacher", "bernoulli"])
 def test_hat_mode_refuses_laws_outside_its_domain(law, fault):
     # f_hat holds for symmetric psi nondecreasing on t > 0; these compact-
     # support laws used to rebuild the Phi1 table for minutes
