@@ -16,10 +16,13 @@ of [-R, R].  The core is a safeguarded Newton iteration on the reciprocal
 moment 1/m2(zeta), exact in one step for a Gaussian weight, that learns its
 bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
 many rows of one grid, warm-started from every fourth grid node, each row
-independent of the others; ``gibbs_solve`` is its one-row case, and
-``g_value`` and ``GibbsSolution.moment`` reduce on the same grid with the
-same arithmetic.  The solution keeps its last iterate's m2, so its residual
-costs no quadrature.  The one whole-line limit R -> inf,
+independent of the others; ``gibbs_solve`` is its one-row case.  A single
+weight can be narrower than that grid resolves (a small alpha, or alpha
+near R^2 with its boundary layer), so ``gibbs_solve``, ``g_value`` and
+``GibbsSolution.moment`` check each grid against Simpson's rule on every
+other node and move to a finer Simpson grid of the same kind where the two
+disagree (``_resolved``).  The solution keeps its last iterate's m2, so its
+residual costs no quadrature.  The one whole-line limit R -> inf,
 ``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
 """
 
@@ -39,6 +42,9 @@ _TAIL_DROP = 92.0  # R = inf truncates where the weight is below exp(-92) ~ 1e-4
 _ZETA_LIMIT = 1e6
 _MAX_ITER = 80  # moment evaluations per Newton pass of a multiplier solve
 _SCALAR_F_TOL = 1e-13  # |alpha - m2| stop of gibbs_solve, ~1e-13 in zeta
+_GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
+_MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
+_MAX_GRIDS = 24  # grids tried for one weight
 
 
 class GibbsError(RuntimeError):
@@ -126,13 +132,17 @@ def _infinite_domain(problem: GibbsProblem, zeta: float) -> float:
         S *= 2.0
 
 
-def _moments_at(problem: GibbsProblem, R: float, zeta: float, k: int):
-    """(log I0, m_k) of the weight exp(h(s) - zeta s^2) on [-R, R], on the
-    grid and with the arithmetic of ``gibbs_solve``; odd k on the full grid,
-    whose moment a symmetric law's half grid would double instead of cancel."""
-    s, w = _grid_for(R, problem.dist.symmetric and k % 2 == 0)
-    log_i0, mk = _grid_moments(problem.h(s)[None], s * s, np.array([zeta]), (w, w * s**k))
-    return float(log_i0[0]), float(mk[0])
+def _weight_grid(problem: GibbsProblem, R: float, zeta: float) -> tuple:
+    """((s, w, H), log I0, m2) of the weight exp(h(s) - zeta s^2) on [-R, R],
+    on the first grid of ``_resolved`` that resolves it, with the arithmetic
+    of ``gibbs_solve``."""
+
+    def moments(s, w, H):
+        log_i0, m2 = _grid_moments(H[None], s * s, np.array([zeta]), (w, w * (s * s)))
+        return zeta, float(log_i0[0]), float(m2[0])
+
+    grid, _, log_i0, m2 = _resolved(problem, R, R, moments)
+    return grid, log_i0, m2
 
 
 def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
@@ -143,7 +153,7 @@ def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
     where the weight has fallen below exp(-92) of its peak.
     """
     R = problem.R if np.isfinite(problem.R) else _infinite_domain(problem, zeta)
-    log_i0, m2 = _moments_at(problem, R, zeta, 2)
+    _, log_i0, m2 = _weight_grid(problem, R, zeta)
     if order == 0:
         return log_i0
     if order == 1:
@@ -176,13 +186,15 @@ class GibbsSolution:
         return float(out) if out.ndim == 0 else out
 
     def moment(self, k: int) -> float:
-        """int s^k dnu for the optimizing measure, on the solve's grid.
-
-        Even k on the grid of the solve itself, so moment(2) is its m2 bit
-        for bit; odd k on the full grid of [-R, R] (0 to rounding for a
-        symmetric law).
+        """int s^k dnu for the optimizing measure, on the grid that resolves
+        its weight at zeta* (the solve's grid when its first grid did, so
+        moment(2) is then m2 bit for bit).  Odd k vanish for a symmetric
+        law, whose weight is even.
         """
-        return _moments_at(self.problem, self.R, self.zeta_star, k)[1]
+        if k % 2 and self.problem.dist.symmetric:
+            return 0.0
+        (s, w, H), _, _ = _weight_grid(self.problem, self.R, self.zeta_star)
+        return float(_grid_moments(H[None], s * s, np.array([self.zeta_star]), (w, w * s**k))[1][0])
 
     def root_residual(self) -> float:
         """|m2 - alpha| = |g'(zeta*) + alpha|, the first-order optimality defect."""
@@ -190,11 +202,14 @@ class GibbsSolution:
 
     def quantiles(self, q):
         """Inverse CDF at probabilities q (array), by interpolation of the
-        trapezoid CDF on the full grid of [-R, R]."""
-        s, _ = _grid_for(self.R, symmetric=False)
-        phi = self.problem.h(s) - self.zeta_star * s * s
+        trapezoid CDF on the grid that resolves the weight at zeta*, a half
+        grid mirrored to [-R, R]."""
+        (s, _, H), _, _ = _weight_grid(self.problem, self.R, self.zeta_star)
+        phi = H - self.zeta_star * s * s
+        if self.problem.dist.symmetric:
+            s, phi = np.concatenate([-s[::-1], s]), np.concatenate([phi[::-1], phi])
         dens = np.exp(phi - phi.max())
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5)])
+        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))])
         cdf /= cdf[-1]
         # nondecreasing, and flat only where the density underflows in the tails
         return np.interp(q, cdf, s)
@@ -211,8 +226,11 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     The solve is one row of ``solve_exponent_batch`` on the grid
     ``_grid_for(R, dist.symmetric)``, stopped once |alpha - m2| <= 1e-13
     max(1, alpha).  It starts from ``_zeta_init`` when given, else from the
-    coarse warm start.  ``evaluations`` counts the moment evaluations of
-    both passes.
+    coarse warm start.  Where that grid does not resolve the weight at the
+    multiplier found, the solve moves on to the finer grids of ``_resolved``,
+    each started from the last multiplier; a weight of width sqrt(alpha)
+    below R/256 starts on the grid of [-16 sqrt(alpha), 16 sqrt(alpha)].
+    ``evaluations`` counts the moment evaluations of every pass.
     """
     if not np.isfinite(problem.R):
         raise ValueError("gibbs_solve needs finite R; use phi_unbounded for R=inf")
@@ -221,11 +239,19 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
         # the multiplier diverges and the boundary peak falls below any
         # quadrature resolution; treat as the bracket blowing up
         raise GibbsError("multiplier bracket failure (alpha too close to R^2)")
-    s, w = _grid_for(R, problem.dist.symmetric)
-    zeta, log_mass, m2, evaluations = solve_exponent_batch(
-        problem.h(s)[None], s, w, alpha, _SCALAR_F_TOL, zeta_init=_zeta_init, counted=True)
-    value = float(values_from_batch(log_mass, zeta, alpha)[0])
-    return GibbsSolution(problem, float(zeta[0]), value, float(log_mass[0]), float(m2[0]), evaluations)
+    zeta, evaluations = _zeta_init, 0
+
+    def solve(s, w, H):
+        nonlocal zeta, evaluations
+        z, log_mass, m2, count = solve_exponent_batch(H[None], s, w, alpha, _SCALAR_F_TOL,
+                                                      zeta_init=zeta)
+        zeta, evaluations = float(z[0]), evaluations + count
+        return zeta, float(log_mass[0]), float(m2[0])
+
+    span = 16.0 * math.sqrt(alpha) if 256.0 * math.sqrt(alpha) < R else R
+    _, zeta, log_mass, m2 = _resolved(problem, R, span, solve)
+    value = float(values_from_batch(log_mass, zeta, alpha))
+    return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations)
 
 
 def whole_line_rows(values_at, n: int, where) -> np.ndarray:
@@ -298,9 +324,57 @@ def _grid_for(R: float, symmetric: bool = True) -> tuple:
     """
     h = (min(16385, max(4097, 2 * round(R / 0.008) + 1)) + 1) // 2
     h += -(h - 1) % 8
-    if not symmetric:
-        return np.linspace(-R, R, 2 * h - 1), _simpson_weights(2 * h - 1, 2.0 * R / (2 * h - 2))
-    return np.linspace(0.0, R, h), 2.0 * _simpson_weights(h, R / (h - 1))
+    return _simpson_grid(0.0, R, h, True) if symmetric else _simpson_grid(-R, R, 2 * h - 1, False)
+
+
+def _simpson_grid(a: float, b: float, n: int, symmetric: bool) -> tuple:
+    """n Simpson nodes on [a, b] and their weights, doubled on a half grid."""
+    return np.linspace(a, b, n), (2.0 if symmetric else 1.0) * _simpson_weights(n, (b - a) / (n - 1))
+
+
+def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
+    """Run ``step(s, w, H)`` -> (zeta, log I0, m2) on the grid of
+    ``_grid_for(span)`` (span <= R) and then on finer grids of [-R, R] until
+    one resolves the weight exp(H - zeta s^2).
+
+    A grid resolves it when Simpson's rule on every other node agrees with
+    it to 1e-11 in log I0 and in m2 relative to m2, and where the grid stops
+    short of [-R, R] the weight there is below exp(-92) of its peak.  The
+    next grid triples a span that stops short too soon; else it spans the
+    nodes where the weight is above that bound, one more on each side, if
+    they fill at most half the grid; else it halves the spacing, up to
+    2^17 + 1 nodes.  A weight still unresolved raises ``GibbsError``.
+    Returns ((s, w, H), zeta, log I0, m2) of the last grid.
+    """
+    sym = problem.dist.symmetric
+    lo = 0.0 if sym else -R  # a half grid's 0 is the fold, not an end of the domain
+    s, w = _grid_for(span, sym)
+    for _ in range(_MAX_GRIDS):
+        H = problem.h(s)
+        zeta, log_i0, m2 = step(s, w, H)
+        c = s[::2]  # a Simpson grid too: (s.size - 1) % 4 == 0
+        wc = _simpson_grid(c[0], c[-1], c.size, sym)[1]
+        log_c, m2_c = _grid_moments(H[None, ::2], c * c, np.array([zeta]), (wc, wc * (c * c)))
+        close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
+        if close and s[0] == lo and s[-1] == R:
+            return (s, w, H), zeta, log_i0, m2
+        phi = H - zeta * s * s
+        live = np.nonzero(phi >= phi.max() - _TAIL_DROP)[0]
+        cut = (s[0] > lo and live[0] == 0, s[-1] < R and live[-1] == s.size - 1)
+        if close and not any(cut):
+            return (s, w, H), zeta, log_i0, m2
+        a, b, n = float(s[0]), float(s[-1]), s.size
+        if any(cut):
+            a, b = (max(lo, a - (b - a)) if cut[0] else a), (min(R, b + (b - a)) if cut[1] else b)
+        elif live[-1] - live[0] + 2 <= n // 2:
+            a, b = s[max(live[0] - 1, 0)], s[min(live[-1] + 1, n - 1)]
+        elif n < _MAX_NODES:
+            n = 2 * n - 1
+        else:
+            break
+        s, w = _simpson_grid(a, b, n, sym)
+    raise GibbsError(f"quadrature cannot resolve the Gibbs weight at zeta={zeta:.6g} "
+                     f"(alpha={problem.alpha:g}, R={R:g})")
 
 
 def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) -> tuple:
@@ -322,15 +396,14 @@ def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) ->
 
 
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
-                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None,
-                         *, counted: bool = False):
+                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None):
     """Multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
     are the matching quadrature weights, those of ``_grid_for``'s full grid
     or, for even Hamiltonians, of its half grid.  Returns (zeta, log_mass,
-    m2) with log_mass = log int exp(H - zeta s^2), and with ``counted`` also
-    the number of moment evaluations (``_grid_moments`` calls).  Rows never
+    m2, evaluations) with log_mass = log int exp(H - zeta s^2) and the
+    number of moment evaluations (``_grid_moments`` calls).  Rows never
     interact: a row's result does not depend on the other rows of the batch.
 
     Grids of more than 1600 nodes warm-start from a solve on every fourth
@@ -355,8 +428,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     coarse = 0
     if zeta_init is None and s.size > 1600 and (s.size - 1) % 8 == 0:
         wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
-        zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9,
-                                                       max_iter, counted=True)
+        zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
     if zeta_init is None:
         edge = s2 == s2.max()  # both ends of a full grid, the far end of a half grid
         zeta = H[:, edge].max(axis=1) / s2.max() + 0.5 / alpha
@@ -381,7 +453,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
         keep = ~done
         rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
         if rows.size == 0:
-            return (zeta, log_mass, m2_out, calls) if counted else (zeta, log_mass, m2_out)
+            return zeta, log_mass, m2_out, calls
         lo_r, hi_r = lo[rows], hi[rows]
         # steps beyond 4 _ZETA_LIMIT leave any bracket: flooring them keeps the
         # quotient finite where m4 - m2^2 cancels to zero (boundary-peaked rows)

@@ -1,8 +1,10 @@
 """Independent cross-checks for the variational solvers.
 
-These deliberately avoid the multiplier formulation used by the main code
-path: the Gibbs oracle maximizes the discretized objective directly by
-projected gradient ascent under the two linear constraints, and the rate
+These deliberately avoid the routes of the main code path: the Gibbs grid
+oracle maximizes the discretized objective directly by projected gradient
+ascent under the two linear constraints, the Gibbs quadrature oracle
+integrates the multiplier equation with Gauss-Legendre panels instead of
+Simpson grids and solves it by Brent's method, and the rate
 oracles integrate the square-root density numerically.  Agreement between
 the two routes is what the invariant suites assert.
 """
@@ -13,10 +15,11 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .gibbs import GibbsProblem
 
-__all__ = ["gibbs_grid_oracle", "quad_goe_rate", "quad_log_potential", "fd_log_potential_slope"]
+__all__ = ["gibbs_grid_oracle", "gibbs_quad_oracle", "quad_goe_rate", "quad_log_potential", "fd_log_potential_slope"]
 
 
 def _project_affine(y, A, AAT_inv, b):
@@ -98,6 +101,35 @@ def gibbs_grid_oracle(problem: GibbsProblem, n_points: int = 41,
         if stalled > 50:
             break
     return obj
+
+
+def gibbs_quad_oracle(problem: GibbsProblem) -> tuple:
+    """(zeta*, value) of a finite-R Gibbs problem from 12-point Gauss-Legendre
+    rules on 4000 equal panels of [-R, R], zeta* the root of alpha - m2(zeta)
+    by Brent's method.  A panel is R/2000 wide, so weights of about that
+    width are resolved: alpha >= 1e-6 or 1 - alpha/R^2 >= 1e-3 at R <= 6.
+    """
+    R, alpha = problem.R, problem.alpha
+    x, wx = np.polynomial.legendre.leggauss(12)
+    half = R / 4000
+    s = (np.linspace(-R + half, R - half, 4000)[:, None] + half * x).ravel()
+    w = np.tile(half * wx, 4000)
+    h = problem.h(s)
+
+    def moments(zeta):
+        phi = h - zeta * s * s
+        top = phi.max()
+        d = w * np.exp(phi - top)
+        return math.log(d.sum()) + top, float(d @ (s * s)) / d.sum()
+
+    lo, hi = -1.0, 1.0
+    while moments(lo)[1] < alpha:
+        lo *= 2.0
+    while moments(hi)[1] > alpha:
+        hi *= 2.0
+    zeta = brentq(lambda z: moments(z)[1] - alpha, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    value = moments(zeta)[0] + alpha * zeta + 0.5 * (1.0 - alpha) - 0.5 * (math.log(2.0 * math.pi) + 1.0)
+    return zeta, value
 
 
 def quad_goe_rate(x: float) -> float:

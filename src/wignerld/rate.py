@@ -385,7 +385,7 @@ def _gibbs_values(dist, amp, vals, counts, beta, R):
         terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[b, None] * s)
                  for v, c in zip(vals[b].T, counts[b].T) if c.any()]  # padding adds nothing
         H = sum(terms[1:], terms[0]) if terms else np.zeros((b.size, s.size))
-        zeta, log_mass, _ = solve_exponent_batch(H, s, w, beta[b])
+        zeta, log_mass, _, _ = solve_exponent_batch(H, s, w, beta[b])
         out.append(values_from_batch(log_mass, zeta, beta[b]))
     return np.concatenate(out)
 

@@ -5,6 +5,8 @@ import pytest
 
 from wignerld import free_energy as fe
 from wignerld.entries import Gaussian, SparseGaussian, sparse_rademacher
+from wignerld.gibbs import GibbsProblem
+from wignerld.oracles import gibbs_quad_oracle
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -139,6 +141,18 @@ def test_hat_small_mass_upper_bound():
     for alpha in (0.02, 0.05, 0.1):
         for theta in (0.5, 1.0):
             assert fe.f_hat(GAUSS, theta, alpha) <= theta**2 - alpha / 4.0
+
+
+@pytest.mark.parametrize("theta, alpha", [(0.5, 0.3), (2.0, 0.9), (1.5, 0.999), (2.5, 0.99999)])
+def test_hat_matches_quadrature_oracle(theta, alpha):
+    # the whole-line Gibbs term at budgets 1 - alpha down to 1e-5, against
+    # Gauss-Legendre panels on [-8, 8], where every weight here is below
+    # exp(-40) of its peak at the ends
+    beta = 1.0 - alpha
+    _, phi = gibbs_quad_oracle(GibbsProblem([theta * math.sqrt(alpha)], SG, 8.0, beta))
+    psi_inf = SG.psi_extremes().psi_infty
+    expected = theta**2 * (beta**2 + 2.0 * psi_inf * alpha**2) + phi - 0.5 * alpha
+    assert fe.f_hat(SG, theta, alpha) == pytest.approx(expected, abs=1e-10)
 
 
 def test_hat_matches_restricted_at_large_N():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import dawsn, erf
 
 from wignerld import gibbs
 from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher
@@ -18,7 +19,7 @@ from wignerld.gibbs import (
     wasserstein2,
     whole_line_rows,
 )
-from wignerld.oracles import gibbs_grid_oracle
+from wignerld.oracles import gibbs_grid_oracle, gibbs_quad_oracle
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -38,6 +39,22 @@ def test_g_matches_fine_trapezoid_oracle():
     s = np.linspace(-4.0, 4.0, 1_000_001)
     oracle = math.log(np.trapezoid(np.exp(-s * s + GAUSS.log_laplace(2 * 0.5 * s)), s))
     assert g_value(p, 1.0) == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("zeta", [2e5, 1e3, -30.0, -300.0, -3000.0])
+def test_g_resolves_narrow_weights_closed_form(zeta):
+    # flat tilt: I0 = int_{-R}^{R} exp(-zeta s^2), a Gaussian of width
+    # 1/sqrt(2 zeta) or, for zeta < 0, boundary layers of width 1/(2 |zeta| R)
+    R = 4.0
+    r = math.sqrt(abs(zeta))
+    if zeta > 0:
+        log_i0 = math.log(math.sqrt(math.pi) / r * erf(R * r))
+    else:
+        log_i0 = -zeta * R * R + math.log(2.0 * dawsn(R * r) / r)
+    m2 = (2.0 * R * math.exp(-zeta * R * R - log_i0) - 1.0) / (-2.0 * zeta)
+    p = GibbsProblem([0.0], GAUSS, R, 1.0)
+    assert g_value(p, zeta) == pytest.approx(log_i0, rel=1e-12)
+    assert -g_value(p, zeta, order=1) == pytest.approx(m2, rel=1e-10)
 
 
 def test_g_divergent_integrand_rejected():
@@ -91,7 +108,7 @@ def test_solve_is_row_zero_of_the_batch(dist):
     for prob in _criterion_4_problems(16, 20, dist):
         sol = gibbs_solve(prob)
         s, w = _grid_for(prob.R, dist.symmetric)
-        zeta, log_mass, m2 = solve_exponent_batch(prob.h(s)[None], s, w, prob.alpha, 1e-13)
+        zeta, log_mass, m2, _ = solve_exponent_batch(prob.h(s)[None], s, w, prob.alpha, 1e-13)
         assert sol.zeta_star == zeta[0]
         assert sol.value == values_from_batch(log_mass, zeta, prob.alpha)[0]
         assert sol.m2 == m2[0]
@@ -130,6 +147,38 @@ def test_solve_matches_brent_root_oracle():
         oracle = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
         assert sol.zeta_star == pytest.approx(oracle, rel=1e-12)
         assert type(sol.zeta_star) is float
+
+
+def _narrow_problems(dist):
+    # weights narrower than the spacing of _grid_for: small alpha, and
+    # alpha near R^2, where the optimizer has a boundary layer of width
+    # about R (1 - alpha/R^2) / 2
+    for v, R, alpha in (([0.5], 6.0, 1e-5), ([0.3, -0.6], 6.0, 1e-4), ([0.5], 16.0, 1e-4)):
+        yield GibbsProblem(v, dist, R, alpha)
+    if dist.symmetric:
+        for R, eps in ((4.0, 1e-3), (6.0, 1e-2), (16.0, 1e-3)):
+            yield GibbsProblem([0.5], dist, R, R * R * (1.0 - eps))
+
+
+@pytest.mark.parametrize("dist", [SG, GAUSS, bernoulli_std(0.3)], ids=repr)
+def test_solve_matches_quadrature_oracle(dist):
+    # values and multipliers against Gauss-Legendre panels and Brent, over
+    # the criterion-4 ranges and narrow weights.  The solve stops at
+    # |alpha - m2| <= 1e-13 max(1, alpha), which fixes zeta* only to about
+    # 1e-13 / (2 alpha^2) for a small alpha (5e-4 of 5e4 at alpha = 1e-5)
+    for prob in [*_criterion_4_problems(19, 4, dist), *_narrow_problems(dist)]:
+        sol = gibbs_solve(prob)
+        zeta, value = gibbs_quad_oracle(prob)
+        assert sol.value == pytest.approx(value, abs=1e-11), prob
+        assert sol.zeta_star == pytest.approx(zeta, rel=2e-8, abs=1e-9), prob
+        assert sol.moment(2) == pytest.approx(prob.alpha, rel=1e-11)
+
+
+def test_solve_refuses_unresolved_boundary_layers():
+    # an asymmetric law near R^2 puts layers at both ends of [-R, R]; they
+    # stay narrower than the node cap resolves, so the solve says so
+    with pytest.raises(GibbsError, match=r"cannot resolve .*alpha=15\.984, R=4\)"):
+        gibbs_solve(GibbsProblem([0.5], bernoulli_std(0.3), 4.0, 16.0 * (1.0 - 1e-3)))
 
 
 def test_solve_moment_evaluations_counted():
@@ -223,7 +272,7 @@ def test_batch_gaussian_weights_closed_form():
     s, w = _grid_for(16.0)
     v = np.array([0.0, 0.3, 1.0, 2.5, 0.7])
     alpha = np.array([1.0, 0.5, 2.0, 0.8, 1.3])
-    zeta, log_mass, m2 = solve_exponent_batch(GAUSS.log_laplace(2.0 * v[:, None] * s), s, w, alpha)
+    zeta, log_mass, m2, _ = solve_exponent_batch(GAUSS.log_laplace(2.0 * v[:, None] * s), s, w, alpha)
     np.testing.assert_allclose(zeta, 2.0 * v**2 + 0.5 / alpha, rtol=0, atol=1e-9)
     np.testing.assert_allclose(log_mass, 0.5 * np.log(2.0 * math.pi * alpha), rtol=0, atol=1e-9)
     np.testing.assert_allclose(m2, alpha, rtol=0, atol=1e-9)
@@ -235,7 +284,7 @@ def test_batch_moment_matched_across_multiplier_range():
     s, w = _grid_for(16.0)
     u = np.array([0.0, 0.0, 0.5, 2.0, 5.0, 8.0])
     alpha = np.array([150.0, 1.0, 0.3, 1.0, 0.6, 1.0])
-    zeta, _, m2 = solve_exponent_batch(SG.log_laplace(2.0 * u[:, None] * s), s, w, alpha)
+    zeta, _, m2, _ = solve_exponent_batch(SG.log_laplace(2.0 * u[:, None] * s), s, w, alpha)
     assert zeta.min() < 0.0 and zeta.max() > 100.0
     assert np.all(np.abs(alpha - m2) <= 1e-11 * np.maximum(1.0, alpha))
 
@@ -316,7 +365,7 @@ def test_batch_converges_over_default_family(R, ks):
     for k in ks:
         for a in np.linspace(0.0, 0.95 * 8.0 / math.sqrt(k), 17)[1:]:
             H = np.repeat(k * SG.log_laplace(2.0 * a * s)[None], beta.size, axis=0)
-            zeta, log_mass, m2 = solve_exponent_batch(H, s, w, beta)
+            zeta, log_mass, m2, _ = solve_exponent_batch(H, s, w, beta)
             assert np.all(np.isfinite(zeta) & np.isfinite(log_mass))
             assert np.all(np.abs(m2 - beta) <= 1e-6), (k, a)
 
