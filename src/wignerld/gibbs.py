@@ -342,8 +342,9 @@ def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
     short of [-R, R] the weight there is below exp(-92) of its peak.  The
     next grid triples a span that stops short too soon; else it spans the
     nodes where the weight is above that bound, one more on each side, if
-    they fill at most half the grid; else it halves the spacing, up to
-    2^17 + 1 nodes.  A weight still unresolved raises ``GibbsError``.
+    they fill at most half the grid; else it halves the spacing of a grid
+    of fewer than 2^17 + 1 nodes.  A weight still unresolved raises
+    ``GibbsError``.
     Returns ((s, w, H), zeta, log I0, m2) of the last grid.
     """
     sym = problem.dist.symmetric
