@@ -49,8 +49,8 @@ def _require(d: dict, key: str, path: str):
 
 
 def _number(v, key: str):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field '{key}' must be a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"field '{key}' must be a finite number, not {v!r}")
     return float(v)
 
 

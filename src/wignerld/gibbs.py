@@ -41,7 +41,7 @@ _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 _TAIL_DROP = 92.0  # R = inf truncates where the weight is below exp(-92) ~ 1e-40 of its peak
 _ZETA_LIMIT = 1e6
 _MAX_ITER = 80  # moment evaluations per Newton pass of a multiplier solve
-_SCALAR_F_TOL = 1e-13  # |alpha - m2| stop of gibbs_solve, ~1e-13 in zeta
+_SCALAR_F_TOL = 1e-13  # |alpha - m2| / alpha stop of gibbs_solve, ~1e-13 in zeta
 _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
@@ -225,8 +225,8 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     moment of the Gibbs weight decreases in zeta), so its root is unique.
     The solve is one row of ``solve_exponent_batch`` on the grid
     ``_grid_for(R, dist.symmetric)``, stopped once |alpha - m2| <= 1e-13
-    max(1, alpha).  It starts from ``_zeta_init`` when given, else from the
-    coarse warm start.  Where that grid does not resolve the weight at the
+    alpha.  It starts from ``_zeta_init`` when given, else from the coarse
+    warm start.  Where that grid does not resolve the weight at the
     multiplier found, the solve moves on to the finer grids of ``_resolved``,
     each started from the last multiplier; a weight of width sqrt(alpha)
     below R/256 starts on the grid of [-16 sqrt(alpha), 16 sqrt(alpha)].
@@ -243,8 +243,8 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
 
     def solve(s, w, H):
         nonlocal zeta, evaluations
-        z, log_mass, m2, count = solve_exponent_batch(H[None], s, w, alpha, _SCALAR_F_TOL,
-                                                      zeta_init=zeta)
+        z, log_mass, m2, count = solve_exponent_batch(
+            H[None], s, w, alpha, _SCALAR_F_TOL * min(1.0, alpha), zeta_init=zeta)
         zeta, evaluations = float(z[0]), evaluations + count
         return zeta, float(log_mass[0]), float(m2[0])
 

@@ -14,11 +14,11 @@ masses.
 The single-coordinate (hat) mode is the hot path for curve generation; its
 Gibbs term reduces to a one-variable function that is precomputed on a grid
 and interpolated by a cubic spline (values checked against the direct
-free-energy path in the test suite).  Hat mode is batched over x: every
-(x, alpha) pair of a block of targets is one row of the row-wise theta
-search ``sup_theta_rows``, so the targets share one grid pass, one row-wise
-Brent search over alpha and one final theta* pass.  The vector modes
-make one such call per target, with a row per profile of the search family.
+free-energy path in the test suite).  Every mode is batched over x: the
+targets of a sequence are rows of the row-wise theta search
+``sup_theta_rows``, one per (x, alpha) pair in hat mode, which shares one
+grid pass, one row-wise Brent search over alpha and one final theta* pass,
+and one per (x, profile) pair of the search family in one vector-mode call.
 """
 
 from __future__ import annotations
@@ -330,7 +330,6 @@ def sup_theta(x: float, penalty, *, n_grid: int = 64):
 _HAT_LOCK = threading.Lock()
 _HAT_CACHE: dict = {}  # dist.key() -> _HatEvaluator, least recently used first
 _HAT_CACHE_SIZE = 8
-_HAT_BLOCK = 16  # grid points per hat-mode rate_point call of rate_curve: bounds memory
 _GIBBS_BLOCK_ROWS = 64  # rows per multiplier solve of _gibbs_values: bounds memory
 
 
@@ -554,9 +553,8 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
     in hat mode, the norm c (mass at most cap^2) in finite-N mode and
     c^2 + alpha_tilde in two-scale mode; a warning fires when the argmin
     presses against it.  Ties report the smallest minimizer.
-    In hat mode every x of a sequence shares the ``sup_theta_rows`` calls
-    (see ``_hat_points``); the vector modes make one ``sup_theta_rows``
-    call per x whose rows are the family's profiles (see ``_vector_point``).
+    Every x of a sequence shares the ``sup_theta_rows`` calls, as rows
+    (see ``_hat_points`` and ``_vector_points``).
     """
     if not 0.0 < cap < 1.0:
         raise ValueError("cap must lie in (0, 1)")
@@ -565,12 +563,12 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
     points = [RatePoint(v, math.inf, math.inf, None, math.inf) if v < 2.0 else None
               for v in xs]
     todo = [i for i, p in enumerate(points) if p is None]
-    if isinstance(mode, HatMode):
-        found = _hat_points(dist, [xs[i] for i in todo], cap)
-    else:
-        found = [_vector_point(dist, xs[i], mode, cap) for i in todo]
-    for i, p in zip(todo, found):
-        points[i] = p
+    if todo:
+        xt = [xs[i] for i in todo]
+        found = (_hat_points(dist, xt, cap) if isinstance(mode, HatMode)
+                 else _vector_points(dist, xt, mode, cap))
+        for i, p in zip(todo, found):
+            points[i] = p
     return points[0] if single else tuple(points)
 
 
@@ -580,11 +578,9 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     One ``sup_theta_rows`` call scans all 201 alpha grid values of every
     x; one row-wise Brent search (``brent_max_rows``) refines every local
     minimum in alpha of every x, each step one such call; one last call
-    gives every theta*.  Rows
-    never interact, so each point equals its own single-x evaluation.
+    gives every theta*.  Rows never interact, so each point equals its own
+    single-x evaluation.
     """
-    if not xs:
-        return []
     ev = _hat_evaluator(dist)
     xa = np.array(xs, dtype=float)
     grid = np.linspace(0.0, cap, 201)
@@ -616,23 +612,27 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
             for x, r, th, a_j in zip(xs, rates, theta_star, alpha_star)]
 
 
-def _vector_point(dist: EntryDistribution, x: float, mode, cap: float) -> RatePoint:
-    """Finite-N or two-scale point at one target x >= 2: one row per
-    profile of the family, the tie rule of hat mode on (mass, k)."""
-    pen, rows = mode._rows(dist, x, cap)
-    theta_star, value = sup_theta_rows(x, pen, rows)
+def _vector_points(dist: EntryDistribution, xs: list, mode, cap: float) -> list:
+    """Finite-N or two-scale points at targets x >= 2: every x's family
+    rows in one ``sup_theta_rows`` call, then the tie rule of hat mode on
+    (mass, k) and the cap warning on each x's own rows."""
+    parts = [mode._rows(dist, x, cap) for x in xs]
+    pen, rows = parts[0][0], np.concatenate([r for _, r in parts])
+    theta_star, value = sup_theta_rows(rows[:, 0], pen, rows)
     _, n, csq = _terms(rows)
-    mass = csq + rows[:, 1]
-    keys = zip(mass, n.sum(axis=1), range(len(rows)))
-    (_, _, i), _ = _pick_smallest_minimizer(list(zip(keys, value)))
-    if pen.N:
-        size, name = math.sqrt(mass[i]), "finite-N minimizer norm c"
-    else:
-        size, name = mass[i], "two-scale minimizer mass"
-    if size > cap - 1e-3:
-        warnings.warn(f"{name} {size:.4f} sits at the cap {cap}")
-    return RatePoint(x, float(value[i]), float(theta_star[i]), pen.spec(rows[i]),
-                     semicircle.goe_rate(x))
+    mass, k = csq + rows[:, 1], n.sum(axis=1)
+    size = np.sqrt(mass) if pen.N else mass
+    name = "finite-N minimizer norm c" if pen.N else "two-scale minimizer mass"
+    points, end = [], 0
+    for x, (_, own) in zip(xs, parts):
+        start, end = end, end + len(own)
+        (_, _, i), _ = _pick_smallest_minimizer(
+            [((mass[j], k[j], j), value[j]) for j in range(start, end)])
+        if size[i] > cap - 1e-3:
+            warnings.warn(f"{name} {size[i]:.4f} sits at the cap {cap}")
+        points.append(RatePoint(x, float(value[i]), float(theta_star[i]), pen.spec(rows[i]),
+                                semicircle.goe_rate(x)))
+    return points
 
 
 def _family_rows(family: ProfileFamily, N: int, xi: float, x: float, c_tops, alphas):
@@ -653,13 +653,12 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
                tol: float = 1e-3, threads: int = None) -> RateCurve:
     """Evaluate rate_point across a sorted grid of targets x >= 2.
 
-    Hat mode evaluates blocks of up to ``_HAT_BLOCK`` consecutive grid
-    points per ``rate_point`` call; the vector modes one point per call.
-    With ``threads > 1`` the calls go to a thread pool.  Any failed call
-    poisons the whole curve with its diagnostic.  The detected threshold
-    ``x_mu`` is the smallest grid point where the rate drops below the GOE
-    rate by more than ``tol`` (no uniqueness claim).  Results are
-    deterministic regardless of the thread count.
+    One ``rate_point`` call evaluates the grid, save that with ``threads > 1``
+    a vector-mode grid is split into at most ``threads`` contiguous blocks,
+    one call each on a thread pool.  Any failed call poisons the whole curve
+    with its diagnostic.  The detected threshold ``x_mu`` is the smallest
+    grid point where the rate drops below the GOE rate by more than ``tol``
+    (no uniqueness claim).  Results do not depend on the thread count.
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):
@@ -667,10 +666,10 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     if x_grid and x_grid[0] < 2.0:
         raise ValueError("x grid must start at or above the spectral edge 2")
 
-    size = 1
     if isinstance(mode, HatMode):
-        _hat_evaluator(dist)  # prime the shared table before any fan-out
-        size = _HAT_BLOCK
+        _hat_evaluator(dist)  # a law outside hat mode's domain fails here with a bare RateError
+        threads = None
+    size = max(1, -(-len(x_grid) // max(threads or 1, 1)))
     blocks = [x_grid[i:i + size] for i in range(0, len(x_grid), size)]
 
     def run(block):
@@ -679,8 +678,8 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
         except Exception as e:  # noqa: BLE001 - rewrapped with context below
             return e
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(run, blocks))
     else:
         results = [run(block) for block in blocks]

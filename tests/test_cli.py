@@ -119,6 +119,25 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "unknown dist kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field", [
+    ('{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [NaN, 3, 0.1]}', "x"),
+    ('{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2, 3, 0.1], "cap": NaN}',
+     "cap"),
+    ('{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": [0.1], "R": 6,'
+     ' "alpha": Infinity}', "alpha"),
+    ('{"command": "free-energy", "dist": {"kind": "gaussian"}, "form": "hat", "theta": NaN,'
+     ' "alpha": 0.5}', "theta"),
+    ('{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "N": 50, "reps": 2,'
+     ' "theta": NaN}', "theta"),
+], ids=["rate-curve-x", "rate-curve-cap", "gibbs-solve", "free-energy", "mc"])
+def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field):
+    # JSON's NaN and Infinity parse as floats; a field refuses them at once
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg)]) == 2
+    assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+
+
 def test_main_missing_config_file(capsys):
     assert main(["--config", "/nonexistent/cfg.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err

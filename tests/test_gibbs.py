@@ -108,7 +108,8 @@ def test_solve_is_row_zero_of_the_batch(dist):
     for prob in _criterion_4_problems(16, 20, dist):
         sol = gibbs_solve(prob)
         s, w = _grid_for(prob.R, dist.symmetric)
-        zeta, log_mass, m2, _ = solve_exponent_batch(prob.h(s)[None], s, w, prob.alpha, 1e-13)
+        zeta, log_mass, m2, _ = solve_exponent_batch(prob.h(s)[None], s, w, prob.alpha,
+                                                     1e-13 * min(1.0, prob.alpha))
         assert sol.zeta_star == zeta[0]
         assert sol.value == values_from_batch(log_mass, zeta, prob.alpha)[0]
         assert sol.m2 == m2[0]
@@ -163,15 +164,22 @@ def _narrow_problems(dist):
 @pytest.mark.parametrize("dist", [SG, GAUSS, bernoulli_std(0.3)], ids=repr)
 def test_solve_matches_quadrature_oracle(dist):
     # values and multipliers against Gauss-Legendre panels and Brent, over
-    # the criterion-4 ranges and narrow weights.  The solve stops at
-    # |alpha - m2| <= 1e-13 max(1, alpha), which fixes zeta* only to about
-    # 1e-13 / (2 alpha^2) for a small alpha (5e-4 of 5e4 at alpha = 1e-5)
+    # the criterion-4 ranges and narrow weights
     for prob in [*_criterion_4_problems(19, 4, dist), *_narrow_problems(dist)]:
         sol = gibbs_solve(prob)
         zeta, value = gibbs_quad_oracle(prob)
         assert sol.value == pytest.approx(value, abs=1e-11), prob
         assert sol.zeta_star == pytest.approx(zeta, rel=2e-8, abs=1e-9), prob
         assert sol.moment(2) == pytest.approx(prob.alpha, rel=1e-11)
+
+
+@pytest.mark.parametrize("dist", [SG, bernoulli_std(0.3)], ids=repr)
+@pytest.mark.parametrize("alpha", [1e-5, 1e-4])
+def test_solve_small_alpha_multiplier_is_relative(dist, alpha):
+    # the stop |alpha - m2| <= 1e-13 alpha fixes zeta* ~ 1/(2 alpha) to
+    # relative precision; an absolute stop left it 6e-9 off at alpha = 1e-5
+    prob = GibbsProblem([0.5], dist, 6.0, alpha)
+    assert gibbs_solve(prob).zeta_star == pytest.approx(gibbs_quad_oracle(prob)[0], rel=1e-12)
 
 
 def test_solve_refuses_unresolved_boundary_layers():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -397,11 +398,57 @@ def test_vector_rows_equal_one_row_joint_rate(mode, row_calls):
     assert p.minimizer in [pen.spec(row) for row in rows]
 
 
-def test_vector_rate_point_one_row_call_per_x(row_calls):
+def test_vector_rate_point_one_row_call_per_sequence(row_calls):
     fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
     rate.rate_point(SG, [1.5, 2.8, 3.0], rate.FiniteNMode(N=10**6, family=fam))
-    assert [rows.shape[0] for _, rows, _ in row_calls] == [5, 5]
-    assert [rows[0, 0] for _, rows, _ in row_calls] == [2.8, 3.0]
+    (_, rows, _), = row_calls
+    assert rows[:, 0].tolist() == [2.8] * 5 + [3.0] * 5
+
+
+SMALL_FINITE_N = rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=3))
+SMALL_TILDE = rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=3),
+                             n_alpha=2)
+
+
+@pytest.mark.parametrize("law, mode", [
+    (SG, SMALL_FINITE_N),
+    (SG, SMALL_TILDE),
+    (bernoulli_std(0.3),
+     rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=3))),
+], ids=["finite_n", "tilde", "bernoulli_finite_n"])
+def test_vector_sequence_and_curve_match_single_points(law, mode):
+    # every x's rows share one call, and without threads the curve is one
+    # rate_point call on the whole grid; rows never interact, so no bit moves
+    grid = [2.4, 3.0, 3.6]
+    single = [(p.x, p.rate, p.theta_star, p.minimizer)
+              for p in (rate.rate_point(law, x, mode) for x in grid)]
+    for threads in (None, 2, 3):
+        curve = rate.rate_curve(law, grid, mode, threads=threads)
+        assert [(p.x, p.rate, p.theta_star, p.minimizer) for p in curve.points] == single
+
+
+@pytest.mark.parametrize("mode, threads, calls", [
+    (rate.HatMode(), None, [5]), (rate.HatMode(), 3, [5]),
+    (SMALL_FINITE_N, None, [5]), (SMALL_FINITE_N, 2, [3, 2]), (SMALL_FINITE_N, 3, [2, 2, 1]),
+])
+def test_rate_curve_splits_only_vector_grids_across_threads(monkeypatch, mode, threads, calls):
+    sizes = []
+    inner = rate.rate_point
+
+    def spy(dist, x, mode, cap=0.95):
+        sizes.append(len(x))
+        return inner(dist, x, mode, cap)
+
+    monkeypatch.setattr(rate, "rate_point", spy)
+    rate.rate_curve(SG, [2.4, 2.7, 3.0, 3.3, 3.6], mode, threads=threads)
+    assert sorted(sizes, reverse=True) == calls
+
+
+def test_vector_cap_warning_once_per_x():
+    fam = rate.ProfileFamily(k_values=(1,), n_mass=3)
+    with pytest.warns(UserWarning, match="sits at the cap") as seen:
+        rate.rate_point(SG, [3.0, 3.2, 3.4], rate.FiniteNMode(N=10**6, family=fam), cap=0.2)
+    assert len([w for w in seen if "sits at the cap" in str(w.message)]) == 3
 
 
 @pytest.mark.parametrize("mode, poisoned, name", [
@@ -424,6 +471,23 @@ def test_vector_row_nan_penalty_named(mode, poisoned, name):
 
     with pytest.raises(rate.RateError, match="non-finite.*" + name):
         rate.sup_theta_rows(3.0, Pen(), rows)
+
+
+@pytest.mark.parametrize("law", [SG, bernoulli_std(0.3)], ids=repr)
+def test_vector_rows_at_unit_overlap_equal_the_free_energies(law):
+    # the vector penalty repeats f_restricted's localized sum and unit-norm
+    # clamp and f_tilde's quadratic form; at q = 1 a row is the scalar value
+    theta = np.array([[0.4, 1.0, 1.7]])
+    N, R = 10**6, (10**6) ** 0.2
+    profiles = [(0.0,), (0.6,), (0.5, 0.5), (0.35,) * 4, (0.5, -0.3, 0.2)]
+    for z in [*profiles, (0.6, -0.8)]:  # the last one at unit norm
+        pen, row = rate.FiniteNSpec(z, N, R)._row(law, 3.0)
+        want = [free_energy.f_restricted(law, th, z, N, R) for th in theta[0]]
+        assert pen(theta, row, q=np.ones_like(theta))[0] == pytest.approx(want, abs=1e-12), z
+    for z, alpha_tilde in itertools.product(profiles, (0.0, 0.2)):
+        pen, row = rate.TildeSpec(z, alpha_tilde, R)._row(law, 3.0)
+        want = [free_energy.f_tilde(law, th, z, alpha_tilde, R) for th in theta[0]]
+        assert pen(theta, row, q=np.ones_like(theta))[0] == pytest.approx(want, abs=1e-12), z
 
 
 def test_tilde_row_without_residual_mass_named():
@@ -484,8 +548,7 @@ def test_rate_curve_threaded_matches_serial():
 
 
 def test_rate_curve_blocks_match_pointwise():
-    grid = np.linspace(2.0, 3.14, 20).tolist()  # two hat blocks
-    assert len(grid) > rate._HAT_BLOCK
+    grid = np.linspace(2.0, 3.14, 20).tolist()
     single = [rate.rate_point(SG, x, rate.HatMode()) for x in grid]
     for threads in (None, 3):
         curve = rate.rate_curve(SG, grid, rate.HatMode(), threads=threads)
