@@ -141,7 +141,7 @@ def parse_config(text) -> RunSpec:
         R = _require(doc, "R", "top level")
         R = math.inf if R == "inf" else _number(R, "R")
         alpha = _number(_require(doc, "alpha", "top level"), "alpha")
-        return RunSpec(command, {"dist": dist, "v": [float(a) for a in v], "R": R,
+        return RunSpec(command, {"dist": dist, "v": [_number(a, "v") for a in v], "R": R,
                                  "alpha": alpha, "out": doc.get("out")}, defaults)
 
     if command == "free-energy":
@@ -155,7 +155,7 @@ def parse_config(text) -> RunSpec:
         theta = _number(_require(doc, "theta", "top level"), "theta")
         payload = {"dist": dist, "form": form, "theta": theta, "out": doc.get("out")}
         if form in ("loc", "restricted"):
-            payload["w"] = [float(a) for a in _require(doc, "w", "top level")]
+            payload["w"] = [_number(a, "w") for a in _require(doc, "w", "top level")]
             payload["N"] = int(_number(_require(doc, "N", "top level"), "N"))
             if form == "restricted":
                 R = doc.get("R")
@@ -166,7 +166,7 @@ def parse_config(text) -> RunSpec:
         elif form == "hat":
             payload["alpha"] = _number(_require(doc, "alpha", "top level"), "alpha")
         else:
-            payload["w_check"] = [float(a) for a in _require(doc, "w_check", "top level")]
+            payload["w_check"] = [_number(a, "w_check") for a in _require(doc, "w_check", "top level")]
             payload["alpha_tilde"] = _number(_require(doc, "alpha_tilde", "top level"), "alpha_tilde")
             payload["R"] = _number(_require(doc, "R", "top level"), "R")
             payload["t"] = None if doc.get("t") is None else _number(doc["t"], "t")
@@ -191,7 +191,7 @@ def parse_config(text) -> RunSpec:
     seed = doc.get("seed")
     if seed is None:
         seed, defaults["seed"] = 0, 0
-    payload["seed"] = int(seed)
+    payload["seed"] = int(_number(seed, "seed"))
     eta = doc.get("eta")
     if eta is None:
         eta, defaults["eta"] = 0.125, 0.125

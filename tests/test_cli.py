@@ -125,11 +125,16 @@ def test_main_config_error_exit_code(tmp_path, capsys):
      "cap"),
     ('{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": [0.1], "R": 6,'
      ' "alpha": Infinity}', "alpha"),
+    ('{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": [0.1, NaN], "R": 6,'
+     ' "alpha": 0.5}', "v"),
     ('{"command": "free-energy", "dist": {"kind": "gaussian"}, "form": "hat", "theta": NaN,'
      ' "alpha": 0.5}', "theta"),
     ('{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "N": 50, "reps": 2,'
      ' "theta": NaN}', "theta"),
-], ids=["rate-curve-x", "rate-curve-cap", "gibbs-solve", "free-energy", "mc"])
+    ('{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "N": 50, "reps": 2,'
+     ' "theta": 1.0, "seed": NaN}', "seed"),
+], ids=["rate-curve-x", "rate-curve-cap", "gibbs-solve-alpha", "gibbs-solve-v", "free-energy",
+        "mc-theta", "mc-seed"])
 def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field):
     # JSON's NaN and Infinity parse as floats; a field refuses them at once
     cfg = tmp_path / "cfg.json"
