@@ -177,8 +177,8 @@ def test_solve_matches_quadrature_oracle(dist):
 @pytest.mark.parametrize("alpha", [1e-5, 1e-4])
 def test_solve_small_alpha_multiplier_is_relative(dist, alpha):
     # the stop |alpha - m2| <= 1e-13 alpha fixes zeta* ~ 1/(2 alpha) to
-    # relative precision; a stop absolute in alpha leaves it loose by about
-    # 1e-13 / (2 alpha^2), 6e-9 of it at alpha = 1e-5
+    # relative precision; a stop absolute in alpha leaves it loose by up to
+    # 1e-13 / (2 alpha^2), about 6e-9 relative at alpha = 1e-5
     prob = GibbsProblem([0.5], dist, 6.0, alpha)
     assert gibbs_solve(prob).zeta_star == pytest.approx(gibbs_quad_oracle(prob)[0], rel=1e-12)
 
