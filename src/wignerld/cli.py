@@ -54,6 +54,19 @@ def _number(v, key: str):
     return float(v)
 
 
+def _integer(v, key: str) -> int:
+    n = _number(v, key)
+    if n != int(n):
+        raise ConfigError(f"field '{key}' must be an integer, not {v!r}")
+    return v if isinstance(v, int) else int(n)  # a JSON integer keeps every digit
+
+
+def _numbers(v, key: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"field '{key}' must be a list of numbers, not {v!r}")
+    return [_number(a, key) for a in v]
+
+
 def _dist(doc: dict):
     try:
         return distribution_from_spec(_require(doc, "dist", "top level"))
@@ -115,7 +128,7 @@ def parse_config(text) -> RunSpec:
             "out": doc.get("out"),
         }
         if mode_name in ("finite_n", "tilde"):
-            N = int(_number(doc.get("N", 10**6), "N"))
+            N = _integer(doc.get("N", 10**6), "N")
             if "N" not in doc:
                 defaults["N"] = N
             R = doc.get("R")
@@ -135,13 +148,13 @@ def parse_config(text) -> RunSpec:
         allowed = {"command", "dist", "v", "R", "alpha", "out"}
         _reject_unknown(doc, allowed, "top level")
         dist = _dist(doc)
-        v = _require(doc, "v", "top level")
-        if not isinstance(v, list) or not v:
+        v = _numbers(_require(doc, "v", "top level"), "v")
+        if not v:
             raise ConfigError("field 'v' must be a non-empty list of numbers")
         R = _require(doc, "R", "top level")
         R = math.inf if R == "inf" else _number(R, "R")
         alpha = _number(_require(doc, "alpha", "top level"), "alpha")
-        return RunSpec(command, {"dist": dist, "v": [_number(a, "v") for a in v], "R": R,
+        return RunSpec(command, {"dist": dist, "v": v, "R": R,
                                  "alpha": alpha, "out": doc.get("out")}, defaults)
 
     if command == "free-energy":
@@ -155,8 +168,8 @@ def parse_config(text) -> RunSpec:
         theta = _number(_require(doc, "theta", "top level"), "theta")
         payload = {"dist": dist, "form": form, "theta": theta, "out": doc.get("out")}
         if form in ("loc", "restricted"):
-            payload["w"] = [_number(a, "w") for a in _require(doc, "w", "top level")]
-            payload["N"] = int(_number(_require(doc, "N", "top level"), "N"))
+            payload["w"] = _numbers(_require(doc, "w", "top level"), "w")
+            payload["N"] = _integer(_require(doc, "N", "top level"), "N")
             if form == "restricted":
                 R = doc.get("R")
                 if R is None:
@@ -166,7 +179,7 @@ def parse_config(text) -> RunSpec:
         elif form == "hat":
             payload["alpha"] = _number(_require(doc, "alpha", "top level"), "alpha")
         else:
-            payload["w_check"] = [_number(a, "w_check") for a in _require(doc, "w_check", "top level")]
+            payload["w_check"] = _numbers(_require(doc, "w_check", "top level"), "w_check")
             payload["alpha_tilde"] = _number(_require(doc, "alpha_tilde", "top level"), "alpha_tilde")
             payload["R"] = _number(_require(doc, "R", "top level"), "R")
             payload["t"] = None if doc.get("t") is None else _number(doc["t"], "t")
@@ -183,15 +196,15 @@ def parse_config(text) -> RunSpec:
     payload = {
         "kind": kind,
         "dist": dist,
-        "N": int(_number(_require(doc, "N", "top level"), "N")),
-        "reps": int(_number(_require(doc, "reps", "top level"), "reps")),
+        "N": _integer(_require(doc, "N", "top level"), "N"),
+        "reps": _integer(_require(doc, "reps", "top level"), "reps"),
         "out": doc.get("out"),
         "samples_csv": doc.get("samples_csv"),
     }
     seed = doc.get("seed")
     if seed is None:
         seed, defaults["seed"] = 0, 0
-    payload["seed"] = int(_number(seed, "seed"))
+    payload["seed"] = _integer(seed, "seed")
     eta = doc.get("eta")
     if eta is None:
         eta, defaults["eta"] = 0.125, 0.125

@@ -15,10 +15,12 @@ The single-coordinate (hat) mode is the hot path for curve generation; its
 Gibbs term reduces to a one-variable function that is precomputed on a grid
 and interpolated by a cubic spline (values checked against the direct
 free-energy path in the test suite).  Every mode is batched over x: the
-targets of a sequence are rows of the row-wise theta search
-``sup_theta_rows``, one per (x, alpha) pair in hat mode, which shares one
-grid pass, one row-wise Brent search over alpha and one final theta* pass,
-and one per (x, profile) pair of the search family in one vector-mode call.
+targets of a sequence are rows of the row-wise theta search, one per
+(x, alpha) pair in hat mode, which shares one ``sup_theta_rows`` grid
+pass, one row-wise Brent search over alpha and one final theta* pass, and
+one per (x, profile) pair of the search family in vector mode, which
+shares one ``theta_scan`` and refines only the rows that can still hold
+the minimum (branch and bound).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "RateCurveError",
     "sup_theta",
     "sup_theta_rows",
+    "theta_scan",
     "joint_rate",
     "rate_point",
     "rate_curve",
@@ -234,8 +237,8 @@ class RateCurve:
 # inner supremum over theta
 
 
-def sup_theta_rows(x, pen, rows=None, *, n_grid: int = 64):
-    """Maximize J(x, theta) - pen(theta, rows) over theta, row by row.
+def theta_scan(x, pen, rows=None, *, n_grid: int = None):
+    """Scan J(x, theta) - pen(theta, rows) over theta, row by row.
 
     ``x`` is one target for every row or an array of one target per row.
     ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
@@ -247,22 +250,27 @@ def sup_theta_rows(x, pen, rows=None, *, n_grid: int = 64):
     mode's (x, alpha) pairs); failures name the row's x and alpha, or
     ``pen.label(row)`` where ``pen`` has one.  With
     ``rows=None`` there is one row and ``pen`` receives None.
-    Returns ``(theta_star[M], value[M])``.
+    Returns ``(best[M], refine)``: each row's scan maximum, and
+    ``refine(idx) -> (theta_star, value)`` for the rows ``idx``.
 
     Each row scans ``n_grid`` points of [theta_minus(x) + 1e-6, T], in
     objective calls of at most 256 rows, each kept only as the row's best
     point and its neighbours; a row's T doubles from 8 until the objective
     at T has dropped a unit below the row's maximum, failing with
     "unbounded objective" past T = 1024 (a penalty that grows slower than J
-    signals an infeasible profile).  The default 64 points match a 512-point
-    scan on the tested hat and vector rows.  Bounded Brent search
-    (``brent_max_rows``, to 1e-10) then refines every row's best cell at
-    once; a row whose refined value falls below its grid maximum keeps the
-    grid point.  Rows never interact: a row's result does not depend on
-    the other rows of the call.
+    signals an infeasible profile).  ``n_grid`` defaults to the penalty's
+    ``scan_points`` attribute, or 64 without one; 64 points match a
+    512-point scan on the tested hat rows, and the vector penalty's 16 on
+    the tested vector rows.  ``refine`` runs bounded Brent search
+    (``brent_max_rows``, to 1e-10) on the best cells of its rows at once; a
+    row whose refined value falls below its scan maximum keeps the scan
+    point, so a row's value is never below its scan maximum.  Rows never
+    interact: a row's result depends neither on the other rows of the scan
+    nor on those refined with it.
     """
     m = 1 if rows is None else len(rows)
     x = np.broadcast_to(np.asarray(x, dtype=float), (m,))
+    n_grid = n_grid or getattr(pen, "scan_points", 64)
     # per-row constants of x, computed once for every objective call
     tm = semicircle.theta_roots(x).theta_minus
     log_pot = semicircle.log_potential(x)
@@ -307,13 +315,32 @@ def sup_theta_rows(x, pen, rows=None, *, n_grid: int = 64):
             raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
         T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
 
-    theta_star, value = brent_max_rows(lambda t, idx: objective(t[:, None], idx)[:, 0], a, b, 1e-10)
-    low = value < best
-    theta_star[low], value[low] = top[low], best[low]
-    return theta_star, value
+    def refine(idx):
+        idx = np.asarray(idx, dtype=int)
+        theta_star, value = brent_max_rows(lambda t, r: objective(t[:, None], idx[r])[:, 0],
+                                           a[idx], b[idx], 1e-10)
+        low = value < best[idx]
+        theta_star[low], value[low] = top[idx[low]], best[idx[low]]
+        return theta_star, value
+
+    return best, refine
 
 
-def sup_theta(x: float, penalty, *, n_grid: int = 64):
+def sup_theta_rows(x, pen, rows=None, *, n_grid: int = None):
+    """Maximize J(x, theta) - pen(theta, rows) over theta, row by row: the
+    ``theta_scan`` of every row, then its refinement of every row.
+
+    Arguments are those of ``theta_scan``.  Returns
+    ``(theta_star[M], value[M])``.  Hat mode and ``joint_rate`` use it as
+    it is; the vector modes' ``_vector_points`` runs the same scan but
+    refines only the rows that can hold the minimum or a tie, which gives
+    each refined row the bits this function gives it.
+    """
+    best, refine = theta_scan(x, pen, rows, n_grid=n_grid)
+    return refine(np.arange(best.size))
+
+
+def sup_theta(x: float, penalty, *, n_grid: int = None):
     """Maximize J(x, theta) - penalty(theta) over theta: one row of ``sup_theta_rows``.
 
     ``penalty`` must accept 1-D numpy arrays.
@@ -472,7 +499,8 @@ class _VectorPenalty:
     R: float
     N: int = None
     t: float = None
-    takes_overlap = True  # see sup_theta_rows
+    takes_overlap = True  # see theta_scan
+    scan_points = 16  # theta scan size (see theta_scan)
 
     def label(self, row) -> str:
         _, n, csq = _terms(row[None])
@@ -553,8 +581,12 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
     in hat mode, the norm c (mass at most cap^2) in finite-N mode and
     c^2 + alpha_tilde in two-scale mode; a warning fires when the argmin
     presses against it.  Ties report the smallest minimizer.
-    Every x of a sequence shares the ``sup_theta_rows`` calls, as rows
-    (see ``_hat_points`` and ``_vector_points``).
+    Every x of a sequence shares the theta scan, as rows (see
+    ``_hat_points`` and ``_vector_points``).  The vector modes refine only
+    the rows whose scan maximum lies within ``_TIE_TOL`` of their x's first
+    refined value; a row's value is never below its scan maximum, so the
+    rows dropped could be neither the minimizer nor a tie, and the point is
+    the one refining every row gives, bit for bit.
     """
     if not 0.0 < cap < 1.0:
         raise ValueError("cap must lie in (0, 1)")
@@ -613,21 +645,39 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
 
 
 def _vector_points(dist: EntryDistribution, xs: list, mode, cap: float) -> list:
-    """Finite-N or two-scale points at targets x >= 2: every x's family
-    rows in one ``sup_theta_rows`` call, then the tie rule of hat mode on
-    (mass, k) and the cap warning on each x's own rows."""
+    """Finite-N or two-scale points at targets x >= 2, by branch and bound
+    over every x's family rows (Land & Doig 1960).
+
+    One ``theta_scan`` covers the rows of every x.  One ``refine`` call
+    then takes, for each x, its row with the smallest scan maximum, and a
+    second one every row of that x whose scan maximum is within
+    ``_TIE_TOL`` of the first row's refined value; the others are dropped.
+    A row's value is never below its scan maximum, so a dropped row lies
+    more than ``_TIE_TOL`` above the optimum: it can be neither the
+    minimizer nor a tie, and the result equals refining every row, bit for
+    bit, since rows never interact.  The tie rule of hat mode on (mass, k)
+    and the cap warning then apply to each x's own refined rows.
+    """
     parts = [mode._rows(dist, x, cap) for x in xs]
     pen, rows = parts[0][0], np.concatenate([r for _, r in parts])
-    theta_star, value = sup_theta_rows(rows[:, 0], pen, rows)
+    sizes = [len(r) for _, r in parts]
+    starts = np.cumsum([0] + sizes[:-1])
+    best, refine = theta_scan(rows[:, 0], pen, rows)
+    first = np.array([s + np.argmin(best[s:s + n]) for s, n in zip(starts, sizes)])
+    theta_star, value = np.full((2, len(rows)), np.inf)  # dropped rows stay at inf
+    theta_star[first], value[first] = refine(first)
+    bound = np.repeat(value[first], sizes) + _TIE_TOL
+    rest = np.setdiff1d(np.flatnonzero(best <= bound), first)
+    if rest.size:
+        theta_star[rest], value[rest] = refine(rest)
     _, n, csq = _terms(rows)
     mass, k = csq + rows[:, 1], n.sum(axis=1)
     size = np.sqrt(mass) if pen.N else mass
     name = "finite-N minimizer norm c" if pen.N else "two-scale minimizer mass"
-    points, end = [], 0
-    for x, (_, own) in zip(xs, parts):
-        start, end = end, end + len(own)
+    points = []
+    for x, s, n in zip(xs, starts, sizes):
         (_, _, i), _ = _pick_smallest_minimizer(
-            [((mass[j], k[j], j), value[j]) for j in range(start, end)])
+            [((mass[j], k[j], j), value[j]) for j in range(s, s + n)])
         if size[i] > cap - 1e-3:
             warnings.warn(f"{name} {size[i]:.4f} sits at the cap {cap}")
         points.append(RatePoint(x, float(value[i]), float(theta_star[i]), pen.spec(rows[i]),

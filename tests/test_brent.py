@@ -133,7 +133,7 @@ def test_one_row_calls_equal_batched_call(params, relative):
         assert (t_star[i], value[i]) == (one[0][0], one[1][0])
 
 
-# --- the 64-point theta scan against the 512-point one -----------------------------
+# --- the 64-point hat and 16-point vector theta scans against 512 points ---------
 
 
 def test_hat_scan_matches_512_points():
@@ -145,13 +145,33 @@ def test_hat_scan_matches_512_points():
     np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", [
+VECTOR_MODES = [
     rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=11)),
     rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=9), n_alpha=7),
-])
+]
+
+
+@pytest.mark.parametrize("mode", VECTOR_MODES)
 def test_vector_scan_matches_512_points(mode):
+    for x in (2.6, 3.0, 3.6):
+        pen, rows = mode._rows(SG, x, 0.95)
+        assert pen.scan_points == 16
+        _, value = rate.sup_theta_rows(x, pen, rows)
+        _, oracle = rate.sup_theta_rows(x, pen, rows, n_grid=512)
+        np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12, err_msg=f"x={x}")
+        assert value.min() < semicircle.goe_rate(x)
+
+
+@pytest.mark.parametrize("mode", VECTOR_MODES)
+def test_refined_rows_do_not_depend_on_each_other(mode):
+    # refining rows in separate calls, as the vector modes' branch and bound
+    # does, gives the bits of refining every row at once
     pen, rows = mode._rows(SG, 3.0, 0.95)
-    _, value = rate.sup_theta_rows(3.0, pen, rows)
-    _, oracle = rate.sup_theta_rows(3.0, pen, rows, n_grid=512)
-    np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12)
-    assert value.min() < semicircle.goe_rate(3.0)
+    best, refine = rate.theta_scan(3.0, pen, rows)
+    together = refine(np.arange(len(rows)))
+    assert np.all(together[1] >= best)  # a row's value is never below its scan maximum
+    order = np.random.default_rng(7).permutation(len(rows))
+    for part in np.array_split(order, 4):
+        theta_star, value = refine(part)
+        assert np.array_equal(theta_star, together[0][part])
+        assert np.array_equal(value, together[1][part])

@@ -143,6 +143,46 @@ def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field)
     assert f"field '{field}' must be a finite number" in capsys.readouterr().err
 
 
+FREE_ENERGY = '{"command": "free-energy", "dist": {"kind": "gaussian"}, "theta": 0.5, '
+MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta": 1.0, '
+
+
+@pytest.mark.parametrize("config, message", [
+    (FREE_ENERGY + '"form": "loc", "w": 0.5, "N": 100}',
+     "field 'w' must be a list of numbers, not 0.5"),
+    (FREE_ENERGY + '"form": "restricted", "w": "0.5", "N": 100}',
+     "field 'w' must be a list of numbers, not '0.5'"),
+    (FREE_ENERGY + '"form": "tilde", "w_check": 0.5, "alpha_tilde": 0.1, "R": 4}',
+     "field 'w_check' must be a list of numbers, not 0.5"),
+    ('{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": 0.1, "R": 6, "alpha": 0.5}',
+     "field 'v' must be a list of numbers, not 0.1"),
+    ('{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2, 3, 0.1],'
+     ' "mode": "finite_n", "N": 1000.5}', "field 'N' must be an integer, not 1000.5"),
+    (FREE_ENERGY + '"form": "loc", "w": [0.5], "N": 100.25}',
+     "field 'N' must be an integer, not 100.25"),
+    (MC_BBP + '"N": 50.7, "reps": 2}', "field 'N' must be an integer, not 50.7"),
+    (MC_BBP + '"N": 50, "reps": 2.5}', "field 'reps' must be an integer, not 2.5"),
+    (MC_BBP + '"N": 50, "reps": 2, "seed": 7.5}', "field 'seed' must be an integer, not 7.5"),
+], ids=["loc-w", "restricted-w", "tilde-w_check", "gibbs-solve-v", "rate-curve-N",
+        "free-energy-N", "mc-N", "mc-reps", "mc-seed"])
+def test_main_malformed_field_names_it(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integral_floats_parse_as_integers():
+    spec = parse_config('{"command": "rate-curve", "dist": {"kind": "gaussian"},'
+                        ' "x": [2, 3, 0.1], "mode": "finite_n", "N": 1e6}')
+    assert spec.payload["N"] == 10**6 and type(spec.payload["N"]) is int
+    spec = parse_config(MC_BBP + '"N": 5e1, "reps": 2.0, "seed": 3e0}')
+    assert [spec.payload[k] for k in ("N", "reps", "seed")] == [50, 2, 3]
+    assert all(type(spec.payload[k]) is int for k in ("N", "reps", "seed"))
+    spec = parse_config(MC_BBP + '"N": 50, "reps": 2, "seed": 12345678901234567891}')
+    assert spec.payload["seed"] == 12345678901234567891
+
+
 def test_main_missing_config_file(capsys):
     assert main(["--config", "/nonexistent/cfg.json"]) == 2
     assert "cannot read config" in capsys.readouterr().err

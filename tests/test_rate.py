@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -246,7 +247,9 @@ def test_sup_theta_rows_given_overlap_matches_recomputed():
     for pen, rows in ((ev.row_penalty, hat_rows), (vector_pen, vector_rows)):
         assert pen.takes_overlap
         given = rate.sup_theta_rows(rows[:, 0], pen, rows)
-        recomputed = rate.sup_theta_rows(rows[:, 0], lambda theta, r: pen(theta, r), rows)
+        # the wrapper drops the penalty's scan size along with its takes_overlap
+        recomputed = rate.sup_theta_rows(rows[:, 0], lambda theta, r: pen(theta, r), rows,
+                                         n_grid=getattr(pen, "scan_points", None))
         assert all(np.array_equal(a, b) for a, b in zip(given, recomputed))
 
 
@@ -370,18 +373,41 @@ def test_rate_point_tilde_small_family():
     assert p.minimizer.mass == pytest.approx(0.475, abs=1e-15)
 
 
+def test_finite_n_rate_approaches_the_hat_rate_as_n_grows():
+    # the finite-N reduction tends to the single-coordinate one as N grows:
+    # at x = 3.0 the gap reads 6.9e-5, 6.9e-6 and 7.1e-7 (the mass grid's
+    # c^2 = 0.460275 lies next to the hat's alpha* = 0.4604); asserted is the
+    # ordering, not a rate of decay
+    hat = rate.rate_point(SG, 3.0, rate.HatMode()).rate
+    fam = rate.ProfileFamily(k_values=(1, 4), n_mass=101)
+    gaps = []
+    for N in (10**4, 10**5, 10**6):
+        p = rate.rate_point(SG, 3.0, rate.FiniteNMode(N=N, family=fam))
+        assert len(p.minimizer.z) == 1
+        gaps.append(p.rate - hat)
+    assert gaps[0] > gaps[1] > gaps[2] >= 0.0
+
+
 @pytest.fixture
-def row_calls(monkeypatch):
-    """Arguments and results of every sup_theta_rows call."""
+def scan_calls(monkeypatch):
+    """Every theta_scan call: its penalty, rows and scan maxima, and the
+    (rows, (theta_star, value)) of each of its refine calls."""
     calls = []
-    inner = rate.sup_theta_rows
+    inner = rate.theta_scan
 
-    def spy(x, pen, rows=None, *args, **kwargs):
-        out = inner(x, pen, rows, *args, **kwargs)
-        calls.append((pen, rows, out))
-        return out
+    def spy(x, pen, rows=None, **kwargs):
+        best, refine = inner(x, pen, rows, **kwargs)
+        refined = []
 
-    monkeypatch.setattr(rate, "sup_theta_rows", spy)
+        def counted(idx):
+            out = refine(idx)
+            refined.append((np.asarray(idx), out))
+            return out
+
+        calls.append((pen, rows, best, refined))
+        return best, counted
+
+    monkeypatch.setattr(rate, "theta_scan", spy)
     return calls
 
 
@@ -389,20 +415,30 @@ def row_calls(monkeypatch):
     rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=3)),
     rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=3), n_alpha=2),
 ])
-def test_vector_rows_equal_one_row_joint_rate(mode, row_calls):
+def test_vector_rows_equal_one_row_joint_rate(mode, scan_calls):
     p = rate.rate_point(SG, 3.0, mode)
-    (pen, rows, (theta_star, value)), = row_calls
+    (pen, rows, best, refined), = scan_calls
     assert len(rows) > 3
-    for i, row in enumerate(rows):
-        assert rate.joint_rate(SG, 3.0, pen.spec(row)) == (value[i], theta_star[i])
-    assert p.minimizer in [pen.spec(row) for row in rows]
+    assert len(refined[0][0]) == 1  # the row of smallest scan maximum goes first
+    done = np.concatenate([idx for idx, _ in refined])
+    assert len(set(done.tolist())) == len(done)
+    for idx, (theta_star, value) in refined:
+        for i, th, v in zip(idx, theta_star, value):
+            assert rate.joint_rate(SG, 3.0, pen.spec(rows[i])) == (v, th)
+            assert v >= best[i]
+    dropped = np.setdiff1d(np.arange(len(rows)), done)
+    assert dropped.size and np.all(best[dropped] > p.rate + rate._TIE_TOL)
+    assert p.minimizer in [pen.spec(rows[i]) for i in done]
 
 
-def test_vector_rate_point_one_row_call_per_sequence(row_calls):
+def test_vector_rate_point_one_row_call_per_sequence(scan_calls):
     fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
     rate.rate_point(SG, [1.5, 2.8, 3.0], rate.FiniteNMode(N=10**6, family=fam))
-    (_, rows, _), = row_calls
+    (_, rows, best, refined), = scan_calls
     assert rows[:, 0].tolist() == [2.8] * 5 + [3.0] * 5
+    first = refined[0][0]
+    assert first.tolist() == [np.argmin(best[:5]), 5 + np.argmin(best[5:])]
+    assert sum(len(idx) for idx, _ in refined) < len(rows)  # a row or more was dropped
 
 
 SMALL_FINITE_N = rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=3))
@@ -425,6 +461,61 @@ def test_vector_sequence_and_curve_match_single_points(law, mode):
     for threads in (None, 2, 3):
         curve = rate.rate_curve(law, grid, mode, threads=threads)
         assert [(p.x, p.rate, p.theta_star, p.minimizer) for p in curve.points] == single
+
+
+FINITE_N_5 = rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=5))
+
+
+@pytest.mark.parametrize("law, mode, cap", [
+    (SG, rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1, 4), n_mass=11)), 0.95),
+    (SG, FINITE_N_5, 0.5),
+    (SG, FINITE_N_5, 1e-4),
+    (SG, rate.TildeMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=5), n_alpha=3),
+     0.95),
+    (bernoulli_std(0.3),
+     rate.FiniteNMode(N=10**6, family=rate.ProfileFamily(k_values=(1,), n_mass=5)), 0.95),
+], ids=["finite_n", "finite_n_at_cap", "finite_n_ties", "tilde", "bernoulli_finite_n"])
+def test_pruned_points_equal_unpruned(monkeypatch, law, mode, cap):
+    # a row whose scan maximum lies more than _TIE_TOL above the first
+    # refined value is dropped; refining every row instead (every scan
+    # maximum read as -inf) moves no bit of any point, tie or cap warning.
+    # At cap 1e-4 every scan maximum lies within 1e-9 of the first refined
+    # value, so no row is dropped; three rows of x = 2.4 tie, and the zero
+    # profile that wins sits at that cap.
+    grid = [2.4, 3.0, 3.6]
+    inner = rate.theta_scan
+    refined = []
+
+    def scan(*args, unpruned=False, **kwargs):
+        best, refine = inner(*args, **kwargs)
+
+        def counted(idx):
+            refined.append(len(idx))
+            return refine(idx)
+
+        return (np.full_like(best, -np.inf) if unpruned else best), counted
+
+    def run(make):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            points = make()
+        return ([(p.x, p.rate, p.theta_star, p.minimizer) for p in points],
+                [str(w.message) for w in seen])
+
+    monkeypatch.setattr(rate, "theta_scan", lambda *a, **k: scan(*a, unpruned=True, **k))
+    unpruned = run(lambda: rate.rate_point(law, grid, mode, cap))
+    n_rows = sum(refined)
+    monkeypatch.setattr(rate, "theta_scan", scan)
+    refined.clear()
+    assert run(lambda: rate.rate_point(law, grid, mode, cap)) == unpruned
+    assert (sum(refined) < n_rows) == (cap > 1e-4)
+    assert len(unpruned[1]) == {0.5: 2, 1e-4: 3}.get(cap, 0)  # cap warnings
+    single = [run(lambda: [rate.rate_point(law, x, mode, cap)]) for x in grid]
+    assert ([p for s in single for p in s[0]], [w for s in single for w in s[1]]) == unpruned
+    for threads in (None, 2):
+        curve = run(lambda: rate.rate_curve(law, grid, mode, cap, threads=threads).points)
+        assert curve[0] == unpruned[0]
+        assert sorted(curve[1]) == sorted(unpruned[1])
 
 
 @pytest.mark.parametrize("mode, threads, calls", [
