@@ -276,7 +276,7 @@ def run(spec: RunSpec, out: str = None, seed: int = None, threads: int = None,
 
     if spec.command == "rate-curve":
         dist = p["dist"]
-        for msg in check_assumptions(dist, emit=False):
+        for msg in check_assumptions(dist):
             printer(f"warning: {msg}")
         n = int(round((p["stop"] - p["start"]) / p["step"])) + 1
         grid = [p["start"] + i * p["step"] for i in range(n)]

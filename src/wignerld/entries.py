@@ -13,7 +13,6 @@ callers own one stream per worker.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +49,6 @@ class PsiExtremes:
     psi_max: float
     psi_infty: float
     is_sharp: bool
-
-    def __iter__(self):
-        return iter((self.psi_max, self.psi_infty, self.is_sharp))
 
 
 class EntryDistribution:
@@ -519,7 +515,7 @@ def distribution_from_spec(spec: dict) -> EntryDistribution:
     return _KINDS[kind](spec)
 
 
-def check_assumptions(dist: EntryDistribution, emit: bool = True) -> list:
+def check_assumptions(dist: EntryDistribution) -> list:
     """Numeric screening of the regularity assumptions behind the formulas.
 
     Returns a list of warning strings (uniformly bounded L'', equal left and
@@ -539,7 +535,4 @@ def check_assumptions(dist: EntryDistribution, emit: bool = True) -> list:
     neg = float(np.max(dist.psi(np.linspace(-200.0, 0.0, 4001))))
     if neg > pos + 1e-9:
         msgs.append("supremum of psi appears to be attained at negative arguments")
-    if emit:
-        for m in msgs:
-            warnings.warn(m, stacklevel=2)
     return msgs

@@ -7,23 +7,25 @@ through the dual single-variable formulation: the optimizer has density
 proportional to exp(h(s) - zeta s^2) on [-R, R], and the multiplier zeta*
 is the unique root of a strictly monotone moment equation.
 
-One quadrature rule and one multiplier core serve every solve.  The rule is
-the composite Simpson grid of ``_grid_for`` (spacing about 0.008), reduced
-row by row by ``_grid_moments`` with the exponent max-subtracted, since h
-can reach several hundred for large tilts.  For a symmetric entry law h is
-even, and the grid covers only [0, R] with doubled weights, half the nodes
-of [-R, R].  The core is a safeguarded Newton iteration on the reciprocal
-moment 1/m2(zeta), exact in one step for a Gaussian weight, that learns its
-bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
-many rows of one grid, warm-started from every fourth grid node, each row
-independent of the others; ``gibbs_solve`` is its one-row case.  A single
-weight can be narrower than that grid resolves (a small alpha, or alpha
-near R^2 with its boundary layer), so ``gibbs_solve``, ``g_value`` and
+One quadrature rule and one multiplier core serve every solve and every
+entry law.  The rule is the composite Simpson grid of ``_grid_for`` on
+[0, R] with doubled weights (spacing about 0.008), reduced row by row by
+``_grid_moments`` with the exponent max-subtracted, since h can reach
+several hundred for large tilts.  ``_fold`` folds h onto [0, R], so the
+grid is the full rule of [-R, R] folded at its middle node 0.  The core is
+a safeguarded Newton iteration on the reciprocal moment 1/m2(zeta), exact
+in one step for a Gaussian weight, that learns its bracket from the sign of
+alpha - m2.  ``solve_exponent_batch`` runs it on many rows of one grid,
+warm-started from every fourth grid node, each row independent of the
+others; ``gibbs_solve`` is its one-row case.  A single weight can be
+narrower than that grid resolves (a small alpha, or alpha near R^2 with
+its boundary layer), so ``gibbs_solve``, ``g_value`` and
 ``GibbsSolution.moment`` check each grid against Simpson's rule on every
-other node and move to a finer Simpson grid of the same kind where the two
-disagree (``_resolved``).  The solution keeps its last iterate's m2, so its
-residual costs no quadrature.  The one whole-line limit R -> inf,
-``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
+other node and move to a finer Simpson grid where the two disagree
+(``_resolved``); the same loop extends the grid of ``g_value`` at R = inf
+until the weight has decayed.  The solution keeps its last iterate's m2,
+so its residual costs no quadrature.  The one whole-line limit of the
+optimum, ``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from .entries import EntryDistribution
 __all__ = ["GibbsProblem", "GibbsSolution", "GibbsError", "g_value", "gibbs_solve", "phi_unbounded", "wasserstein2"]
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
-_TAIL_DROP = 92.0  # R = inf truncates where the weight is below exp(-92) ~ 1e-40 of its peak
+_TAIL_DROP = 92.0  # a grid may stop where the weight is below exp(-92) ~ 1e-40 of its peak
 _ZETA_LIMIT = 1e6
 _MAX_ITER = 80  # moment evaluations per Newton pass of a multiplier solve
 _SCALAR_F_TOL = 1e-13  # |alpha - m2| / alpha stop of gibbs_solve, ~1e-13 in zeta
 _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
+_W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
 
 
 class GibbsError(RuntimeError):
@@ -112,36 +115,17 @@ def _simpson_weights(n: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _infinite_domain(problem: GibbsProblem, zeta: float) -> float:
-    """Truncation half-width for R = inf; requires super-quadratic decay."""
-    growth = problem.h_growth_bound()
-    if zeta <= growth:
-        raise GibbsError(
-            f"integrand not normalizable: zeta={zeta:.6g} <= quadratic growth {growth:.6g}"
-        )
-    S = 16.0
-    while True:
-        s = np.linspace(-S, S, 513)
-        phi = problem.h(s) - zeta * s * s
-        m = phi.max()
-        edge = max(phi[0], phi[-1])
-        if edge < m - _TAIL_DROP:
-            return S
-        if S > 2**20:
-            raise GibbsError("integrand not normalizable: no decay found")
-        S *= 2.0
-
-
-def _weight_grid(problem: GibbsProblem, R: float, zeta: float) -> tuple:
+def _weight_grid(problem: GibbsProblem, zeta: float) -> tuple:
     """((s, w, H), log I0, m2) of the weight exp(h(s) - zeta s^2) on [-R, R],
     on the first grid of ``_resolved`` that resolves it, with the arithmetic
-    of ``gibbs_solve``."""
+    of ``gibbs_solve``; for R = inf the grids start on [0, 16]."""
 
     def moments(s, w, H):
         log_i0, m2 = _grid_moments(H[None], s * s, np.array([zeta]), (w, w * (s * s)))
         return zeta, float(log_i0[0]), float(m2[0])
 
-    grid, _, log_i0, m2 = _resolved(problem, R, R, moments)
+    R = problem.R
+    grid, _, log_i0, m2 = _resolved(problem, R, R if np.isfinite(R) else 16.0, moments)
     return grid, log_i0, m2
 
 
@@ -149,11 +133,14 @@ def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
     """log int exp(-zeta s^2 + h(s)) ds over [-R, R], or its zeta-derivative.
 
     Order 1 returns -m2 of the normalized integrand (a moment, never a
-    finite difference of order 0).  For R = inf the integral is truncated
-    where the weight has fallen below exp(-92) of its peak.
+    finite difference of order 0).  For R = inf the grid grows until the
+    weight at its end is below exp(-92) of its peak, which needs zeta above
+    the quadratic growth bound of h.
     """
-    R = problem.R if np.isfinite(problem.R) else _infinite_domain(problem, zeta)
-    _, log_i0, m2 = _weight_grid(problem, R, zeta)
+    if not np.isfinite(problem.R) and zeta <= problem.h_growth_bound():
+        raise GibbsError(f"integrand not normalizable: zeta={zeta:.6g} <= quadratic growth "
+                         f"{problem.h_growth_bound():.6g}")
+    _, log_i0, m2 = _weight_grid(problem, zeta)
     if order == 0:
         return log_i0
     if order == 1:
@@ -188,13 +175,15 @@ class GibbsSolution:
     def moment(self, k: int) -> float:
         """int s^k dnu for the optimizing measure, on the grid that resolves
         its weight at zeta* (the solve's grid when its first grid did, so
-        moment(2) is then m2 bit for bit).  Odd k vanish for a symmetric
-        law, whose weight is even.
+        moment(2) is then m2 bit for bit).  An odd k weights the folded
+        grid by tanh((h(s) - h(-s))/2), the odd part of the weight, which
+        is exactly 0 for a symmetric law.
         """
-        if k % 2 and self.problem.dist.symmetric:
-            return 0.0
-        (s, w, H), _, _ = _weight_grid(self.problem, self.R, self.zeta_star)
-        return float(_grid_moments(H[None], s * s, np.array([self.zeta_star]), (w, w * s**k))[1][0])
+        (s, w, H), _, _ = _weight_grid(self.problem, self.zeta_star)
+        f = s**k
+        if k % 2:
+            f = f * np.tanh(0.5 * (self.problem.h(s) - self.problem.h(-s)))
+        return float(_grid_moments(H[None], s * s, np.array([self.zeta_star]), (w, w * f))[1][0])
 
     def root_residual(self) -> float:
         """|m2 - alpha| = |g'(zeta*) + alpha|, the first-order optimality defect."""
@@ -202,12 +191,11 @@ class GibbsSolution:
 
     def quantiles(self, q):
         """Inverse CDF at probabilities q (array), by interpolation of the
-        trapezoid CDF on the grid that resolves the weight at zeta*, a half
-        grid mirrored to [-R, R]."""
-        (s, _, H), _, _ = _weight_grid(self.problem, self.R, self.zeta_star)
-        phi = H - self.zeta_star * s * s
-        if self.problem.dist.symmetric:
-            s, phi = np.concatenate([-s[::-1], s]), np.concatenate([phi[::-1], phi])
+        trapezoid CDF on the grid that resolves the weight at zeta*,
+        mirrored to [-R, R], with h evaluated at the nodes +-s."""
+        (s, _, _), _, _ = _weight_grid(self.problem, self.zeta_star)
+        s = np.concatenate([-s[::-1], s])
+        phi = self.problem.h(s) - self.zeta_star * s * s
         dens = np.exp(phi - phi.max())
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))])
         cdf /= cdf[-1]
@@ -224,12 +212,12 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     The map zeta -> g'(zeta) + alpha is strictly increasing (the second
     moment of the Gibbs weight decreases in zeta), so its root is unique.
     The solve is one row of ``solve_exponent_batch`` on the grid
-    ``_grid_for(R, dist.symmetric)``, stopped once |alpha - m2| <= 1e-13
+    ``_grid_for(R)`` with the folded h, stopped once |alpha - m2| <= 1e-13
     alpha.  It starts from ``_zeta_init`` when given, else from the coarse
     warm start.  Where that grid does not resolve the weight at the
     multiplier found, the solve moves on to the finer grids of ``_resolved``,
     each started from the last multiplier; a weight of width sqrt(alpha)
-    below R/256 starts on the grid of [-16 sqrt(alpha), 16 sqrt(alpha)].
+    below R/256 starts on the grid of [0, 16 sqrt(alpha)].
     ``evaluations`` counts the moment evaluations of every pass.
     """
     if not np.isfinite(problem.R):
@@ -297,11 +285,11 @@ def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
     return float(whole_line_rows(values_at, 1, lambda _row: where)[0])
 
 
-def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10_000) -> float:
+def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution) -> float:
     """L2-Wasserstein distance between two optimizers via quantile coupling."""
     if not (np.isfinite(sol1.problem.R) and np.isfinite(sol2.problem.R)):
         raise ValueError("both solutions must live on finite intervals")
-    q = (np.arange(n_quantiles) + 0.5) / n_quantiles
+    q = (np.arange(_W2_QUANTILES) + 0.5) / _W2_QUANTILES
     d = sol1.quantiles(q) - sol2.quantiles(q)
     return float(math.sqrt(np.mean(d * d)))
 
@@ -310,70 +298,75 @@ def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution, n_quantiles: int = 10
 # the quadrature grid and the multiplier solve on it
 
 
-def _grid_for(R: float, symmetric: bool = True) -> tuple:
-    """Composite-Simpson nodes s and weights w for integrals over [-R, R].
+def _fold(dist: EntryDistribution, h_of, s: np.ndarray) -> np.ndarray:
+    """The Hamiltonian ``h_of`` of a law ``dist`` folded onto the nodes s >= 0,
+    H(s) = logaddexp(h(s), h(-s)) - log 2: an even function times exp(h - zeta
+    s^2) over [-R, R] is twice the same times exp(H - zeta s^2) over [0, R].
+    A symmetric law's h is even and is not folded; this is the only place
+    the Gibbs layer reads ``dist.symmetric``."""
+    if dist.symmetric:
+        return h_of(s)
+    return np.logaddexp(h_of(s), h_of(-s)) - math.log(2.0)
 
-    The nodes sit at spacing about 0.008, between 4097 and 16385 on
-    [-R, R].  With ``symmetric`` the integrand must be even (an even
-    Hamiltonian gives an even Gibbs weight): the nodes cover [0, R] only,
-    with doubled weights, since the full rule whose middle node is 0 is
-    twice the same rule on [0, R].  The half grid has h nodes with
-    (h - 1) % 8 == 0 and the full grid 2h - 1 on the same spacing, so that a
-    grid and its every fourth node (the coarse warm start of
-    ``solve_exponent_batch``) are both Simpson grids.
+
+def _grid_for(R: float) -> tuple:
+    """Composite-Simpson nodes s of [0, R] and their doubled weights, the
+    full rule of [-R, R] for even integrands (a Hamiltonian folded by
+    ``_fold``).  h nodes, 2049 to 8193 at spacing about 0.008, with
+    (h - 1) % 8 == 0 so that the grid's every fourth node (the coarse warm
+    start of ``solve_exponent_batch``) is a Simpson grid too.
     """
-    h = (min(16385, max(4097, 2 * round(R / 0.008) + 1)) + 1) // 2
+    h = min(8193, max(2049, round(R / 0.008) + 1))
     h += -(h - 1) % 8
-    return _simpson_grid(0.0, R, h, True) if symmetric else _simpson_grid(-R, R, 2 * h - 1, False)
+    return _simpson_grid(0.0, R, h)
 
 
-def _simpson_grid(a: float, b: float, n: int, symmetric: bool) -> tuple:
-    """n Simpson nodes on [a, b] and their weights, doubled on a half grid."""
-    return np.linspace(a, b, n), (2.0 if symmetric else 1.0) * _simpson_weights(n, (b - a) / (n - 1))
+def _simpson_grid(a: float, b: float, n: int) -> tuple:
+    """n Simpson nodes on [a, b] (0 <= a) and their doubled weights."""
+    return np.linspace(a, b, n), 2.0 * _simpson_weights(n, (b - a) / (n - 1))
 
 
 def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
     """Run ``step(s, w, H)`` -> (zeta, log I0, m2) on the grid of
-    ``_grid_for(span)`` (span <= R) and then on finer grids of [-R, R] until
-    one resolves the weight exp(H - zeta s^2).
+    ``_grid_for(span)`` (span <= R, R possibly inf), H the folded
+    Hamiltonian, and then on finer grids of [0, R] until one resolves the
+    weight exp(H - zeta s^2).
 
     A grid resolves it when Simpson's rule on every other node agrees with
     it to 1e-11 in log I0 and in m2 relative to m2, and where the grid stops
-    short of [-R, R] the weight there is below exp(-92) of its peak.  The
-    next grid triples a span that stops short too soon; else it spans the
-    nodes where the weight is above that bound, one more on each side, if
-    they fill at most half the grid; else it halves the spacing of a grid
-    of fewer than 2^17 + 1 nodes.  A weight still unresolved raises
-    ``GibbsError``.
+    short of [0, R] the weight there is below exp(-92) of its peak.  The
+    next grid extends by its own width each end that stops short too soon;
+    else it spans the nodes where the weight is above that bound, one more
+    on each side, if they fill at most half the grid; else it halves the
+    spacing of a grid of fewer than 2^17 + 1 nodes.  A weight still
+    unresolved raises ``GibbsError``.
     Returns ((s, w, H), zeta, log I0, m2) of the last grid.
     """
-    sym = problem.dist.symmetric
-    lo = 0.0 if sym else -R  # a half grid's 0 is the fold, not an end of the domain
-    s, w = _grid_for(span, sym)
+    s, w = _grid_for(span)
     for _ in range(_MAX_GRIDS):
-        H = problem.h(s)
+        H = _fold(problem.dist, problem.h, s)
         zeta, log_i0, m2 = step(s, w, H)
         c = s[::2]  # a Simpson grid too: (s.size - 1) % 4 == 0
-        wc = _simpson_grid(c[0], c[-1], c.size, sym)[1]
+        wc = _simpson_grid(c[0], c[-1], c.size)[1]
         log_c, m2_c = _grid_moments(H[None, ::2], c * c, np.array([zeta]), (wc, wc * (c * c)))
         close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
-        if close and s[0] == lo and s[-1] == R:
+        if close and s[0] == 0.0 and s[-1] == R:
             return (s, w, H), zeta, log_i0, m2
         phi = H - zeta * s * s
         live = np.nonzero(phi >= phi.max() - _TAIL_DROP)[0]
-        cut = (s[0] > lo and live[0] == 0, s[-1] < R and live[-1] == s.size - 1)
+        cut = (s[0] > 0.0 and live[0] == 0, s[-1] < R and live[-1] == s.size - 1)
         if close and not any(cut):
             return (s, w, H), zeta, log_i0, m2
         a, b, n = float(s[0]), float(s[-1]), s.size
         if any(cut):
-            a, b = (max(lo, a - (b - a)) if cut[0] else a), (min(R, b + (b - a)) if cut[1] else b)
+            a, b = (max(0.0, a - (b - a)) if cut[0] else a), (min(R, b + (b - a)) if cut[1] else b)
         elif live[-1] - live[0] + 2 <= n // 2:
             a, b = s[max(live[0] - 1, 0)], s[min(live[-1] + 1, n - 1)]
         elif n < _MAX_NODES:
             n = 2 * n - 1
         else:
             break
-        s, w = _simpson_grid(a, b, n, sym)
+        s, w = _simpson_grid(a, b, n)
     raise GibbsError(f"quadrature cannot resolve the Gibbs weight at zeta={zeta:.6g} "
                      f"(alpha={problem.alpha:g}, R={R:g})")
 
@@ -400,25 +393,25 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
                          f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None):
     """Multiplier solve for many Gibbs weights on one grid.
 
-    ``H[i, j]`` holds the tilt Hamiltonian of problem i at node s[j]; ``w``
-    are the matching quadrature weights, those of ``_grid_for``'s full grid
-    or, for even Hamiltonians, of its half grid.  Returns (zeta, log_mass,
-    m2, evaluations) with log_mass = log int exp(H - zeta s^2) and the
-    number of moment evaluations (``_grid_moments`` calls).  Rows never
-    interact: a row's result does not depend on the other rows of the batch.
+    ``H[i, j]`` holds the folded tilt Hamiltonian of problem i at node s[j]
+    of a half grid of ``_grid_for`` or ``_resolved``, and ``w`` the
+    matching doubled Simpson weights.  Returns (zeta, log_mass, m2,
+    evaluations) with log_mass = log int exp(H - zeta s^2) and the number
+    of moment evaluations (``_grid_moments`` calls).  Rows never interact:
+    a row's result does not depend on the other rows of the batch.
 
     Grids of more than 1600 nodes warm-start from a solve on every fourth
     node, whose evaluations count too.  Without a warm start or
-    ``zeta_init`` a row starts from the Gaussian fit H_edge/R^2 + 1/(2 alpha),
-    H_edge being H where s^2 is largest.  The safeguarded Newton iteration
-    runs on the reciprocal moment 1/m2(zeta), which is linear in zeta for a
-    Gaussian weight, so there one step lands on the root: the step is the
-    Newton step on alpha - m2 scaled by m2/alpha.  The sign of alpha - m2 at
-    each iterate tightens the row's bracket (m2 decreases in zeta); while a
-    side is still open a step is clipped to max(1, |zeta|), and once both
-    are known a step leaving the bracket bisects, as does the step of a row
-    whose bracket and residual both failed to halve over two passes
-    (Dekker 1969; Brent 1973, ch. 4).  A row stops when
+    ``zeta_init`` a row starts from the Gaussian fit H_b/b^2 + 1/(2 alpha),
+    H_b being H at the far end b of the grid.  The safeguarded Newton
+    iteration runs on the reciprocal moment 1/m2(zeta), which is linear in
+    zeta for a Gaussian weight, so there one step lands on the root: the
+    step is the Newton step on alpha - m2 scaled by m2/alpha.  The sign of
+    alpha - m2 at each iterate tightens the row's bracket (m2 decreases in
+    zeta); while a side is still open a step is clipped to max(1, |zeta|),
+    and once both are known a step leaving the bracket bisects, as does the
+    step of a row whose bracket and residual both failed to halve over two
+    passes (Dekker 1969; Brent 1973, ch. 4).  A row stops when
     |alpha - m2| <= f_tol * max(1, alpha) or its bracket is narrower than
     1e-13 * max(1, |zeta|), and drops out of later evaluations.
     """
@@ -431,8 +424,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
         wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
         zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
     if zeta_init is None:
-        edge = s2 == s2.max()  # both ends of a full grid, the far end of a half grid
-        zeta = H[:, edge].max(axis=1) / s2.max() + 0.5 / alpha
+        zeta = H[:, -1] / s2[-1] + 0.5 / alpha
     else:
         zeta = np.array(np.broadcast_to(zeta_init, (P,)), dtype=float)
     lo = np.full(P, -np.inf)

@@ -30,6 +30,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,7 +38,8 @@ from scipy.interpolate import CubicSpline
 from . import free_energy, semicircle
 from .brent import brent_max_rows
 from .entries import EntryDistribution
-from .gibbs import _consolidate, _grid_for, solve_exponent_batch, values_from_batch, whole_line_rows
+from .gibbs import (_consolidate, _fold, _grid_for, solve_exponent_batch, values_from_batch,
+                    whole_line_rows)
 
 __all__ = [
     "HatSpec",
@@ -65,6 +67,7 @@ _T_MAX = 1024.0
 _DECAY_MARGIN = 1.0  # the objective at T must sit this far below the max
 _SCAN_ROWS = 256  # rows per objective call of the theta scan: bounds memory
 _TIE_TOL = 1e-9  # minimizers within this of the optimum count as ties
+_GOE_SLACK = 1e-6  # RatePoint.check allows a rate this far above the GOE rate
 
 
 class RateError(RuntimeError):
@@ -209,10 +212,10 @@ class RatePoint:
     minimizer: object
     goe_rate: float
 
-    def check(self, slack: float = 1e-6):
+    def check(self):
         if self.rate < -1e-9:
             raise RateCurveError(f"negative rate {self.rate} at x={self.x}")
-        if np.isfinite(self.goe_rate) and self.rate > self.goe_rate + slack:
+        if np.isfinite(self.goe_rate) and self.rate > self.goe_rate + _GOE_SLACK:
             raise RateCurveError(
                 f"rate {self.rate} exceeds the GOE rate {self.goe_rate} at x={self.x}"
             )
@@ -399,18 +402,23 @@ class _Phi1Table:
         return self.spline(u)
 
 
+def _hamiltonian(dist, amp, vals, counts, s):
+    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s."""
+    terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
+             for v, c in zip(vals.T, counts.T) if c.any()]  # padding adds nothing
+    return sum(terms[1:], terms[0]) if terms else np.zeros((amp.size, s.size))
+
+
 def _gibbs_values(dist, amp, vals, counts, beta, R):
     """Gibbs values over [-R, R] of rows i with budget beta[i] (or a shared
     beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), solved
-    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows.  A symmetric
-    law has an even Hamiltonian, integrated on the half grid of [0, R]."""
-    s, w = _grid_for(R, symmetric=dist.symmetric)
+    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows on the half
+    grid of [0, R], each Hamiltonian folded by ``gibbs._fold``."""
+    s, w = _grid_for(R)
     beta = np.broadcast_to(beta, amp.shape)
     out = []
     for b in np.array_split(np.arange(amp.size), -(-amp.size // _GIBBS_BLOCK_ROWS) or 1):
-        terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[b, None] * s)
-                 for v, c in zip(vals[b].T, counts[b].T) if c.any()]  # padding adds nothing
-        H = sum(terms[1:], terms[0]) if terms else np.zeros((b.size, s.size))
+        H = _fold(dist, partial(_hamiltonian, dist, amp[b], vals[b], counts[b]), s)
         zeta, log_mass, _, _ = solve_exponent_batch(H, s, w, beta[b])
         out.append(values_from_batch(log_mass, zeta, beta[b]))
     return np.concatenate(out)

@@ -96,6 +96,11 @@ def check_gibbs():
     prob = GibbsProblem([0.6], sg, 4.0, 0.9)
     gap = abs(oracles.gibbs_grid_oracle(prob, 41) - gibbs_solve(prob).value)
     out.append(_check("grid-oracle agreement < 5e-3", gap < 5e-3, f"gap {gap:.1e}"))
+    # an asymmetric law near R^2: boundary layers at both ends, folded onto one
+    prob = GibbsProblem([0.5], bernoulli_std(0.3), 6.0, 36.0 * (1.0 - 1e-3))
+    gap = abs(oracles.gibbs_quad_oracle(prob)[1] - gibbs_solve(prob).value)
+    out.append(_check("asymmetric law near R^2 vs quadrature oracle < 1e-11", gap < 1e-11,
+                      f"gap {gap:.1e}"))
     return out
 
 

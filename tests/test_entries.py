@@ -329,10 +329,10 @@ def test_spec_errors():
 
 
 def test_assumption_screen_clean_for_standard_variants():
-    assert check_assumptions(SparseGaussian(0.5), emit=False) == []
-    assert check_assumptions(rademacher(), emit=False) == []
+    assert check_assumptions(SparseGaussian(0.5)) == []
+    assert check_assumptions(rademacher()) == []
 
 
 def test_assumption_screen_flags_negative_side_maximum():
-    msgs = check_assumptions(bernoulli_std(0.7), emit=False)
+    msgs = check_assumptions(bernoulli_std(0.7))
     assert any("negative" in m for m in msgs)

@@ -5,10 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerld import free_energy, rate, semicircle
-from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
-from wignerld.gibbs import GibbsError, _grid_for, values_from_batch
+from wignerld.entries import (
+    Gaussian,
+    SparseGaussian,
+    bernoulli_std,
+    rademacher,
+    sparse_rademacher,
+    standardize_atoms,
+)
+from wignerld.gibbs import GibbsError, _grid_for, _simpson_weights, values_from_batch
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -182,13 +191,21 @@ def test_batch_rows_independent_of_their_batch():
     assert np.array_equal(blocks, values_from_batch(whole[1], whole[0], 1.0))
 
 
+def _full_rule(R):
+    """The Simpson rule of [-R, R] on the spacing of the half grid of [0, R]."""
+    h = _grid_for(R)[0].size
+    return np.linspace(-R, R, 2 * h - 1), _simpson_weights(2 * h - 1, R / (h - 1))
+
+
+def _use_full_rule(mp):
+    """Runs the rate module's Gibbs batches on the full rule, unfolded."""
+    mp.setattr(rate, "_grid_for", _full_rule)
+    mp.setattr(rate, "_fold", lambda dist, h_of, s: h_of(s))
+
+
 @pytest.fixture
 def full_grid(monkeypatch):
-    """Runs the rate module's Gibbs batches on the full grid of [-R, R]."""
-    def use_full_grid():
-        monkeypatch.setattr(rate, "_grid_for", lambda R, symmetric=True: _grid_for(R, symmetric=False))
-
-    return use_full_grid
+    return lambda: _use_full_rule(monkeypatch)
 
 
 @pytest.mark.parametrize("dist", [SG, SparseGaussian(0.1), rademacher(), sparse_rademacher(0.2)],
@@ -218,17 +235,44 @@ def test_half_grid_matches_full_grid_on_default_family_rows(R, ks, full_grid):
         np.testing.assert_allclose(h, full, rtol=0, atol=1e-13)
 
 
-def test_asymmetric_law_keeps_the_full_grid(full_grid):
+def test_asymmetric_law_folds_onto_the_half_grid(full_grid):
     law = bernoulli_std(0.3)
     us = np.linspace(0.0, 6.0, 61)
     fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
     table = rate._Phi1Table(law)._solve_grid(us)
     point = rate.rate_point(law, 3.0, rate.FiniteNMode(N=10**6, family=fam))
     full_grid()
-    assert np.array_equal(table, rate._Phi1Table(law)._solve_grid(us))
+    np.testing.assert_allclose(table, rate._Phi1Table(law)._solve_grid(us), rtol=0, atol=1e-13)
     again = rate.rate_point(law, 3.0, rate.FiniteNMode(N=10**6, family=fam))
-    assert (point.rate, point.theta_star, point.minimizer) == (again.rate, again.theta_star,
-                                                               again.minimizer)
+    assert point.rate == pytest.approx(again.rate, rel=0, abs=1e-13)
+    assert point.minimizer == again.minimizer
+
+
+def _atom_law(pairs):
+    total = sum(m for _, m in pairs)
+    return standardize_atoms([(x, m / total) for x, m in pairs])
+
+
+ATOM_LAWS = (st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 1.0)), min_size=2, max_size=4,
+                      unique_by=lambda a: round(a[0], 3))
+             .map(_atom_law).filter(lambda d: not d.symmetric))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ATOM_LAWS, st.sampled_from([4.0, 8.0, 16.0]))
+def test_folded_half_grid_is_the_full_rule(law, R):
+    # rows of the finite-N and two-scale shapes: one or two coefficients
+    # of either sign, tilts up to 4, budgets in [0.05, 1]
+    amp = np.linspace(0.0, 4.0, 9)
+    vals = np.tile([1.0, -0.5], (amp.size, 1))
+    counts = np.tile([1.0, 3.0], (amp.size, 1))
+    counts[::2, 1] = 0.0
+    beta = np.linspace(0.05, 1.0, amp.size)
+    half = rate._gibbs_values(law, amp, vals, counts, beta, R)
+    with pytest.MonkeyPatch.context() as mp:
+        _use_full_rule(mp)
+        full = rate._gibbs_values(law, amp, vals, counts, beta, R)
+    np.testing.assert_allclose(half, full, rtol=0, atol=1e-13)
 
 
 def test_phi1_table_failure_names_u(monkeypatch):
