@@ -61,6 +61,21 @@ def _integer(v, key: str) -> int:
     return v if isinstance(v, int) else int(n)  # a JSON integer keeps every digit
 
 
+def _seed(v) -> int:
+    """A replica seed: an integer in [0, 2**64), the range of a Philox key word."""
+    n = _integer(v, "seed")
+    if not 0 <= n < 2**64:
+        raise ConfigError(f"field 'seed' must be an integer in [0, 2**64), not {v!r}")
+    return n
+
+
+def _path(doc: dict, key: str):
+    v = doc.get(key)
+    if v is not None and not isinstance(v, str):
+        raise ConfigError(f"field '{key}' must be a path string, not {v!r}")
+    return v
+
+
 def _numbers(v, key: str) -> list:
     if not isinstance(v, list):
         raise ConfigError(f"field '{key}' must be a list of numbers, not {v!r}")
@@ -125,7 +140,7 @@ def parse_config(text) -> RunSpec:
             "mode": mode_name,
             "cap": _number(cap, "cap"),
             "tol": _number(tol, "tol"),
-            "out": doc.get("out"),
+            "out": _path(doc, "out"),
         }
         if mode_name in ("finite_n", "tilde"):
             N = _integer(doc.get("N", 10**6), "N")
@@ -155,7 +170,7 @@ def parse_config(text) -> RunSpec:
         R = math.inf if R == "inf" else _number(R, "R")
         alpha = _number(_require(doc, "alpha", "top level"), "alpha")
         return RunSpec(command, {"dist": dist, "v": v, "R": R,
-                                 "alpha": alpha, "out": doc.get("out")}, defaults)
+                                 "alpha": alpha, "out": _path(doc, "out")}, defaults)
 
     if command == "free-energy":
         allowed = {"command", "dist", "form", "theta", "w", "N", "R", "alpha",
@@ -166,7 +181,7 @@ def parse_config(text) -> RunSpec:
         if form not in ("loc", "restricted", "hat", "tilde"):
             raise ConfigError(f"unknown form '{form}' at top level")
         theta = _number(_require(doc, "theta", "top level"), "theta")
-        payload = {"dist": dist, "form": form, "theta": theta, "out": doc.get("out")}
+        payload = {"dist": dist, "form": form, "theta": theta, "out": _path(doc, "out")}
         if form in ("loc", "restricted"):
             payload["w"] = _numbers(_require(doc, "w", "top level"), "w")
             payload["N"] = _integer(_require(doc, "N", "top level"), "N")
@@ -198,13 +213,13 @@ def parse_config(text) -> RunSpec:
         "dist": dist,
         "N": _integer(_require(doc, "N", "top level"), "N"),
         "reps": _integer(_require(doc, "reps", "top level"), "reps"),
-        "out": doc.get("out"),
-        "samples_csv": doc.get("samples_csv"),
+        "out": _path(doc, "out"),
+        "samples_csv": _path(doc, "samples_csv"),
     }
     seed = doc.get("seed")
     if seed is None:
         seed, defaults["seed"] = 0, 0
-    payload["seed"] = _integer(seed, "seed")
+    payload["seed"] = _seed(seed)
     eta = doc.get("eta")
     if eta is None:
         eta, defaults["eta"] = 0.125, 0.125
@@ -237,14 +252,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _minimizer_mass(minimizer) -> float:
-    if isinstance(minimizer, rate.HatSpec):
-        return minimizer.alpha
-    if minimizer is None:
-        return math.inf  # below-edge sentinel rows carry inf in every column
-    return minimizer.mass
-
-
 def _write_text(path: str, text: str):
     try:
         with open(path, "w") as f:
@@ -257,8 +264,8 @@ def _curve_csv(curve: rate.RateCurve, below_edge=()) -> str:
     lines = ["x,rate,goe_rate,theta_star,alpha_star"]
     sentinels = [rate.RatePoint(x, math.inf, math.inf, None, math.inf) for x in below_edge]
     for p in sentinels + list(curve.points):
-        lines.append(",".join(_fmt(v) for v in (
-            p.x, p.rate, p.goe_rate, p.theta_star, _minimizer_mass(p.minimizer))))
+        mass = math.inf if p.minimizer is None else p.minimizer.mass  # below-edge rows: all inf
+        lines.append(",".join(_fmt(v) for v in (p.x, p.rate, p.goe_rate, p.theta_star, mass)))
     return "\n".join(lines) + "\n"
 
 
@@ -371,6 +378,8 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as f:
             spec = parse_config(f.read())
+        if args.seed is not None:
+            _seed(args.seed)  # the flag overrides the config's seed field
     except OSError as e:
         print(f"error: cannot read config '{args.config}': {e}", file=sys.stderr)
         return 2

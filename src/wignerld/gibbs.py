@@ -7,25 +7,26 @@ through the dual single-variable formulation: the optimizer has density
 proportional to exp(h(s) - zeta s^2) on [-R, R], and the multiplier zeta*
 is the unique root of a strictly monotone moment equation.
 
-One quadrature rule and one multiplier core serve every solve and every
-entry law.  The rule is the composite Simpson grid of ``_grid_for`` on
-[0, R] with doubled weights (spacing about 0.008), reduced row by row by
-``_grid_moments`` with the exponent max-subtracted, since h can reach
-several hundred for large tilts.  ``_fold`` folds h onto [0, R], so the
-grid is the full rule of [-R, R] folded at its middle node 0.  The core is
-a safeguarded Newton iteration on the reciprocal moment 1/m2(zeta), exact
-in one step for a Gaussian weight, that learns its bracket from the sign of
-alpha - m2.  ``solve_exponent_batch`` runs it on many rows of one grid,
-warm-started from every fourth grid node, each row independent of the
-others; ``gibbs_solve`` is its one-row case.  A single weight can be
-narrower than that grid resolves (a small alpha, or alpha near R^2 with
-its boundary layer), so ``gibbs_solve``, ``g_value`` and
-``GibbsSolution.moment`` check each grid against Simpson's rule on every
-other node and move to a finer Simpson grid where the two disagree
-(``_resolved``); the same loop extends the grid of ``g_value`` at R = inf
-until the weight has decayed.  The solution keeps its last iterate's m2,
-so its residual costs no quadrature.  The one whole-line limit of the
-optimum, ``whole_line_rows``, serves ``phi_unbounded`` and the Phi1 table.
+One Hamiltonian builder, ``_hamiltonian``, serves the single problem and
+every batch row.  One quadrature rule and one multiplier core serve every
+solve and every entry law.  The rule is the composite Simpson grid of
+``_grid_for`` on [0, R] with doubled weights (spacing about 0.008), reduced
+row by row by ``_grid_moments`` with the exponent max-subtracted, since h
+can reach several hundred for large tilts.  ``_fold`` folds h onto [0, R],
+so the grid is the full rule of [-R, R] folded at its middle node 0.  The
+core is a safeguarded Newton iteration on the reciprocal moment
+1/m2(zeta), exact in one step for a Gaussian weight, that learns its
+bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
+many rows of one grid, warm-started from every fourth grid node, each row
+independent of the others; ``gibbs_solve`` is its one-row case.  A single
+weight can be narrower than that grid resolves (a small alpha, or alpha
+near R^2 with its boundary layer), so ``gibbs_solve`` and ``g_value``
+check each grid against Simpson's rule on every other node and move to a
+finer Simpson grid where the two disagree (``_resolved``).  The solution
+keeps its last iterate's m2, so its residual costs no quadrature, and the
+grid its solve resolved, which ``moment`` and ``quantiles`` read without
+resolving again.  R is finite: ``whole_line_rows`` takes the whole-line
+limit of finite-R solves, for ``phi_unbounded`` and the Phi1 table.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ _W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
 
 
 class GibbsError(RuntimeError):
-    """Solver failure (bracket blow-up or non-normalizable integrand)."""
+    """Solver failure: bracket blow-up, an unresolved weight, or a whole-line
+    value that does not settle."""
 
 
 def _consolidate(v) -> tuple:
@@ -84,28 +86,28 @@ class GibbsProblem:
         object.__setattr__(self, "_terms", _consolidate(v))
         if not (self.alpha > 0.0):
             raise ValueError("second-moment constraint alpha must be positive")
-        if np.isfinite(self.R):
-            if self.R <= 0:
-                raise ValueError("support half-width R must be positive")
-            if self.alpha > self.R * self.R:
-                raise ValueError("alpha exceeds R^2; the constraint set is empty")
+        if not self.R < math.inf:
+            raise ValueError(f"a Gibbs problem needs finite R, not R={self.R}; "
+                             "phi_unbounded gives the whole-line optimum")
+        if self.R <= 0:
+            raise ValueError("support half-width R must be positive")
+        if self.alpha > self.R * self.R:
+            raise ValueError("alpha exceeds R^2; the constraint set is empty")
 
     def h(self, s):
-        """Tilt Hamiltonian h(s) = sum_i L(2 v_i s), vectorized in s."""
+        """Tilt Hamiltonian h(s) = sum_i L(2 v_i s), vectorized in s: the
+        one-row case of ``_hamiltonian``."""
         vals, counts = self._terms
         s = np.asarray(s, dtype=float)
-        if vals.size == 0:
-            return np.zeros_like(s)
-        terms = self.dist.log_laplace(2.0 * vals[:, None] * s.reshape(1, -1))
-        return (counts @ terms).reshape(s.shape)
+        H = _hamiltonian(self.dist, np.ones(1), vals[None], counts[None], s.reshape(-1))
+        return H.reshape(s.shape)
 
-    def h_growth_bound(self) -> float:
-        """Coefficient c with h(s) <= c s^2 globally (from sup psi)."""
-        vals, counts = self._terms
-        if vals.size == 0:
-            return 0.0
-        psi_max = self.dist.psi_extremes().psi_max
-        return 4.0 * psi_max * float(counts @ (vals * vals))
+
+def _hamiltonian(dist: EntryDistribution, amp, vals, counts, s) -> np.ndarray:
+    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s."""
+    terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
+             for v, c in zip(vals.T, counts.T) if c.any()]  # padding adds nothing
+    return sum(terms[1:], terms[0]) if terms else np.zeros((amp.size, s.size))
 
 
 def _simpson_weights(n: int, step: float) -> np.ndarray:
@@ -115,50 +117,37 @@ def _simpson_weights(n: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _weight_grid(problem: GibbsProblem, zeta: float) -> tuple:
-    """((s, w, H), log I0, m2) of the weight exp(h(s) - zeta s^2) on [-R, R],
-    on the first grid of ``_resolved`` that resolves it, with the arithmetic
-    of ``gibbs_solve``; for R = inf the grids start on [0, 16]."""
+def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
+    """log int exp(-zeta s^2 + h(s)) ds over [-R, R], or its zeta-derivative.
+
+    Order 1 returns -m2 of the normalized integrand (a moment, never a
+    finite difference of order 0).  Each call resolves the weight at zeta
+    by ``_resolved``, starting from the grid ``_grid_for(R)``, with the
+    arithmetic of ``gibbs_solve``.
+    """
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
 
     def moments(s, w, H):
         log_i0, m2 = _grid_moments(H[None], s * s, np.array([zeta]), (w, w * (s * s)))
         return zeta, float(log_i0[0]), float(m2[0])
 
-    R = problem.R
-    grid, _, log_i0, m2 = _resolved(problem, R, R if np.isfinite(R) else 16.0, moments)
-    return grid, log_i0, m2
-
-
-def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
-    """log int exp(-zeta s^2 + h(s)) ds over [-R, R], or its zeta-derivative.
-
-    Order 1 returns -m2 of the normalized integrand (a moment, never a
-    finite difference of order 0).  For R = inf the grid grows until the
-    weight at its end is below exp(-92) of its peak, which needs zeta above
-    the quadratic growth bound of h.
-    """
-    if not np.isfinite(problem.R) and zeta <= problem.h_growth_bound():
-        raise GibbsError(f"integrand not normalizable: zeta={zeta:.6g} <= quadratic growth "
-                         f"{problem.h_growth_bound():.6g}")
-    _, log_i0, m2 = _weight_grid(problem, zeta)
-    if order == 0:
-        return log_i0
-    if order == 1:
-        return -m2
-    raise ValueError("order must be 0 or 1")
+    _, _, log_i0, m2 = _resolved(problem, problem.R, moments)
+    return -m2 if order else log_i0
 
 
 class GibbsSolution:
     """Multiplier, optimum value, and accessors for the optimizing measure."""
 
     def __init__(self, problem: GibbsProblem, zeta_star: float, value: float, log_norm: float,
-                 m2: float, evaluations: int):
+                 m2: float, evaluations: int, grid: tuple):
         self.problem = problem
         self.zeta_star = zeta_star
         self.value = value
         self.log_norm = log_norm  # log of the unnormalized mass int exp(h - zeta s^2)
         self.m2 = m2  # second moment at zeta_star, from the solve's last evaluation
         self.evaluations = evaluations  # moment evaluations of the multiplier solve
+        self.grid = grid  # (a, b, n) of the Simpson grid of [a, b] that the solve resolved
 
     @property
     def R(self) -> float:
@@ -173,16 +162,15 @@ class GibbsSolution:
         return float(out) if out.ndim == 0 else out
 
     def moment(self, k: int) -> float:
-        """int s^k dnu for the optimizing measure, on the grid that resolves
-        its weight at zeta* (the solve's grid when its first grid did, so
-        moment(2) is then m2 bit for bit).  An odd k weights the folded
-        grid by tanh((h(s) - h(-s))/2), the odd part of the weight, which
-        is exactly 0 for a symmetric law.
+        """int s^k dnu for the optimizing measure, on the grid its solve
+        resolved, so moment(2) is m2 bit for bit.  An odd k weights the
+        folded grid by tanh((h(s) - h(-s))/2), the odd part of the weight,
+        which is exactly 0 for a symmetric law; h is evaluated at +-s once
+        for both the fold and that factor.
         """
-        (s, w, H), _, _ = _weight_grid(self.problem, self.zeta_star)
-        f = s**k
-        if k % 2:
-            f = f * np.tanh(0.5 * (self.problem.h(s) - self.problem.h(-s)))
+        s, w = _simpson_grid(*self.grid)
+        H, odd = _fold(self.problem.dist, self.problem.h, s, odd=True)
+        f = s**k * odd if k % 2 else s**k
         return float(_grid_moments(H[None], s * s, np.array([self.zeta_star]), (w, w * f))[1][0])
 
     def root_residual(self) -> float:
@@ -191,9 +179,9 @@ class GibbsSolution:
 
     def quantiles(self, q):
         """Inverse CDF at probabilities q (array), by interpolation of the
-        trapezoid CDF on the grid that resolves the weight at zeta*,
-        mirrored to [-R, R], with h evaluated at the nodes +-s."""
-        (s, _, _), _, _ = _weight_grid(self.problem, self.zeta_star)
+        trapezoid CDF on the grid its solve resolved, mirrored to [-R, R],
+        with h evaluated at the nodes +-s."""
+        s = _simpson_grid(*self.grid)[0]
         s = np.concatenate([-s[::-1], s])
         phi = self.problem.h(s) - self.zeta_star * s * s
         dens = np.exp(phi - phi.max())
@@ -217,11 +205,10 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     warm start.  Where that grid does not resolve the weight at the
     multiplier found, the solve moves on to the finer grids of ``_resolved``,
     each started from the last multiplier; a weight of width sqrt(alpha)
-    below R/256 starts on the grid of [0, 16 sqrt(alpha)].
+    below R/256 starts on the grid of [0, 16 sqrt(alpha)].  The solution
+    keeps the (a, b, n) of the grid that resolved it.
     ``evaluations`` counts the moment evaluations of every pass.
     """
-    if not np.isfinite(problem.R):
-        raise ValueError("gibbs_solve needs finite R; use phi_unbounded for R=inf")
     alpha, R = problem.alpha, problem.R
     if alpha > R**2 * (1.0 - 1e-8):
         # the multiplier diverges and the boundary peak falls below any
@@ -237,9 +224,9 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
         return zeta, float(log_mass[0]), float(m2[0])
 
     span = 16.0 * math.sqrt(alpha) if 256.0 * math.sqrt(alpha) < R else R
-    _, zeta, log_mass, m2 = _resolved(problem, R, span, solve)
+    grid, zeta, log_mass, m2 = _resolved(problem, span, solve)
     value = float(values_from_batch(log_mass, zeta, alpha))
-    return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations)
+    return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations, grid)
 
 
 def whole_line_rows(values_at, n: int, where) -> np.ndarray:
@@ -287,8 +274,6 @@ def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
 
 def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution) -> float:
     """L2-Wasserstein distance between two optimizers via quantile coupling."""
-    if not (np.isfinite(sol1.problem.R) and np.isfinite(sol2.problem.R)):
-        raise ValueError("both solutions must live on finite intervals")
     q = (np.arange(_W2_QUANTILES) + 0.5) / _W2_QUANTILES
     d = sol1.quantiles(q) - sol2.quantiles(q)
     return float(math.sqrt(np.mean(d * d)))
@@ -298,15 +283,20 @@ def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution) -> float:
 # the quadrature grid and the multiplier solve on it
 
 
-def _fold(dist: EntryDistribution, h_of, s: np.ndarray) -> np.ndarray:
+def _fold(dist: EntryDistribution, h_of, s: np.ndarray, odd: bool = False):
     """The Hamiltonian ``h_of`` of a law ``dist`` folded onto the nodes s >= 0,
     H(s) = logaddexp(h(s), h(-s)) - log 2: an even function times exp(h - zeta
     s^2) over [-R, R] is twice the same times exp(H - zeta s^2) over [0, R].
-    A symmetric law's h is even and is not folded; this is the only place
-    the Gibbs layer reads ``dist.symmetric``."""
+    With ``odd`` it returns (H, tanh((h(s) - h(-s))/2)), the second being
+    the odd part of exp(h) over its even part exp(H), from the same values
+    of h.  A symmetric law's h is even and is not folded; this is the only
+    place the Gibbs layer reads ``dist.symmetric``."""
+    hp = h_of(s)
     if dist.symmetric:
-        return h_of(s)
-    return np.logaddexp(h_of(s), h_of(-s)) - math.log(2.0)
+        return (hp, np.zeros_like(hp)) if odd else hp
+    hm = h_of(-s)
+    H = np.logaddexp(hp, hm) - math.log(2.0)
+    return (H, np.tanh(0.5 * (hp - hm))) if odd else H
 
 
 def _grid_for(R: float) -> tuple:
@@ -326,9 +316,9 @@ def _simpson_grid(a: float, b: float, n: int) -> tuple:
     return np.linspace(a, b, n), 2.0 * _simpson_weights(n, (b - a) / (n - 1))
 
 
-def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
+def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
     """Run ``step(s, w, H)`` -> (zeta, log I0, m2) on the grid of
-    ``_grid_for(span)`` (span <= R, R possibly inf), H the folded
+    ``_grid_for(span)`` (span <= R, R = ``problem.R``), H the folded
     Hamiltonian, and then on finer grids of [0, R] until one resolves the
     weight exp(H - zeta s^2).
 
@@ -340,8 +330,10 @@ def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
     on each side, if they fill at most half the grid; else it halves the
     spacing of a grid of fewer than 2^17 + 1 nodes.  A weight still
     unresolved raises ``GibbsError``.
-    Returns ((s, w, H), zeta, log I0, m2) of the last grid.
+    Returns ((a, b, n), zeta, log I0, m2) of the last grid, which
+    ``_simpson_grid(a, b, n)`` rebuilds.
     """
+    R = problem.R
     s, w = _grid_for(span)
     for _ in range(_MAX_GRIDS):
         H = _fold(problem.dist, problem.h, s)
@@ -350,14 +342,14 @@ def _resolved(problem: GibbsProblem, R: float, span: float, step) -> tuple:
         wc = _simpson_grid(c[0], c[-1], c.size)[1]
         log_c, m2_c = _grid_moments(H[None, ::2], c * c, np.array([zeta]), (wc, wc * (c * c)))
         close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
-        if close and s[0] == 0.0 and s[-1] == R:
-            return (s, w, H), zeta, log_i0, m2
+        a, b, n = float(s[0]), float(s[-1]), s.size
+        if close and a == 0.0 and b == R:
+            return (a, b, n), zeta, log_i0, m2
         phi = H - zeta * s * s
         live = np.nonzero(phi >= phi.max() - _TAIL_DROP)[0]
-        cut = (s[0] > 0.0 and live[0] == 0, s[-1] < R and live[-1] == s.size - 1)
+        cut = (a > 0.0 and live[0] == 0, b < R and live[-1] == n - 1)
         if close and not any(cut):
-            return (s, w, H), zeta, log_i0, m2
-        a, b, n = float(s[0]), float(s[-1]), s.size
+            return (a, b, n), zeta, log_i0, m2
         if any(cut):
             a, b = (max(0.0, a - (b - a)) if cut[0] else a), (min(R, b + (b - a)) if cut[1] else b)
         elif live[-1] - live[0] + 2 <= n // 2:

@@ -37,8 +37,6 @@ def gibbs_grid_oracle(problem: GibbsProblem, n_points: int = 41,
     interior, so the affine projection suffices once iterates are positive).
     """
     R, alpha = problem.R, problem.alpha
-    if not np.isfinite(R):
-        raise ValueError("the grid oracle needs finite R")
     s = np.linspace(-R, R, n_points)
     ds = s[1] - s[0]
     h = problem.h(s)

@@ -38,8 +38,8 @@ from scipy.interpolate import CubicSpline
 from . import free_energy, semicircle
 from .brent import brent_max_rows
 from .entries import EntryDistribution
-from .gibbs import (_consolidate, _fold, _grid_for, solve_exponent_batch, values_from_batch,
-                    whole_line_rows)
+from .gibbs import (_consolidate, _fold, _grid_for, _hamiltonian, solve_exponent_batch,
+                    values_from_batch, whole_line_rows)
 
 __all__ = [
     "HatSpec",
@@ -87,6 +87,10 @@ class HatSpec:
     """Single-coordinate reduction: scalar squared mass alpha."""
 
     alpha: float
+
+    @property
+    def mass(self) -> float:
+        return self.alpha
 
     def _row(self, dist, x):
         return _hat_evaluator(dist).row_penalty, np.array([[x, self.alpha]], dtype=float)
@@ -402,18 +406,12 @@ class _Phi1Table:
         return self.spline(u)
 
 
-def _hamiltonian(dist, amp, vals, counts, s):
-    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s."""
-    terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
-             for v, c in zip(vals.T, counts.T) if c.any()]  # padding adds nothing
-    return sum(terms[1:], terms[0]) if terms else np.zeros((amp.size, s.size))
-
-
 def _gibbs_values(dist, amp, vals, counts, beta, R):
     """Gibbs values over [-R, R] of rows i with budget beta[i] (or a shared
-    beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), solved
-    in near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows on the half
-    grid of [0, R], each Hamiltonian folded by ``gibbs._fold``."""
+    beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), built
+    by ``gibbs._hamiltonian`` and folded by ``gibbs._fold``, solved in
+    near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows on the half grid
+    of [0, R]."""
     s, w = _grid_for(R)
     beta = np.broadcast_to(beta, amp.shape)
     out = []

@@ -163,8 +163,25 @@ MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta"
     (MC_BBP + '"N": 50.7, "reps": 2}', "field 'N' must be an integer, not 50.7"),
     (MC_BBP + '"N": 50, "reps": 2.5}', "field 'reps' must be an integer, not 2.5"),
     (MC_BBP + '"N": 50, "reps": 2, "seed": 7.5}', "field 'seed' must be an integer, not 7.5"),
+    (MC_BBP + '"N": 50, "reps": 2, "seed": -1}',
+     "field 'seed' must be an integer in [0, 2**64), not -1"),
+    (MC_BBP + '"N": 50, "reps": 2, "seed": 18446744073709551616}',
+     "field 'seed' must be an integer in [0, 2**64), not 18446744073709551616"),
+    (FREE_ENERGY + '"form": "hat", "alpha": 0.5, "out": 1}',
+     "field 'out' must be a path string, not 1"),
+    (FREE_ENERGY + '"form": "hat", "alpha": 0.5, "out": true}',
+     "field 'out' must be a path string, not True"),
+    ('{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2, 3, 0.1], "out": 2}',
+     "field 'out' must be a path string, not 2"),
+    ('{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": [0.1], "R": 6,'
+     ' "alpha": 0.5, "out": ["a"]}', "field 'out' must be a path string, not ['a']"),
+    (MC_BBP + '"N": 50, "reps": 2, "out": 1}', "field 'out' must be a path string, not 1"),
+    (MC_BBP + '"N": 50, "reps": 2, "samples_csv": 1}',
+     "field 'samples_csv' must be a path string, not 1"),
 ], ids=["loc-w", "restricted-w", "tilde-w_check", "gibbs-solve-v", "rate-curve-N",
-        "free-energy-N", "mc-N", "mc-reps", "mc-seed"])
+        "free-energy-N", "mc-N", "mc-reps", "mc-seed", "mc-seed-negative", "mc-seed-too-big",
+        "free-energy-out-int", "free-energy-out-bool", "rate-curve-out", "gibbs-solve-out",
+        "mc-out", "mc-samples_csv"])
 def test_main_malformed_field_names_it(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
@@ -181,6 +198,13 @@ def test_integral_floats_parse_as_integers():
     assert all(type(spec.payload[k]) is int for k in ("N", "reps", "seed"))
     spec = parse_config(MC_BBP + '"N": 50, "reps": 2, "seed": 12345678901234567891}')
     assert spec.payload["seed"] == 12345678901234567891
+
+
+def test_main_seed_flag_out_of_range_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(MC_BBP + '"N": 50, "reps": 2}')
+    assert main(["--config", str(cfg), "--seed", "-1"]) == 2
+    assert "field 'seed' must be an integer in [0, 2**64), not -1" in capsys.readouterr().err
 
 
 def test_main_missing_config_file(capsys):

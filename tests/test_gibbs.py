@@ -29,7 +29,8 @@ SG = SparseGaussian(0.5)
 
 
 def test_g_trivial_gaussian_integral():
-    p = GibbsProblem([0.0], GAUSS, math.inf, 1.0)
+    # at R = 16 the Gaussian tail beyond R is below 1e-55 of the mass
+    p = GibbsProblem([0.0], GAUSS, 16.0, 1.0)
     assert g_value(p, 0.5) == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-10)
     assert g_value(p, 0.5, order=1) == pytest.approx(-1.0, abs=1e-10)
 
@@ -58,10 +59,10 @@ def test_g_resolves_narrow_weights_closed_form(zeta):
 
 
 def test_g_divergent_integrand_rejected():
-    p = GibbsProblem([1.0], SG, math.inf, 1.0)
-    # quadratic growth of the tilt term is 4 psi_max = 4 here
-    with pytest.raises(GibbsError, match="not normalizable"):
-        g_value(p, 2.0)
+    # no whole-line problem is built, so no integrand can diverge: the
+    # whole-line optimum is the limit of finite-R solves, phi_unbounded
+    with pytest.raises(ValueError, match="finite R.*phi_unbounded"):
+        GibbsProblem([1.0], SG, math.inf, 1.0)
 
 
 # --- solve -------------------------------------------------------------------
@@ -100,6 +101,32 @@ def test_solution_keeps_the_last_iterate(dist):
         sol = gibbs_solve(prob)
         assert sol.root_residual() == abs(g_value(prob, sol.zeta_star, 1) + prob.alpha)
         assert sol.moment(2) == sol.m2
+    # a narrow weight's solve refines its grid, which moment reads again;
+    # g_value resolves its own grid from [0, R], so it may differ there
+    for prob in _narrow_problems(dist):
+        sol = gibbs_solve(prob)
+        assert sol.moment(2) == sol.m2, prob
+
+
+@pytest.mark.parametrize("prob", [
+    GibbsProblem([0.5], SG, 6.0, 1e-5),
+    GibbsProblem([0.6, -0.3], bernoulli_std(0.3), 6.0, 0.9),
+], ids=["narrow", "asymmetric"])
+def test_accessors_read_the_solved_grid(prob, monkeypatch):
+    # after the solve no accessor resolves a grid again
+    sol = gibbs_solve(prob)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an accessor resolved a grid again")
+
+    monkeypatch.setattr(gibbs, "_resolved", refuse)
+    assert sol.moment(0) == pytest.approx(1.0, abs=1e-12)
+    assert sol.moment(2) == sol.m2
+    for k in (1, 3):
+        assert math.isfinite(sol.moment(k))
+    q = sol.quantiles(np.array([0.1, 0.5, 0.9]))
+    assert np.all(np.diff(q) > 0.0) and np.all(np.abs(q) <= prob.R)
+    assert np.all(sol.density(q) > 0.0)
 
 
 @pytest.mark.parametrize("dist", [SG, bernoulli_std(0.3)], ids=repr)
@@ -243,7 +270,7 @@ def test_whole_line_rows_failure_names_R_and_row():
 
 def test_phi_unbounded_failure_names_v_and_alpha(monkeypatch):
     def rising(problem, _zeta_init=None):
-        return gibbs.GibbsSolution(problem, 0.5, problem.R, 0.0, problem.alpha, 1)
+        return gibbs.GibbsSolution(problem, 0.5, problem.R, 0.0, problem.alpha, 1, (0.0, problem.R, 9))
 
     monkeypatch.setattr(gibbs, "gibbs_solve", rising)
     with pytest.raises(GibbsError, match=r"R=4096: phi_unbounded at v=\[0\.3\], alpha=0\.8"):
