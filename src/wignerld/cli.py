@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import free_energy, montecarlo, rate, selfcheck, semicircle
+from . import free_energy, montecarlo, rate, semicircle
 from .entries import check_assumptions, distribution_from_spec
 from .gibbs import GibbsProblem, gibbs_solve
 
@@ -277,6 +277,8 @@ def run(spec: RunSpec, out: str = None, seed: int = None, threads: int = None,
     meta = {"version": 1, "command": spec.command, "defaults_applied": spec.defaults_applied}
 
     if spec.command == "selfcheck":
+        from . import selfcheck  # its oracles load scipy.integrate and scipy.optimize
+
         ok = selfcheck.run_all(printer)
         printer("selfcheck: " + ("all suites passed" if ok else "FAILURES above"))
         return 0 if ok else 1

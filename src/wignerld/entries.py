@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .brent import brent_max_rows
 
@@ -38,6 +37,19 @@ __all__ = [
 _PSI_TAYLOR_CUT = 1e-4
 # sharpness test: sup psi <= 1/2 + slack
 _SHARP_SLACK = 1e-9
+
+
+def _logsumexp(a, axis=-1, keepdims=False):
+    """log sum exp(a) along ``axis`` for finite real ``a``, with the arithmetic
+    of ``scipy.special.logsumexp`` (so the same bits): the m maxima of a
+    slice stay out of the sum s of exp(a - max) over its other elements, and
+    the result is log1p(s / m) + log(m) + max."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+    s = np.sum(np.where(top, 0.0, np.exp(a - a_max)), axis=axis, keepdims=True) / m
+    out = np.log1p(s) + np.log(m) + a_max
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 class PsiBracketError(RuntimeError):
@@ -301,14 +313,14 @@ class DiscreteAtoms(EntryDistribution):
         t2 = tt[..., None]
         logs = self._log_masses + t2 * self.locations
         if order == 0:
-            out = logsumexp(logs, axis=-1)
+            out = _logsumexp(logs, axis=-1)
             small = np.abs(tt) < 1e-2
             if small.any():
                 # expm1 form avoids losing the O(t^2) signal to rounding
                 ts = tt[small][:, None]
                 out[small] = np.log1p(np.expm1(ts * self.locations) @ self.masses)
         else:
-            lse = logsumexp(logs, axis=-1, keepdims=True)
+            lse = _logsumexp(logs, axis=-1, keepdims=True)
             w = np.exp(logs - lse)
             m1 = w @ self.locations
             if order == 1:
@@ -334,7 +346,7 @@ class DiscreteAtoms(EntryDistribution):
             return lambda rng: rng.choice(xs, size=n, p=self.masses)
         t = np.broadcast_to(np.asarray(tilt, dtype=float), (n,))
         logs = self._log_masses + t[:, None] * xs
-        logs -= logsumexp(logs, axis=1, keepdims=True)
+        logs -= _logsumexp(logs, axis=1, keepdims=True)
         cum = np.cumsum(np.exp(logs), axis=1)  # per-draw CDF of the tilted atoms
 
         def draw(rng):

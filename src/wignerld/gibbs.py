@@ -49,6 +49,7 @@ _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other n
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
 _W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
+_PAIRS_PER_CALL = 64  # (row, term) pairs per log_laplace call of _hamiltonian: bounds memory
 
 
 class GibbsError(RuntimeError):
@@ -104,10 +105,19 @@ class GibbsProblem:
 
 
 def _hamiltonian(dist: EntryDistribution, amp, vals, counts, s) -> np.ndarray:
-    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s."""
-    terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
-             for v, c in zip(vals.T, counts.T) if c.any()]  # padding adds nothing
-    return sum(terms[1:], terms[0]) if terms else np.zeros((amp.size, s.size))
+    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s, each
+    summed over j in order.  The terms that some row uses reach
+    ``log_laplace`` in calls of at most ``_PAIRS_PER_CALL`` (row, term) pairs,
+    or of one term, so a single problem's terms take one call."""
+    live = np.flatnonzero(counts.any(axis=0))  # an all-padding term adds nothing
+    H = np.zeros((amp.size, s.size))
+    step = max(1, _PAIRS_PER_CALL // max(amp.size, 1))
+    for b in range(0, live.size, step):
+        j = live[b:b + step]
+        t = (2.0 * vals.T[j] * amp).reshape(-1, 1) * s  # a row per (term, row) pair
+        for term in counts.T[j][:, :, None] * dist.log_laplace(t).reshape(j.size, amp.size, -1):
+            H += term
+    return H
 
 
 def _simpson_weights(n: int, step: float) -> np.ndarray:
@@ -180,15 +190,24 @@ class GibbsSolution:
     def quantiles(self, q):
         """Inverse CDF at probabilities q (array), by interpolation of the
         trapezoid CDF on the grid its solve resolved, mirrored to [-R, R],
-        with h evaluated at the nodes +-s."""
+        with h evaluated at the nodes +-s.
+
+        The CDF at a node is the mass on its left over that mass plus the
+        mass on its right, each summed from its own end, so a symmetric
+        law's CDF is 1/2 at 0 bit for bit.  The CDF is flat where the
+        density underflows; a q on a flat stretch maps to its midpoint.
+        """
         s = _simpson_grid(*self.grid)[0]
         s = np.concatenate([-s[::-1], s])
         phi = self.problem.h(s) - self.zeta_star * s * s
         dens = np.exp(phi - phi.max())
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))])
-        cdf /= cdf[-1]
-        # nondecreasing, and flat only where the density underflows in the tails
-        return np.interp(q, cdf, s)
+        piece = (dens[1:] + dens[:-1]) * 0.5 * np.diff(s)
+        left = np.concatenate([[0.0], np.cumsum(piece)])
+        right = np.concatenate([np.cumsum(piece[::-1])[::-1], [0.0]])
+        cdf = left / (left + right)
+        # np.interp takes the last node of a run of equal CDF values; the
+        # mirrored call takes the first
+        return 0.5 * (np.interp(q, cdf, s) + np.interp(-np.asarray(q), -cdf[::-1], s[::-1]))
 
     def __repr__(self):
         return f"GibbsSolution(zeta_star={self.zeta_star:.6g}, value={self.value:.6g})"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .entries import EntryDistribution
 
@@ -134,9 +133,11 @@ def lambda1_and_vector(sample):
         vals, vecs = scipy.linalg.eigh(H, subset_by_index=(n - 1, n - 1), check_finite=False)
         lam, v = float(vals[0]), vecs[:, 0]
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # only large N needs it
+
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(H, k=1, which="LA", maxiter=2000, tol=1e-12)
-        except scipy.sparse.linalg.ArpackNoConvergence as e:
+            vals, vecs = eigsh(H, k=1, which="LA", maxiter=2000, tol=1e-12)
+        except ArpackNoConvergence as e:
             raise EigensolverError(f"Lanczos did not converge for N={n}") from e
         lam, v = float(vals[0]), vecs[:, 0]
     v = v / np.linalg.norm(v)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import free_energy, semicircle
 from .brent import brent_max_rows
@@ -389,6 +388,8 @@ class _Phi1Table:
         return _gibbs_values(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
 
     def _build(self, u_max: float):
+        from scipy.interpolate import CubicSpline  # only hat mode needs it
+
         n = int(math.ceil(u_max / 0.01)) + 1
         us = np.linspace(0.0, 0.01 * (n - 1), n)
         vals = self._solve_grid(us)

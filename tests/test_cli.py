@@ -1,10 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wignerld.cli import ConfigError, main, parse_config, run
 from wignerld.entries import SparseGaussian
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # a fresh interpreter: the other scipy subpackages load on the paths that use them
+    heavy = ["scipy.special", "scipy.interpolate", "scipy.sparse", "scipy.integrate",
+             "scipy.optimize", "scipy.stats"]
+    code = f"import sys, wignerld, wignerld.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parse_rate_curve_defaults():

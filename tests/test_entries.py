@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from wignerld import entries
 from wignerld.entries import (
     DiscreteAtoms,
     Gaussian,
@@ -95,6 +97,65 @@ def test_overflow_safety_large_arguments():
     d = standardize_atoms([(-5.0, 0.5), (5.0, 0.5)])
     assert np.isfinite(d.log_laplace(500.0))
     assert np.isfinite(SparseGaussian(0.1).log_laplace(300.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-20.0, 20.0), st.sampled_from([0.1, 0.2, 0.25, 0.5])),
+                   min_size=2, max_size=4, unique_by=lambda a: round(a[0], 3)),
+    ts=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30),
+    keepdims=st.booleans(),
+)
+def test_numpy_logsumexp_is_scipys_bit_for_bit(atoms, ts, keepdims):
+    # the atom laws' log-sum-exp keeps scipy's arithmetic; equal masses tie at t = 0
+    total = sum(m for _, m in atoms)
+    law = standardize_atoms([(x, m / total) for x, m in atoms])
+    t = np.array([0.0, *ts, *(-x for x in ts)])
+    a = law._log_masses + t[:, None] * law.locations
+    tied = a.copy()
+    tied[:, 1] = tied.max(axis=1)  # an exact tie at the row maximum
+    for arg in (a, tied):
+        ours = entries._logsumexp(arg, axis=-1, keepdims=keepdims)
+        ref = logsumexp(arg, axis=-1, keepdims=keepdims)
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+
+PINNED_T = np.array([-700.0, -37.5, -2.5, -0.3, -1e-2, -1e-3, 0.0, 5e-3, 1e-2, 0.7, 4.0, 61.0, 700.0])
+PINNED_LOG_LAPLACE = {  # orders 0, 1 and 2 at PINNED_T, as computed through scipy's logsumexp
+    "bernoulli_std(0.3)": (bernoulli_std(0.3), [
+        [457.9008945516453, 24.192837707610412, 1.2817888289185222, 0.04077871006697889,
+         4.9854010797933945e-05, 4.998544698717618e-07, 0.0, 1.2518152417590757e-05,
+         5.0144957455366956e-05, 0.2750851424054848, 4.9065057481693914, 91.97506632644281,
+         1068.0636893520368],
+        [-0.6546536707079772, -0.6546536707079772, -0.6506648148366517, -0.2572033013945428,
+         -0.009956152704947851, -0.0009995633581336343, 2.300468677498709e-17,
+         0.005010884936328704, 0.010043434596337882, 0.7938536461620193, 1.5267013399783742,
+         1.5275252316519468, 1.5275252316519468],
+        [0.0, 0.0, 0.008688486155798647, 0.7093410145835513, 0.9912104324707515,
+         0.9991265104444166, 1.0000000000000002, 1.0043487499882389, 1.0086657578548535,
+         1.0627286597617709, 0.0017972002304103007, 0.0, 0.0],
+    ]),
+    "sparse_rademacher(0.2)": (sparse_rademacher(0.2), [
+        [1562.9449991568588, 81.54996406324807, 3.3170359686402153, 0.04565479395740002,
+         5.0000833305613446e-05, 5.000000833333235e-07, 0.0, 1.2500052082899395e-05,
+         5.0000833305613446e-05, 0.26181761124599223, 6.642730149079727, 134.09756153449314,
+         1562.9449991568588],
+        [-2.23606797749979, -2.23606797749979, -2.171143294303306, -0.3085962464630292,
+         -0.010000333316666735, -0.0010000003333332618, 4.586541819946801e-18,
+         0.005000041666145849, 0.010000333316666735, 0.7873237438744061, 2.2337361946306085,
+         2.23606797749979, 2.23606797749979],
+        [0.0, 0.0, 0.1410962002091587, 1.0832815352353617, 1.0000999916666946,
+         1.0000009999991668, 1.0000000000000004, 1.0000249994791672, 1.0000999916666946,
+         1.3015157756743556, 0.005208757872037673, 0.0, 0.0],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LOG_LAPLACE)
+def test_atom_log_laplace_pinned(name):
+    law, rows = PINNED_LOG_LAPLACE[name]
+    for order, expected in enumerate(rows):
+        assert law.log_laplace(PINNED_T, order).tobytes() == np.array(expected).tobytes(), order
 
 
 # --- psi -------------------------------------------------------------------

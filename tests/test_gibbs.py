@@ -58,6 +58,37 @@ def test_g_resolves_narrow_weights_closed_form(zeta):
     assert -g_value(p, zeta, order=1) == pytest.approx(m2, rel=1e-10)
 
 
+def _hamiltonian_by_term(dist, amp, vals, counts, s):
+    # one log_laplace call per term that some row uses, the terms summed in order
+    terms = [c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
+             for v, c in zip(vals.T, counts.T) if c.any()]
+    return sum(terms[1:], terms[0]) if terms else np.zeros((amp.size, s.size))
+
+
+@pytest.mark.parametrize("dist", [SG, bernoulli_std(0.3), rademacher()], ids=repr)
+@pytest.mark.parametrize("rows", [0, 1, 3, 64, 100])
+def test_hamiltonian_is_the_termwise_sum(dist, rows):
+    rng = np.random.default_rng(rows)
+    s = _grid_for(6.0)[0]
+    amp = rng.uniform(0.0, 3.0, rows)
+    vals = rng.uniform(-1.0, 1.0, (rows, 4))
+    counts = rng.integers(0, 4, (rows, 4)).astype(float)  # zeros pad a row's terms
+    counts[:, 3] = 0.0  # a term no row uses
+    H = gibbs._hamiltonian(dist, amp, vals, counts, s)
+    assert H.tobytes() == _hamiltonian_by_term(dist, amp, vals, counts, s).tobytes()
+    assert not gibbs._hamiltonian(dist, amp, vals, 0.0 * counts, s).any()
+
+
+def test_problem_hamiltonian_takes_one_log_laplace_call(monkeypatch):
+    dist = SparseGaussian(0.5)
+    calls = []
+    monkeypatch.setattr(dist, "log_laplace", lambda t, order=0: calls.append(t.shape) or
+                        SparseGaussian.log_laplace(dist, t, order))
+    s = _grid_for(6.0)[0]
+    GibbsProblem([0.4, -0.2, 0.4, 0.1], dist, 6.0, 0.9).h(s)
+    assert calls == [(3, s.size)]
+
+
 def test_g_divergent_integrand_rejected():
     # no whole-line problem is built, so no integrand can diverge: the
     # whole-line optimum is the limit of finite-R solves, phi_unbounded
@@ -169,6 +200,17 @@ def test_quantiles_of_an_asymmetric_law_match_fine_trapezoid():
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(s))])
     q = np.linspace(0.01, 0.99, 99)
     np.testing.assert_allclose(sol.quantiles(q), np.interp(q, cdf / cdf[-1], s), rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("R", [4.0, 16.0])
+def test_quantiles_on_a_flat_cdf_stretch_take_its_midpoint(R):
+    # near R^2 the mass sits in boundary layers at -R and R, and the density
+    # underflows to 0 between them; by symmetry the median is 0
+    sol = gibbs_solve(GibbsProblem([0.5], SG, R, R * R * (1.0 - 1e-3)))
+    x = sol.quantiles(np.array([0.1, 0.25, 0.5, 0.75, 0.9]))
+    assert x[2] == 0.0
+    assert np.all(np.abs(x[[0, 1, 3, 4]]) > 0.98 * R)
+    np.testing.assert_allclose(x[::-1], -x, rtol=0, atol=1e-12)
 
 
 def test_solve_matches_brent_root_oracle():

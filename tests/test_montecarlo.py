@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -191,6 +193,29 @@ def test_lanczos_path_above_dense_limit():
     resid = np.linalg.norm(s.matrix @ v - lam * v)
     assert resid < 1e-8 * max(1.0, abs(lam))
     assert 1.8 < lam < 2.3
+
+
+def test_lanczos_branch_matches_dense_eigh(monkeypatch):
+    monkeypatch.setattr(mc, "_DENSE_LIMIT", 50)
+    s = mc.sample_wigner(SG, 120, rng=mc.replica_rng(21, 0))
+    lam, v = mc.lambda1_and_vector(s)
+    vals, vecs = scipy.linalg.eigh(s.matrix)
+    u = vecs[:, -1] * np.sign(vecs[np.argmax(np.abs(vecs[:, -1])), -1])  # the sign rule
+    assert lam == pytest.approx(vals[-1], abs=1e-10)
+    np.testing.assert_allclose(v, u, rtol=0, atol=1e-10)
+    assert v[np.argmax(np.abs(v))] > 0
+    assert np.linalg.norm(s.matrix @ v - lam * v) < mc._RESIDUAL_TOL * max(1.0, abs(lam))
+
+
+def test_lanczos_failure_names_n(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(mc, "_DENSE_LIMIT", 50)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    s = mc.sample_wigner(SG, 120, rng=mc.replica_rng(21, 0))
+    with pytest.raises(mc.EigensolverError, match="N=120"):
+        mc.lambda1_and_vector(s)
 
 
 def test_lambda1_rejects_nonfinite():
