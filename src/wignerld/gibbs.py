@@ -110,13 +110,18 @@ def _hamiltonian(dist: EntryDistribution, amp, vals, counts, s) -> np.ndarray:
     ``log_laplace`` in calls of at most ``_PAIRS_PER_CALL`` (row, term) pairs,
     or of one term, so a single problem's terms take one call."""
     live = np.flatnonzero(counts.any(axis=0))  # an all-padding term adds nothing
-    H = np.zeros((amp.size, s.size))
-    step = max(1, _PAIRS_PER_CALL // max(amp.size, 1))
+    if not live.size:
+        return np.zeros((amp.size, s.size))
+    H = None
+    step = max(1, _PAIRS_PER_CALL // amp.size)
     for b in range(0, live.size, step):
         j = live[b:b + step]
         t = (2.0 * vals.T[j] * amp).reshape(-1, 1) * s  # a row per (term, row) pair
         for term in counts.T[j][:, :, None] * dist.log_laplace(t).reshape(j.size, amp.size, -1):
-            H += term
+            if H is None:
+                H = term
+            else:
+                H += term
     return H
 
 

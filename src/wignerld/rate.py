@@ -388,11 +388,13 @@ class _Phi1Table:
         return _gibbs_values(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
 
     def _build(self, u_max: float):
-        from scipy.interpolate import CubicSpline  # only hat mode needs it
-
         n = int(math.ceil(u_max / 0.01)) + 1
         us = np.linspace(0.0, 0.01 * (n - 1), n)
         vals = self._solve_grid(us)
+        # only hat mode needs scipy.interpolate; imported once the solve's
+        # arrays are freed, so that they and the module do not peak together
+        from scipy.interpolate import CubicSpline
+
         # phi1 is even in u: clamp the slope at u = 0 instead of a not-a-knot end
         self.spline = CubicSpline(us, vals, bc_type=((1, 0.0), "not-a-knot"))
         self.u_max = us[-1]
