@@ -49,7 +49,6 @@ _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other n
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
 _W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
-_PAIRS_PER_CALL = 64  # (row, term) pairs per log_laplace call of _hamiltonian: bounds memory
 
 
 class GibbsError(RuntimeError):
@@ -105,24 +104,18 @@ class GibbsProblem:
 
 
 def _hamiltonian(dist: EntryDistribution, amp, vals, counts, s) -> np.ndarray:
-    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s, each
-    summed over j in order.  The terms that some row uses reach
-    ``log_laplace`` in calls of at most ``_PAIRS_PER_CALL`` (row, term) pairs,
-    or of one term, so a single problem's terms take one call."""
-    live = np.flatnonzero(counts.any(axis=0))  # an all-padding term adds nothing
-    if not live.size:
-        return np.zeros((amp.size, s.size))
+    """Rows sum_j counts[i, j] L(2 vals[i, j] amp[i] s) at the nodes s, summed
+    over j in order into the first term's array."""
     H = None
-    step = max(1, _PAIRS_PER_CALL // amp.size)
-    for b in range(0, live.size, step):
-        j = live[b:b + step]
-        t = (2.0 * vals.T[j] * amp).reshape(-1, 1) * s  # a row per (term, row) pair
-        for term in counts.T[j][:, :, None] * dist.log_laplace(t).reshape(j.size, amp.size, -1):
-            if H is None:
-                H = term
-            else:
-                H += term
-    return H
+    for v, c in zip(vals.T, counts.T):
+        if not c.any():  # padding adds nothing
+            continue
+        term = c[:, None] * dist.log_laplace(2.0 * v[:, None] * amp[:, None] * s)
+        if H is None:
+            H = term
+        else:
+            H += term
+    return np.zeros((amp.size, s.size)) if H is None else H
 
 
 def _simpson_weights(n: int, step: float) -> np.ndarray:

@@ -79,20 +79,6 @@ def test_hamiltonian_is_the_termwise_sum(dist, rows):
     assert not gibbs._hamiltonian(dist, amp, vals, 0.0 * counts, s).any()
 
 
-def test_problem_hamiltonian_takes_one_log_laplace_call(monkeypatch):
-    dist = SparseGaussian(0.5)
-    calls = []
-
-    def counted(t, order=0):
-        calls.append(t.shape)
-        return SparseGaussian.log_laplace(dist, t, order)
-
-    monkeypatch.setattr(dist, "log_laplace", counted)
-    s = _grid_for(6.0)[0]
-    GibbsProblem([0.4, -0.2, 0.4, 0.1], dist, 6.0, 0.9).h(s)
-    assert calls == [(3, s.size)]
-
-
 def test_g_divergent_integrand_rejected():
     # no whole-line problem is built, so no integrand can diverge: the
     # whole-line optimum is the limit of finite-R solves, phi_unbounded
