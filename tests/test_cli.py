@@ -267,3 +267,63 @@ def test_run_rate_curve_below_edge_inf_rows(tmp_path):
     assert lines[1].startswith("1.9,inf,inf,inf,inf")
     last = lines[-1].split(",")
     assert all(math.isfinite(float(v)) for v in last)
+
+
+# Golden artifacts: each command's stdout, byte for byte, for one short run.
+HAT_CURVE_CSV = """x,rate,goe_rate,theta_star,alpha_star
+1.9,inf,inf,inf,inf
+2.1,0.021239265861377643,0.021239265861376644,0.685078105891613,0.0
+2.3,0.11197718037750792,0.11197718037750715,0.8589454172884079,0.0
+2.5,0.2443528194400555,0.2443528194400547,1.0000000000090044,0.0
+2.7,0.35928114133718514,0.41033900487599206,0.8053535300938347,0.3699862105482609
+"""
+GOLDEN = {
+    "rate-curve": (
+        {"command": "rate-curve", "dist": {"kind": "sparse_gaussian", "p": 0.5},
+         "x": [1.9, 2.7, 0.2]},
+        HAT_CURVE_CSV
+        + '{"cap": 0.95, "command": "rate-curve", "defaults_applied": {"cap": 0.95, "mode": "hat",'
+          ' "tol": 0.001}, "dist": {"kind": "sparse_gaussian", "p": 0.5}, "mode": "hat",'
+          ' "points": 5, "version": 1, "x_mu": 2.7}\n'),
+    "gibbs-solve": (
+        {"command": "gibbs-solve", "dist": {"kind": "sparse_gaussian", "p": 0.5},
+         "v": [0.4, 0.2], "R": 8, "alpha": 0.9},
+        '{"command": "gibbs-solve", "defaults_applied": {}, "dist": {"kind": "sparse_gaussian",'
+        ' "p": 0.5}, "moment_evaluations": 6, "root_residual": 2.4424906541753444e-15,'
+        ' "second_moment": 0.9000000000000025, "value": 0.4669020822934853, "version": 1,'
+        ' "zeta_star": 1.166202145653998}\n'),
+    "free-energy": (
+        {"command": "free-energy", "dist": {"kind": "sparse_gaussian", "p": 0.5},
+         "form": "restricted", "theta": 0.8, "w": [0.3, 0.1], "N": 1000},
+        '{"command": "free-energy", "defaults_applied": {"R": "N^(1/5)"}, "dist": {"kind":'
+        ' "sparse_gaussian", "p": 0.5}, "form": "restricted", "theta": 0.8,'
+        ' "value": 0.608033530048514, "version": 1}\n'),
+    "mc": (
+        {"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "N": 40, "reps": 3,
+         "theta": 1.0},
+        '{"N": 40, "defaults_applied": {"eta": 0.125, "seed": 0}, "dist": {"kind": "gaussian"},'
+        ' "eta": 0.125, "kind": "bbp", "lambda1_mean": 2.408082499068428, "lambda1_samples":'
+        ' [2.278129868351465, 2.526303129073248, 2.419814499780572], "lambda1_stderr":'
+        ' 0.0718812022595914, "params": {"theta": 1.0}, "prediction": 2.5, "regime":'
+        ' "supercritical", "reps": 3, "seed": 0, "theta": 1.0, "vec_stats":'
+        ' [[0.5092751915593998, 0.3420712474286872, 3], [0.6587591278541003,'
+        ' 0.34088155972973994, 5], [0.47825940659232136, 0.29437532038728836, 3]],'
+        ' "version": 1}\n'),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_main_golden_artifacts(tmp_path, capsys, command):
+    config, expected = GOLDEN[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == expected
+    # with an artifact path the file holds the CSV, or the JSON line also printed
+    out = tmp_path / "artifact"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    if command == "rate-curve":
+        assert out.read_text() == HAT_CURVE_CSV and expected.endswith(printed)
+    else:
+        assert out.read_text() == printed == expected
