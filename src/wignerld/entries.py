@@ -501,16 +501,24 @@ _KINDS = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _need_p(d):
-    if "p" not in d:
-        raise ValueError(f"dist kind '{d['kind']}' requires field 'p'")
+    if not _is_number(d.get("p")):
+        raise ValueError(f"dist kind '{d['kind']}' requires field 'p' as a finite number,"
+                         f" not {d.get('p')!r}")
     return float(d["p"])
 
 
 def _need_atoms(d):
-    if "atoms" not in d:
-        raise ValueError("dist kind 'atoms' requires field 'atoms'")
-    return d["atoms"]
+    atoms = d.get("atoms")
+    if not (isinstance(atoms, list) and all(
+            isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in atoms)):
+        raise ValueError("dist kind 'atoms' requires field 'atoms' as a list of [location, mass]"
+                         f" pairs of finite numbers, not {atoms!r}")
+    return atoms
 
 
 def distribution_from_spec(spec: dict) -> EntryDistribution:
@@ -518,8 +526,8 @@ def distribution_from_spec(spec: dict) -> EntryDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("dist spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown dist kind '{kind}'")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown dist kind {kind!r} in field 'kind'")
     allowed = {"kind", "p", "atoms"}
     for k in spec:
         if k not in allowed:

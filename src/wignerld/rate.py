@@ -710,20 +710,22 @@ def _family_rows(family: ProfileFamily, N: int, xi: float, x: float, c_tops, alp
 
 def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
                tol: float = 1e-3, threads: int = None) -> RateCurve:
-    """Evaluate rate_point across a sorted grid of targets x >= 2.
+    """Evaluate rate_point across a sorted grid of targets x.
 
     One ``rate_point`` call evaluates the grid, save that with ``threads > 1``
     a vector-mode grid is split into at most ``threads`` contiguous blocks,
     one call each on a thread pool.  Any failed call poisons the whole curve
-    with its diagnostic.  The detected threshold ``x_mu`` is the smallest
-    grid point where the rate drops below the GOE rate by more than ``tol``
-    (no uniqueness claim).  Results do not depend on the thread count.
+    with its diagnostic.  Points below the spectral edge 2 are rate_point's
+    +inf sentinels; the rate must be nondecreasing from the edge on.  The
+    detected threshold ``x_mu`` is the smallest grid point where the rate
+    drops below the GOE rate by more than ``tol``, a finite number >= 0 (no
+    uniqueness claim).  Results do not depend on the thread count.
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):
         raise ValueError("x grid must be sorted")
-    if x_grid and x_grid[0] < 2.0:
-        raise ValueError("x grid must start at or above the spectral edge 2")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
 
     if isinstance(mode, HatMode):
         _hat_evaluator(dist)  # a law outside hat mode's domain fails here with a bare RateError
@@ -754,9 +756,10 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
 
     for p in points:
         p.check()
-    rates = np.array([p.rate for p in points])
+    edge = sum(x < 2.0 for x in x_grid)
+    rates = np.array([p.rate for p in points[edge:]])
     if np.any(np.diff(rates) < -1e-6):
-        i = int(np.argmin(np.diff(rates)))
+        i = edge + int(np.argmin(np.diff(rates)))
         raise RateCurveError(
             f"rate not nondecreasing between x={x_grid[i]:g} and x={x_grid[i + 1]:g}"
         )

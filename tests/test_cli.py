@@ -75,7 +75,7 @@ def test_run_rate_curve_csv(tmp_path, capsys):
         "mode": "hat",
     }
     out = tmp_path / "curve.csv"
-    status = run(parse_config(json.dumps(cfg)), out=str(out))
+    status = run(parse_config(json.dumps({**cfg, "out": str(out)})))
     assert status == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "x,rate,goe_rate,theta_star,alpha_star"
@@ -85,7 +85,7 @@ def test_run_rate_curve_csv(tmp_path, capsys):
     assert meta["x_mu"] is None
     # byte-identical rerun
     out2 = tmp_path / "curve2.csv"
-    run(parse_config(json.dumps(cfg)), out=str(out2))
+    run(parse_config(json.dumps({**cfg, "out": str(out2)})))
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -160,6 +160,8 @@ def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field)
 
 FREE_ENERGY = '{"command": "free-energy", "dist": {"kind": "gaussian"}, "theta": 0.5, '
 MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta": 1.0, '
+SPARSE_GIBBS = ('{{"command": "gibbs-solve", "dist": {{"kind": "sparse_gaussian", {}}},'
+                ' "v": [0.1], "R": 6, "alpha": 0.5}}')
 
 
 @pytest.mark.parametrize("config, message", [
@@ -193,10 +195,19 @@ MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta"
     (MC_BBP + '"N": 50, "reps": 2, "out": 1}', "field 'out' must be a path string, not 1"),
     (MC_BBP + '"N": 50, "reps": 2, "samples_csv": 1}',
      "field 'samples_csv' must be a path string, not 1"),
+    (SPARSE_GIBBS.format('"p": null'), "requires field 'p' as a finite number, not None"),
+    (SPARSE_GIBBS.format('"p": [0.5]'), "requires field 'p' as a finite number, not [0.5]"),
+    (SPARSE_GIBBS.format('"p": true'), "requires field 'p' as a finite number, not True"),
+    (SPARSE_GIBBS.format('"p": "0.5"'), "requires field 'p' as a finite number, not '0.5'"),
+    ('{"command": "gibbs-solve", "dist": {"kind": "atoms", "atoms": 5}, "v": [0.1], "R": 6,'
+     ' "alpha": 0.5}', "requires field 'atoms' as a list of [location, mass] pairs"),
+    ('{"command": "gibbs-solve", "dist": {"kind": ["x"]}, "v": [0.1], "R": 6, "alpha": 0.5}',
+     "unknown dist kind ['x'] in field 'kind'"),
 ], ids=["loc-w", "restricted-w", "tilde-w_check", "gibbs-solve-v", "rate-curve-N",
         "free-energy-N", "mc-N", "mc-reps", "mc-seed", "mc-seed-negative", "mc-seed-too-big",
         "free-energy-out-int", "free-energy-out-bool", "rate-curve-out", "gibbs-solve-out",
-        "mc-out", "mc-samples_csv"])
+        "mc-out", "mc-samples_csv", "dist-p-null", "dist-p-list", "dist-p-bool",
+        "dist-p-string", "dist-atoms-int", "dist-kind-list"])
 def test_main_malformed_field_names_it(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
@@ -217,9 +228,29 @@ def test_integral_floats_parse_as_integers():
 
 def test_main_seed_flag_out_of_range_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(MC_BBP + '"N": 50, "reps": 2}')
-    assert main(["--config", str(cfg), "--seed", "-1"]) == 2
-    assert "field 'seed' must be an integer in [0, 2**64), not -1" in capsys.readouterr().err
+    # refused whatever the command, though only mc runs take a seed
+    for config in (MC_BBP + '"N": 50, "reps": 2}',
+                   '{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2, 3, 0.1]}'):
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "--seed", "-1"]) == 2
+        assert "field 'seed' must be an integer in [0, 2**64), not -1" in capsys.readouterr().err
+
+
+def test_main_flags_are_checked_config_fields(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text('{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2.5, 2.5, 1]}')
+    mc = tmp_path / "mc.json"
+    mc.write_text(MC_BBP + '"N": 20, "reps": 2}')
+    for cfg in (curve, mc):
+        assert main(["--config", str(cfg), "--tol", "nan"]) == 2
+        assert "field 'tol' must be a finite number, not nan" in capsys.readouterr().err
+    # a flag is a field only where its command has one: rate curves take no seed
+    assert main(["--config", str(curve), "--tol", "0.01", "--seed", "7"]) == 0
+    meta = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert meta["tol"] == 0.01 and meta["defaults_applied"] == {"cap": 0.95, "mode": "hat"}
+    assert main(["--config", str(mc), "--seed", "7", "--tol", "0.01"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["seed"] == 7 and doc["defaults_applied"] == {"eta": 0.125}
 
 
 def test_main_missing_config_file(capsys):
@@ -262,7 +293,7 @@ def test_run_rate_curve_below_edge_inf_rows(tmp_path):
         "mode": "hat",
     }
     out = tmp_path / "edge.csv"
-    assert run(parse_config(json.dumps(cfg)), out=str(out)) == 0
+    assert run(parse_config(json.dumps({**cfg, "out": str(out)}))) == 0
     lines = out.read_text().splitlines()
     assert lines[1].startswith("1.9,inf,inf,inf,inf")
     last = lines[-1].split(",")
@@ -284,7 +315,7 @@ GOLDEN = {
         HAT_CURVE_CSV
         + '{"cap": 0.95, "command": "rate-curve", "defaults_applied": {"cap": 0.95, "mode": "hat",'
           ' "tol": 0.001}, "dist": {"kind": "sparse_gaussian", "p": 0.5}, "mode": "hat",'
-          ' "points": 5, "version": 1, "x_mu": 2.7}\n'),
+          ' "points": 5, "tol": 0.001, "version": 1, "x_mu": 2.7}\n'),
     "gibbs-solve": (
         {"command": "gibbs-solve", "dist": {"kind": "sparse_gaussian", "p": 0.5},
          "v": [0.4, 0.2], "R": 8, "alpha": 0.9},

@@ -387,6 +387,15 @@ def test_spec_errors():
         distribution_from_spec({"kind": "sparse_gaussian"})
     with pytest.raises(ValueError, match="unknown key"):
         distribution_from_spec({"kind": "gaussian", "scale": 2})
+    with pytest.raises(ValueError, match="field 'kind'"):
+        distribution_from_spec({"kind": ["x"]})
+    for p in (None, [0.5], True, "0.5", math.nan):
+        with pytest.raises(ValueError, match="requires field 'p'"):
+            distribution_from_spec({"kind": "bernoulli", "p": p})
+    for atoms in (5, [[1.0, 0.5]] * 2 + [0.0], [[1.0, 0.5], [-1.0, 0.5, 0.0]],
+                  [[math.inf, 0.5], [-1.0, 0.5]]):
+        with pytest.raises(ValueError, match="requires field 'atoms'"):
+            distribution_from_spec({"kind": "atoms", "atoms": atoms})
 
 
 def test_assumption_screen_clean_for_standard_variants():

@@ -695,8 +695,16 @@ def test_rate_curve_blocks_match_pointwise():
 def test_rate_curve_validates_grid():
     with pytest.raises(ValueError, match="sorted"):
         rate.rate_curve(SG, [3.0, 2.5], rate.HatMode())
-    with pytest.raises(ValueError, match="edge"):
-        rate.rate_curve(SG, [1.5, 2.5], rate.HatMode())
+    # below the spectral edge a point is rate_point's +inf sentinel
+    curve = rate.rate_curve(SG, [1.5, 2.5], rate.HatMode())
+    assert curve.points[0] == rate.RatePoint(1.5, math.inf, math.inf, None, math.inf)
+    assert math.isfinite(curve.points[1].rate)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_rate_curve_refuses_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        rate.rate_curve(SG, [2.5], rate.HatMode(), tol=tol)
 
 
 def test_rate_curve_poisoned_point_diagnostic():
