@@ -3,9 +3,10 @@
 The config carries the command.  The flags --out, --seed and --tol pass the
 check of the config field of the same name whatever the command, and set
 that field, where the command has one, before the config is checked;
---threads caps the worker threads.  Every defaulted field is echoed back in the run metadata so
-artifacts are self-describing, and numeric CSV columns use shortest
-round-trip formatting (17 significant digits) for stable diffs.
+--threads (at least 1) caps the worker threads, at most one per CPU.  Every
+defaulted field is echoed back in the run metadata so artifacts are
+self-describing, and numeric CSV columns use shortest round-trip formatting
+(17 significant digits) for stable diffs.
 """
 
 from __future__ import annotations
@@ -60,12 +61,23 @@ def _integer(v, key: str) -> int:
     return v if isinstance(v, int) else int(n)  # a JSON integer keeps every digit
 
 
-def _seed(v, key: str) -> int:
-    """A replica seed: an integer in [0, 2**64), the range of a Philox key word."""
-    n = _integer(v, key)
-    if not 0 <= n < 2**64:
-        raise ConfigError(f"field '{key}' must be an integer in [0, 2**64), not {v!r}")
-    return n
+def _within(check, ok, what: str):
+    """``check`` restricted to the values ``ok`` accepts, ``what`` naming them."""
+    def checked(v, key: str):
+        n = check(v, key)
+        if not ok(n):
+            raise ConfigError(f"field '{key}' must be {what}, not {v!r}")
+        return n
+    return checked
+
+
+# a replica seed spans the range of a Philox key word
+_seed = _within(_integer, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
+_cap = _within(_number, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_tol = _within(_number, lambda v: v >= 0.0, "a finite number >= 0")
+_eta = _within(_number, lambda v: 0.0 < v < 0.25, "a number in (0, 1/4)")
+_reps = _within(_integer, lambda n: n >= 1, "an integer >= 1")
+_size = _within(_integer, lambda n: n >= 2, "an integer >= 2")
 
 
 def _path(v, key: str) -> str:
@@ -149,8 +161,8 @@ def parse_config(text) -> RunSpec:
     if command == "rate-curve":
         p["start"], p["stop"], p["step"] = _require(doc, "x", _grid)
         p["mode"] = _field(doc, defaults, "mode", _one_of("hat", "finite_n", "tilde"), "hat")
-        p["cap"] = _field(doc, defaults, "cap", _number, 0.95)
-        p["tol"] = _field(doc, defaults, "tol", _number, 1e-3)
+        p["cap"] = _field(doc, defaults, "cap", _cap, 0.95)
+        p["tol"] = _field(doc, defaults, "tol", _tol, 1e-3)
         if p["mode"] != "hat":
             p["N"] = _field(doc, defaults, "N", _integer, 10**6)
             p["R"] = _field(doc, defaults, "R", _number, None, "N^(1/5)")
@@ -183,11 +195,11 @@ def parse_config(text) -> RunSpec:
 
     else:  # mc
         kind = p["kind"] = _require(doc, "kind", _one_of("bbp", "tail", "localization"))
-        p["N"] = _require(doc, "N", _integer)
-        p["reps"] = _require(doc, "reps", _integer)
+        p["N"] = _require(doc, "N", _size)
+        p["reps"] = _require(doc, "reps", _reps)
         p["samples_csv"] = _field(doc, defaults, "samples_csv", _path)
         p["seed"] = _field(doc, defaults, "seed", _seed, 0)
-        p["eta"] = _field(doc, defaults, "eta", _number, 0.125)
+        p["eta"] = _field(doc, defaults, "eta", _eta, 0.125)
         if kind == "bbp":
             p["theta"] = _require(doc, "theta", _number)
         elif kind == "tail":
@@ -312,7 +324,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="primary artifact path (the 'out' field)")
     parser.add_argument("--seed", type=int, default=None, help="the 'seed' field of mc runs")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
+    parser.add_argument("--threads", type=int, default=None, help="worker thread cap (>= 1)")
     parser.add_argument("--tol", type=float, default=None,
                         help="the 'tol' field of rate curves: detection tolerance")
     args = parser.parse_args(argv)
@@ -321,12 +333,14 @@ def main(argv=None) -> int:
             doc = _document(f.read())
         command = doc.get("command")
         fields = _COMMANDS.get(command, ()) if isinstance(command, str) else ()
-        for key, check in (("out", _path), ("seed", _seed), ("tol", _number)):
+        for key, check in (("out", _path), ("seed", _seed), ("tol", _tol)):
             flag = getattr(args, key)
             if flag is not None:
                 check(flag, key)  # refused whatever the command, applied where it is a field
                 if key in fields:
                     doc[key] = flag
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"flag 'threads' must be an integer >= 1, not {args.threads}")
         spec = parse_config(doc)
     except OSError as e:
         print(f"error: cannot read config '{args.config}': {e}", file=sys.stderr)

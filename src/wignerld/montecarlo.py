@@ -17,6 +17,7 @@ replica then costs its random draws, two scatters and one eigensolve.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -215,8 +216,9 @@ def _run_replicas(dist, N, reps, seed, eta, tilt, threads):
         lam, v = lambda1_and_vector(plan.draw(rng))
         return lam, eigvec_localization(v, eta)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1) if threads else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(reps)))
     else:
         results = [one(i) for i in range(reps)]

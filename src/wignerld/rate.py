@@ -26,6 +26,7 @@ the minimum (branch and bound).
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -713,13 +714,13 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     """Evaluate rate_point across a sorted grid of targets x.
 
     One ``rate_point`` call evaluates the grid, save that with ``threads > 1``
-    a vector-mode grid is split into at most ``threads`` contiguous blocks,
-    one call each on a thread pool.  Any failed call poisons the whole curve
-    with its diagnostic.  Points below the spectral edge 2 are rate_point's
-    +inf sentinels; the rate must be nondecreasing from the edge on.  The
-    detected threshold ``x_mu`` is the smallest grid point where the rate
-    drops below the GOE rate by more than ``tol``, a finite number >= 0 (no
-    uniqueness claim).  Results do not depend on the thread count.
+    a vector-mode grid is split into min(threads, os.cpu_count()) contiguous
+    blocks at most, one call each on a thread pool.  A failed call poisons
+    the curve with its diagnostic.  Points below the spectral edge 2 are
+    rate_point's +inf sentinels; the rate must be nondecreasing from the edge
+    on.  The detected threshold ``x_mu`` is the smallest grid point where the
+    rate drops below the GOE rate by more than ``tol``, a finite number >= 0
+    (no uniqueness claim).  Results do not depend on the thread count.
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):
@@ -730,7 +731,8 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     if isinstance(mode, HatMode):
         _hat_evaluator(dist)  # a law outside hat mode's domain fails here with a bare RateError
         threads = None
-    size = max(1, -(-len(x_grid) // max(threads or 1, 1)))
+    workers = min(threads, os.cpu_count() or 1) if threads else 1
+    size = max(1, -(-len(x_grid) // max(workers, 1)))
     blocks = [x_grid[i:i + size] for i in range(0, len(x_grid), size)]
 
     def run(block):

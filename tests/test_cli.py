@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wignerld import selfcheck
 from wignerld.cli import ConfigError, main, parse_config, run
 from wignerld.entries import SparseGaussian
 
@@ -98,7 +100,7 @@ def test_run_gibbs_solve(capsys):
     assert run(parse_config(json.dumps(cfg))) == 0
     doc = json.loads(capsys.readouterr().out.strip())
     assert doc["second_moment"] == pytest.approx(0.9, abs=1e-8)
-    assert doc["root_residual"] < 1e-9
+    assert doc["root_residual"] < selfcheck.INVARIANTS["gibbs_scaling"].bounds["residual"]
     assert 1 <= doc["moment_evaluations"] <= 8
 
 
@@ -160,6 +162,7 @@ def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field)
 
 FREE_ENERGY = '{"command": "free-energy", "dist": {"kind": "gaussian"}, "theta": 0.5, '
 MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta": 1.0, '
+CURVE = '{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2.5, 2.5, 1], '
 SPARSE_GIBBS = ('{{"command": "gibbs-solve", "dist": {{"kind": "sparse_gaussian", {}}},'
                 ' "v": [0.1], "R": 6, "alpha": 0.5}}')
 
@@ -203,11 +206,20 @@ SPARSE_GIBBS = ('{{"command": "gibbs-solve", "dist": {{"kind": "sparse_gaussian"
      ' "alpha": 0.5}', "requires field 'atoms' as a list of [location, mass] pairs"),
     ('{"command": "gibbs-solve", "dist": {"kind": ["x"]}, "v": [0.1], "R": 6, "alpha": 0.5}',
      "unknown dist kind ['x'] in field 'kind'"),
+    (CURVE + '"cap": 1.5}', "field 'cap' must be a number in (0, 1), not 1.5"),
+    (CURVE + '"cap": 0}', "field 'cap' must be a number in (0, 1), not 0"),
+    (CURVE + '"tol": -1}', "field 'tol' must be a finite number >= 0, not -1"),
+    (MC_BBP + '"N": 50, "reps": 0}', "field 'reps' must be an integer >= 1, not 0"),
+    (MC_BBP + '"N": 1, "reps": 2}', "field 'N' must be an integer >= 2, not 1"),
+    (MC_BBP + '"N": 50, "reps": 2, "eta": 0.5}',
+     "field 'eta' must be a number in (0, 1/4), not 0.5"),
+    (MC_BBP + '"N": 50, "reps": 2, "eta": 0}', "field 'eta' must be a number in (0, 1/4), not 0"),
 ], ids=["loc-w", "restricted-w", "tilde-w_check", "gibbs-solve-v", "rate-curve-N",
         "free-energy-N", "mc-N", "mc-reps", "mc-seed", "mc-seed-negative", "mc-seed-too-big",
         "free-energy-out-int", "free-energy-out-bool", "rate-curve-out", "gibbs-solve-out",
         "mc-out", "mc-samples_csv", "dist-p-null", "dist-p-list", "dist-p-bool",
-        "dist-p-string", "dist-atoms-int", "dist-kind-list"])
+        "dist-p-string", "dist-atoms-int", "dist-kind-list", "cap-above-1", "cap-zero",
+        "tol-negative", "mc-reps-zero", "mc-N-one", "eta-too-big", "eta-zero"])
 def test_main_malformed_field_names_it(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
@@ -244,6 +256,11 @@ def test_main_flags_are_checked_config_fields(tmp_path, capsys):
     for cfg in (curve, mc):
         assert main(["--config", str(cfg), "--tol", "nan"]) == 2
         assert "field 'tol' must be a finite number, not nan" in capsys.readouterr().err
+        assert main(["--config", str(cfg), "--tol", "-1"]) == 2
+        assert "field 'tol' must be a finite number >= 0, not -1.0" in capsys.readouterr().err
+        for threads in ("0", "-4"):  # --threads is no field, but checked like one
+            assert main(["--config", str(cfg), "--threads", threads]) == 2
+            assert f"'threads' must be an integer >= 1, not {threads}" in capsys.readouterr().err
     # a flag is a field only where its command has one: rate curves take no seed
     assert main(["--config", str(curve), "--tol", "0.01", "--seed", "7"]) == 0
     meta = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -283,6 +300,22 @@ def test_selfcheck_runs_clean(capsys):
     assert run(spec) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert out.count("\n") == len(selfcheck.INVARIANTS) + 1
+
+
+def test_selfcheck_reports_a_broken_invariant(monkeypatch, capsys):
+    good = selfcheck.INVARIANTS["log_potential_edge"]  # and a copy that measures out of bounds
+    broken = dataclasses.replace(good, measure=lambda: {"error": 1.0})
+    monkeypatch.setattr(selfcheck, "INVARIANTS", {"good": good, "broken": broken})
+    assert run(parse_config(json.dumps({"command": "selfcheck"}))) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "[PASS] semicircle: log-potential edge value 1/2 (error 0 < 1e-10)",
+        "[FAIL] semicircle: log-potential edge value 1/2 (error 1 not < 1e-10)",
+        "selfcheck: FAILURES above",
+    ]
+    with pytest.raises(selfcheck.InvariantError, match=r"error 1 not < 1e-10"):
+        selfcheck.check("broken")
 
 
 def test_run_rate_curve_below_edge_inf_rows(tmp_path):

@@ -19,6 +19,7 @@ from wignerld.entries import (
     standardize_atoms,
 )
 from wignerld.montecarlo import make_rng
+from wignerld.selfcheck import check
 
 ALL_DISTS = [
     Gaussian(),
@@ -70,16 +71,13 @@ def test_rademacher_unit_variance():
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
 def test_standardized(dist):
-    assert abs(dist.log_laplace(0.0)) < 1e-10
-    assert abs(dist.log_laplace(0.0, 1)) < 1e-10
-    assert abs(dist.log_laplace(0.0, 2) - 1.0) < 1e-10
+    check("standardization", laws=[dist])
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
 def test_convexity_on_random_grid(dist):
-    rng = np.random.default_rng(1)
-    ts = rng.uniform(-40.0, 40.0, size=200)
-    assert np.all(np.asarray(dist.log_laplace(ts, 2)) >= -1e-12)
+    ts = np.random.default_rng(1).uniform(-40.0, 40.0, size=200)
+    check("convexity", laws=[dist], ts=ts)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: repr(d))
@@ -334,9 +332,7 @@ def test_gaussian_sample_mean():
 
 
 def test_rademacher_tilted_mean():
-    rng = make_rng(11)
-    x = rademacher().sample(100_000, tilt=1.0, rng=rng)
-    assert abs(x.mean() - math.tanh(1.0)) < 0.02
+    check("tilted_mean", rng=make_rng(11), n=100_000)
 
 
 def test_rademacher_support():

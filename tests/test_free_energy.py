@@ -7,6 +7,7 @@ from wignerld import free_energy as fe
 from wignerld.entries import Gaussian, SparseGaussian, sparse_rademacher
 from wignerld.gibbs import GibbsProblem
 from wignerld.oracles import gibbs_quad_oracle
+from wignerld.selfcheck import INVARIANTS, check
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -54,13 +55,6 @@ def test_restricted_zero_profile_near_theta_squared():
     assert val <= 1.0 + 1e-12
 
 
-def test_restricted_zero_profile_window():
-    for theta in (0.5, 1.0, 2.0):
-        for R in (6.0, 8.0, 12.0):
-            val = fe.f_restricted(SG, theta, np.zeros(2), 1000, R)
-            assert theta**2 - 10.0 * math.exp(-R * R / 8.0) <= val <= theta**2
-
-
 def test_restricted_unit_norm_degenerates_to_localized_sum():
     w = np.array([0.6, 0.8])
     assert fe.f_restricted(SG, 1.2, w, 400, 8.0) == fe.f_loc(SG, 1.2, w, 400)
@@ -81,12 +75,8 @@ def test_restricted_delocalized_profile_near_theta_squared():
 
 
 def test_restricted_monotone_in_R():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        w = rng.uniform(-0.5, 0.5, size=2)
-        theta = rng.uniform(0.3, 2.0)
-        vals = [fe.f_restricted(SG, theta, w, 1000, R) for R in (4.0, 8.0, 16.0)]
-        assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
+    check("monotone_in_r", rng=np.random.default_rng(1), draws=5,
+                      radii=(4.0, 8.0, 16.0))
 
 
 def test_restricted_theta_continuity():
@@ -160,15 +150,8 @@ def test_hat_matches_restricted_at_large_N():
     w = np.array([math.sqrt(alpha)])
     N = 10**8
     approx = fe.f_restricted(GAUSS, theta, w, N, N**0.2)
-    assert fe.f_hat(GAUSS, theta, alpha) == pytest.approx(approx, abs=5e-3)
-
-
-def test_restricted_monotone_in_N_toward_hat():
-    theta, alpha = 1.0, 0.3
-    w = np.array([math.sqrt(alpha)])
-    vals = [fe.f_restricted(SG, theta, w, N, N**0.2) for N in (10**3, 10**4, 10**5, 10**6)]
-    assert all(a <= b + 1e-10 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(fe.f_hat(SG, theta, alpha), abs=5e-3)
+    limit_gap = INVARIANTS["monotone_in_n"].bounds["limit_gap"]
+    assert abs(fe.f_hat(GAUSS, theta, alpha) - approx) < limit_gap
 
 
 # --- two-scale reduction ----------------------------------------------------------
@@ -182,15 +165,7 @@ def test_tilde_beta_one_reduces_to_restricted():
 
 
 def test_tilde_scale_t_is_lower_bound():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        theta = rng.uniform(0.1, 2.0)
-        c = rng.uniform(0.0, 0.6)
-        at = rng.uniform(0.0, max(1e-6, 1.0 - c * c - 0.05))
-        t = rng.uniform(-30.0, 30.0)
-        hi = fe.f_tilde(SG, theta, [c], at, 8.0)
-        lo = fe.f_tilde(SG, theta, [c], at, 8.0, t=t)
-        assert lo <= hi + 1e-9
+    check("scale_t_lower_bound", rng=np.random.default_rng(4), draws=100)
 
 
 def test_tilde_attains_sup_at_interior_maximizer():

