@@ -76,8 +76,11 @@ _seed = _within(_integer, lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")
 _cap = _within(_number, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _tol = _within(_number, lambda v: v >= 0.0, "a finite number >= 0")
 _eta = _within(_number, lambda v: 0.0 < v < 0.25, "a number in (0, 1/4)")
-_reps = _within(_integer, lambda n: n >= 1, "an integer >= 1")
+_count = _within(_integer, lambda n: n >= 1, "an integer >= 1")
 _size = _within(_integer, lambda n: n >= 2, "an integer >= 2")
+_positive = _within(_number, lambda v: v > 0.0, "a number > 0")
+_fraction = _within(_number, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_mass = _within(_number, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _path(v, key: str) -> str:
@@ -164,8 +167,8 @@ def parse_config(text) -> RunSpec:
         p["cap"] = _field(doc, defaults, "cap", _cap, 0.95)
         p["tol"] = _field(doc, defaults, "tol", _tol, 1e-3)
         if p["mode"] != "hat":
-            p["N"] = _field(doc, defaults, "N", _integer, 10**6)
-            p["R"] = _field(doc, defaults, "R", _number, None, "N^(1/5)")
+            p["N"] = _field(doc, defaults, "N", _count, 10**6)
+            p["R"] = _field(doc, defaults, "R", _positive, None, "N^(1/5)")
         if p["mode"] == "tilde":
             p["xi"] = _field(doc, defaults, "xi", _number, 1e-3)
             p["t"] = _field(doc, defaults, "t", _number)
@@ -174,29 +177,29 @@ def parse_config(text) -> RunSpec:
         p["v"] = _require(doc, "v", _numbers)
         if not p["v"]:
             raise ConfigError("field 'v' must be a non-empty list of numbers")
-        p["R"] = _require(doc, "R", lambda v, key: math.inf if v == "inf" else _number(v, key))
-        p["alpha"] = _require(doc, "alpha", _number)
+        p["R"] = _require(doc, "R", lambda v, key: math.inf if v == "inf" else _positive(v, key))
+        p["alpha"] = _require(doc, "alpha", _positive)
 
     elif command == "free-energy":
         form = p["form"] = _require(doc, "form", _one_of("loc", "restricted", "hat", "tilde"))
         p["theta"] = _require(doc, "theta", _number)
         if form in ("loc", "restricted"):
             p["w"] = _require(doc, "w", _numbers)
-            p["N"] = _require(doc, "N", _integer)
+            p["N"] = _require(doc, "N", _count)
         if form == "restricted":
-            p["R"] = _field(doc, defaults, "R", _number, p["N"] ** 0.2, "N^(1/5)")
+            p["R"] = _field(doc, defaults, "R", _positive, p["N"] ** 0.2, "N^(1/5)")
         elif form == "hat":
-            p["alpha"] = _require(doc, "alpha", _number)
+            p["alpha"] = _require(doc, "alpha", _mass)
         elif form == "tilde":
             p["w_check"] = _require(doc, "w_check", _numbers)
             p["alpha_tilde"] = _require(doc, "alpha_tilde", _number)
-            p["R"] = _require(doc, "R", _number)
+            p["R"] = _require(doc, "R", _positive)
             p["t"] = _field(doc, defaults, "t", _number)
 
     else:  # mc
         kind = p["kind"] = _require(doc, "kind", _one_of("bbp", "tail", "localization"))
         p["N"] = _require(doc, "N", _size)
-        p["reps"] = _require(doc, "reps", _reps)
+        p["reps"] = _require(doc, "reps", _count)
         p["samples_csv"] = _field(doc, defaults, "samples_csv", _path)
         p["seed"] = _field(doc, defaults, "seed", _seed, 0)
         p["eta"] = _field(doc, defaults, "eta", _eta, 0.125)
@@ -205,7 +208,7 @@ def parse_config(text) -> RunSpec:
         elif kind == "tail":
             p["x"] = _require(doc, "x", _number)
         else:
-            p["top_fraction"] = _field(doc, defaults, "top_fraction", _number, 0.01)
+            p["top_fraction"] = _field(doc, defaults, "top_fraction", _fraction, 0.01)
     return RunSpec(command, p, defaults)
 
 

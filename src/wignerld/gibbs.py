@@ -399,7 +399,7 @@ def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) ->
 
 
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
-                         f_tol: float = 1e-11, max_iter: int = _MAX_ITER, zeta_init=None):
+                         f_tol: float = 1e-11, zeta_init=None):
     """Multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the folded tilt Hamiltonian of problem i at node s[j]
@@ -431,7 +431,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     coarse = 0
     if zeta_init is None and s.size > 1600 and (s.size - 1) % 8 == 0:
         wc = _simpson_weights((s.size - 1) // 4 + 1, 4.0 * (s[1] - s[0]))
-        zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9, max_iter)
+        zeta_init, _, _, coarse = solve_exponent_batch(H[:, ::4], s[::4], wc, alpha, 1e-9)
     if zeta_init is None:
         zeta = H[:, -1] / s2[-1] + 0.5 / alpha
     else:
@@ -442,7 +442,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     log_mass = np.empty(P)
     m2_out = np.empty(P)
     rows = np.arange(P)
-    for calls in range(coarse + 1, coarse + max_iter + 1):
+    for calls in range(coarse + 1, coarse + _MAX_ITER + 1):
         z = zeta[rows]
         log_mass[rows], m2, m4 = _grid_moments(H if rows.size == P else H[rows], s2, z, ws)
         m2_out[rows] = m2

@@ -232,8 +232,8 @@ def experiment(config: dict, threads: int = None) -> MCReport:
 
     Required keys: kind, dist (an EntryDistribution), N, reps, seed.
     Optional: eta (default 0.125) and per-kind params (theta for bbp, x for
-    tail, top_fraction for localization).  Identical config and seed give a
-    bit-identical report.
+    tail, top_fraction in (0, 1] for localization).  Identical config and
+    seed give a bit-identical report.
     """
     kind = config["kind"]
     dist = config["dist"]
@@ -258,6 +258,8 @@ def experiment(config: dict, threads: int = None) -> MCReport:
         extra["theta"] = theta
     elif kind == "localization":
         top_fraction = float(config.get("top_fraction", 0.01))
+        if not 0.0 < top_fraction <= 1.0:
+            raise ValueError(f"top_fraction must lie in (0, 1], not {top_fraction}")
         lams, stats = _run_replicas(dist, N, reps, seed, eta, None, threads)
         params = {"top_fraction": top_fraction}
         k = max(1, int(round(top_fraction * reps)))

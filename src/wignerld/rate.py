@@ -93,7 +93,7 @@ class HatSpec:
         return self.alpha
 
     def _row(self, dist, x):
-        return _hat_evaluator(dist).row_penalty, np.array([[x, self.alpha]], dtype=float)
+        return _hat_evaluator(dist), np.array([[x, self.alpha]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -244,60 +244,41 @@ class RateCurve:
 # inner supremum over theta
 
 
-def theta_scan(x, pen, rows=None, *, n_grid: int = None):
-    """Scan J(x, theta) - pen(theta, rows) over theta, row by row.
+def theta_scan(pen, rows, *, n_grid: int = None):
+    """Scan J(x, theta) - pen(theta, rows, q) over theta, row by row.
 
-    ``x`` is one target for every row or an array of one target per row.
-    ``pen(theta[M, P], rows[M]) -> [M, P]`` gives the penalty of each row at
-    that row's thetas; a penalty with a true ``takes_overlap`` attribute is
-    called as ``pen(theta, rows, q=q)`` with the overlap q_x(theta) of each
-    row's target, which the driver computes from per-row constants of x it
-    holds anyway.  ``rows`` holds each row's profile parameters: a
-    scalar mass alpha, or a record whose last entry is alpha (the hat
-    mode's (x, alpha) pairs); failures name the row's x and alpha, or
-    ``pen.label(row)`` where ``pen`` has one.  With
-    ``rows=None`` there is one row and ``pen`` receives None.
+    Each row of ``rows[M]`` starts with its target x, followed by the
+    profile parameters the penalty reads.  ``pen(theta[M, P], rows[M],
+    q[M, P]) -> [M, P]`` gives each row's penalty at that row's thetas, q
+    being the overlap q_x(theta), which the driver computes from per-row
+    constants of x it holds anyway; ``pen.label(row)`` names a failing row.
     Returns ``(best[M], refine)``: each row's scan maximum, and
     ``refine(idx) -> (theta_star, value)`` for the rows ``idx``.
 
-    Each row scans ``n_grid`` points of [theta_minus(x) + 1e-6, T], in
-    objective calls of at most 256 rows, each kept only as the row's best
-    point and its neighbours; a row's T doubles from 8 until the objective
-    at T has dropped a unit below the row's maximum, failing with
-    "unbounded objective" past T = 1024 (a penalty that grows slower than J
-    signals an infeasible profile).  ``n_grid`` defaults to the penalty's
-    ``scan_points`` attribute, or 64 without one; 64 points match a
-    512-point scan on the tested hat rows, and the vector penalty's 16 on
-    the tested vector rows.  ``refine`` runs bounded Brent search
+    Each row scans ``pen.scan_points`` points (``n_grid``, if given, for a
+    reference scan) of [theta_minus(x) + 1e-6, T], in objective calls of at
+    most 256 rows, each kept only as the row's best point and its
+    neighbours; a row's T doubles from 8 until the objective at T has
+    dropped a unit below the row's maximum, failing with "unbounded
+    objective" past T = 1024 (a penalty that grows slower than J signals an
+    infeasible profile).  ``refine`` runs bounded Brent search
     (``brent_max_rows``, to 1e-10) on the best cells of its rows at once; a
     row whose refined value falls below its scan maximum keeps the scan
     point, so a row's value is never below its scan maximum.  Rows never
     interact: a row's result depends neither on the other rows of the scan
     nor on those refined with it.
     """
-    m = 1 if rows is None else len(rows)
-    x = np.broadcast_to(np.asarray(x, dtype=float), (m,))
-    n_grid = n_grid or getattr(pen, "scan_points", 64)
+    m, x = len(rows), rows[:, 0]
+    n_grid = n_grid or pen.scan_points
     # per-row constants of x, computed once for every objective call
     tm = semicircle.theta_roots(x).theta_minus
     log_pot = semicircle.log_potential(x)
     lo = tm + _THETA_OFFSET
-    takes_q = getattr(pen, "takes_overlap", False)
 
     def objective(theta, idx):
         xi, tmi = x[idx, None], tm[idx, None]
-        r = None if rows is None else rows[idx]
         j = semicircle.j_value(xi, theta, theta_minus=tmi, log_pot=log_pot[idx, None])
-        if takes_q:
-            return j - pen(theta, r, q=semicircle.overlap(xi, theta, theta_minus=tmi))
-        return j - pen(theta, r)
-
-    def where(k):
-        if rows is None:
-            return f"x={x[k]}"
-        if hasattr(pen, "label"):
-            return pen.label(rows[k])
-        return f"x={x[k]}, alpha={np.ravel(rows[k])[-1]}"
+        return j - pen(theta, rows[idx], semicircle.overlap(xi, theta, theta_minus=tmi))
 
     T = np.full(m, _T_INIT)
     best, top, a, b, last = np.empty((5, m))  # per row: max, its theta, neighbours, value at T
@@ -309,7 +290,8 @@ def theta_scan(x, pen, rows=None, *, n_grid: int = None):
             v = objective(g, idx)
             bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
             if bad.size:
-                raise RateError(f"non-finite objective in theta scan at {where(idx[bad[0]])}")
+                where = pen.label(rows[idx[bad[0]]])
+                raise RateError(f"non-finite objective in theta scan at {where}")
             r = np.arange(idx.size)
             i = v.argmax(axis=1)
             best[idx], top[idx], last[idx] = v[r, i], g[r, i], v[:, -1]
@@ -319,7 +301,8 @@ def theta_scan(x, pen, rows=None, *, n_grid: int = None):
         stuck = todo[T[todo] >= _T_MAX]
         if stuck.size:
             k = stuck[0]
-            raise RateError(f"unbounded objective: no decay by theta={T[k]} at {where(k)}")
+            raise RateError(f"unbounded objective: no decay by theta={T[k]} at "
+                            + pen.label(rows[k]))
         T[todo] = np.minimum(2.0 * T[todo], _T_MAX)
 
     def refine(idx):
@@ -333,9 +316,9 @@ def theta_scan(x, pen, rows=None, *, n_grid: int = None):
     return best, refine
 
 
-def sup_theta_rows(x, pen, rows=None, *, n_grid: int = None):
-    """Maximize J(x, theta) - pen(theta, rows) over theta, row by row: the
-    ``theta_scan`` of every row, then its refinement of every row.
+def sup_theta_rows(pen, rows, *, n_grid: int = None):
+    """Maximize J(x, theta) - pen(theta, rows, q) over theta, row by row:
+    the ``theta_scan`` of every row, then its refinement of every row.
 
     Arguments are those of ``theta_scan``.  Returns
     ``(theta_star[M], value[M])``.  Hat mode and ``joint_rate`` use it as
@@ -343,18 +326,28 @@ def sup_theta_rows(x, pen, rows=None, *, n_grid: int = None):
     refines only the rows that can hold the minimum or a tie, which gives
     each refined row the bits this function gives it.
     """
-    best, refine = theta_scan(x, pen, rows, n_grid=n_grid)
+    best, refine = theta_scan(pen, rows, n_grid=n_grid)
     return refine(np.arange(best.size))
 
 
-def sup_theta(x: float, penalty, *, n_grid: int = None):
-    """Maximize J(x, theta) - penalty(theta) over theta: one row of ``sup_theta_rows``.
+@dataclass(frozen=True)
+class _ThetaPenalty:
+    """``theta_scan`` penalty of (x,) rows from a function of theta alone."""
 
-    ``penalty`` must accept 1-D numpy arrays.
-    """
-    theta_star, value = sup_theta_rows(
-        x, lambda theta, _rows: penalty(theta.ravel()).reshape(theta.shape), None, n_grid=n_grid
-    )
+    fn: object
+    scan_points = 64
+
+    def label(self, row) -> str:
+        return f"x={row[0]}"
+
+    def __call__(self, theta, rows, q):
+        return self.fn(theta.ravel()).reshape(theta.shape)
+
+
+def sup_theta(x: float, penalty):
+    """Maximize J(x, theta) - penalty(theta) over theta, ``penalty`` taking
+    1-D numpy arrays: one row of ``sup_theta_rows``."""
+    theta_star, value = sup_theta_rows(_ThetaPenalty(penalty), np.array([[x]], dtype=float))
     return float(theta_star[0]), float(value[0])
 
 
@@ -445,6 +438,10 @@ def _check_hat_domain(dist: EntryDistribution):
 
 
 class _HatEvaluator:
+    """``theta_scan`` penalty of hat-mode (x, alpha) rows: f_hat(theta, q^2 alpha)."""
+
+    scan_points = 64  # matches a 512-point scan to 1e-12 on the tested hat rows
+
     def __init__(self, dist: EntryDistribution):
         _check_hat_domain(dist)
         self.dist = dist
@@ -459,19 +456,11 @@ class _HatEvaluator:
         phi = self.phi1(theta * np.sqrt(alpha * beta)) + 0.5 * np.log(beta)
         return theta**2 * (beta**2 + 2.0 * self.psi_inf * alpha**2) + phi
 
-    def penalty(self, x, alpha, q=None):
-        """theta -> f_hat(theta, q^2 alpha), q the overlap q_x(theta) unless given."""
-        def pen(theta):
-            q2 = np.clip((semicircle.overlap(x, theta) if q is None else q) ** 2, 0.0, 1.0)
-            return self.f_hat(theta, q2 * alpha)
+    def label(self, row) -> str:
+        return f"x={row[0]}, alpha={row[1]}"
 
-        return pen
-
-    def row_penalty(self, theta, rows, q=None):
-        """``sup_theta_rows`` penalty of (x, alpha) rows ``rows[M, 2]``."""
-        return self.penalty(rows[:, :1], rows[:, 1:], q)(theta)
-
-    row_penalty.takes_overlap = True
+    def __call__(self, theta, rows, q):
+        return self.f_hat(theta, np.clip(q**2, 0.0, 1.0) * rows[:, 1:])
 
 
 def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
@@ -509,8 +498,7 @@ class _VectorPenalty:
     R: float
     N: int = None
     t: float = None
-    takes_overlap = True  # see theta_scan
-    scan_points = 16  # theta scan size (see theta_scan)
+    scan_points = 16  # matches a 512-point scan to 1e-12 on the tested vector rows
 
     def label(self, row) -> str:
         _, n, csq = _terms(row[None])
@@ -523,11 +511,9 @@ class _VectorPenalty:
         return (FiniteNSpec(z, self.N, self.R) if self.N
                 else TildeSpec(z, float(row[1]), self.R, self.t))
 
-    def __call__(self, theta, rows, q=None):
+    def __call__(self, theta, rows, q):
         dist = self.dist
         vals, counts, csq = _terms(rows)
-        if q is None:
-            q = semicircle.overlap(rows[:, :1], theta)
 
         def gibbs(amp, beta, where):
             owner = np.nonzero(where)[0]
@@ -572,7 +558,7 @@ def joint_rate(dist: EntryDistribution, x: float, spec):
     linearly for vector components, quadratically for scalar masses.  It is
     one row of ``sup_theta_rows``, as in ``rate_point``.
     """
-    theta_star, value = sup_theta_rows(x, *spec._row(dist, x))
+    theta_star, value = sup_theta_rows(*spec._row(dist, x))
     return float(value[0]), float(theta_star[0])
 
 
@@ -628,7 +614,7 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     grid = np.linspace(0.0, cap, 201)
 
     def values(x, alpha):
-        return sup_theta_rows(x, ev.row_penalty, np.column_stack((x, alpha)))
+        return sup_theta_rows(ev, np.column_stack((x, alpha)))
 
     vals = values(np.repeat(xa, grid.size), np.tile(grid, xa.size))[1].reshape(xa.size, -1)
     inf = np.full((xa.size, 1), np.inf)
@@ -672,7 +658,7 @@ def _vector_points(dist: EntryDistribution, xs: list, mode, cap: float) -> list:
     pen, rows = parts[0][0], np.concatenate([r for _, r in parts])
     sizes = [len(r) for _, r in parts]
     starts = np.cumsum([0] + sizes[:-1])
-    best, refine = theta_scan(rows[:, 0], pen, rows)
+    best, refine = theta_scan(pen, rows)
     first = np.array([s + np.argmin(best[s:s + n]) for s, n in zip(starts, sizes)])
     theta_star, value = np.full((2, len(rows)), np.inf)  # dropped rows stay at inf
     theta_star[first], value[first] = refine(first)

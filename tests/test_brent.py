@@ -74,7 +74,7 @@ def test_boundary_maximum_stays_in_bracket():
 def test_hat_theta_rows_match_scipy(x, refinements):
     ev = rate._hat_evaluator(SG)
     alphas = np.linspace(0.0, 0.9, 7)
-    rate.sup_theta_rows(x, ev.row_penalty, np.column_stack((np.full(alphas.size, x), alphas)))
+    rate.sup_theta_rows(ev, np.column_stack((np.full(alphas.size, x), alphas)))
     (f, a, b, tol, _), = refinements
     _assert_matches_oracle(f, a, b, tol)
 
@@ -107,7 +107,7 @@ def test_psi_max_unchanged(dist, psi_max):
 def test_hat_theta_rows_take_few_steps(refinements):
     ev = rate._hat_evaluator(SG)
     rows = np.array([[x, a] for x in (2.38, 2.54, 2.78, 3.0) for a in np.linspace(0.0, 0.8, 5)])
-    rate.sup_theta_rows(rows[:, 0], ev.row_penalty, rows)
+    rate.sup_theta_rows(ev, rows)
     (*_, counts), = refinements
     assert np.median(counts) <= 12
     assert counts.max() <= 25
@@ -140,8 +140,8 @@ def test_hat_scan_matches_512_points():
     ev = rate._hat_evaluator(SG)
     rows = np.array([[x, a] for x in (2.38, 2.50, 2.54, 2.78, 3.0)
                      for a in np.linspace(0.0, 0.95, 21)])
-    _, value = rate.sup_theta_rows(rows[:, 0], ev.row_penalty, rows)
-    _, oracle = rate.sup_theta_rows(rows[:, 0], ev.row_penalty, rows, n_grid=512)
+    _, value = rate.sup_theta_rows(ev, rows)
+    _, oracle = rate.sup_theta_rows(ev, rows, n_grid=512)
     np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12)
 
 
@@ -156,8 +156,8 @@ def test_vector_scan_matches_512_points(mode):
     for x in (2.6, 3.0, 3.6):
         pen, rows = mode._rows(SG, x, 0.95)
         assert pen.scan_points == 16
-        _, value = rate.sup_theta_rows(x, pen, rows)
-        _, oracle = rate.sup_theta_rows(x, pen, rows, n_grid=512)
+        _, value = rate.sup_theta_rows(pen, rows)
+        _, oracle = rate.sup_theta_rows(pen, rows, n_grid=512)
         np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12, err_msg=f"x={x}")
         assert value.min() < semicircle.goe_rate(x)
 
@@ -167,7 +167,7 @@ def test_refined_rows_do_not_depend_on_each_other(mode):
     # refining rows in separate calls, as the vector modes' branch and bound
     # does, gives the bits of refining every row at once
     pen, rows = mode._rows(SG, 3.0, 0.95)
-    best, refine = rate.theta_scan(3.0, pen, rows)
+    best, refine = rate.theta_scan(pen, rows)
     together = refine(np.arange(len(rows)))
     assert np.all(together[1] >= best)  # a row's value is never below its scan maximum
     order = np.random.default_rng(7).permutation(len(rows))

@@ -163,6 +163,9 @@ def test_main_non_finite_number_names_its_field(tmp_path, capsys, config, field)
 FREE_ENERGY = '{"command": "free-energy", "dist": {"kind": "gaussian"}, "theta": 0.5, '
 MC_BBP = '{"command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"}, "theta": 1.0, '
 CURVE = '{"command": "rate-curve", "dist": {"kind": "gaussian"}, "x": [2.5, 2.5, 1], '
+MC_LOCALIZATION = ('{"command": "mc", "kind": "localization", "dist": {"kind": "gaussian"}, '
+                   '"N": 50, "reps": 4, "top_fraction": ')
+GIBBS = '{"command": "gibbs-solve", "dist": {"kind": "gaussian"}, "v": [0.1], '
 SPARSE_GIBBS = ('{{"command": "gibbs-solve", "dist": {{"kind": "sparse_gaussian", {}}},'
                 ' "v": [0.1], "R": 6, "alpha": 0.5}}')
 
@@ -214,12 +217,34 @@ SPARSE_GIBBS = ('{{"command": "gibbs-solve", "dist": {{"kind": "sparse_gaussian"
     (MC_BBP + '"N": 50, "reps": 2, "eta": 0.5}',
      "field 'eta' must be a number in (0, 1/4), not 0.5"),
     (MC_BBP + '"N": 50, "reps": 2, "eta": 0}', "field 'eta' must be a number in (0, 1/4), not 0"),
+    (MC_LOCALIZATION + '2.0}', "field 'top_fraction' must be a number in (0, 1], not 2.0"),
+    (MC_LOCALIZATION + '0}', "field 'top_fraction' must be a number in (0, 1], not 0"),
+    (MC_LOCALIZATION + '-1}', "field 'top_fraction' must be a number in (0, 1], not -1"),
+    (CURVE + '"mode": "finite_n", "N": 0}', "field 'N' must be an integer >= 1, not 0"),
+    (CURVE + '"mode": "finite_n", "R": 0}', "field 'R' must be a number > 0, not 0"),
+    (CURVE + '"mode": "tilde", "R": -1}', "field 'R' must be a number > 0, not -1"),
+    (GIBBS + '"R": -2, "alpha": 0.5}', "field 'R' must be a number > 0, not -2"),
+    (GIBBS + '"R": "inf", "alpha": 0}', "field 'alpha' must be a number > 0, not 0"),
+    (FREE_ENERGY + '"form": "loc", "w": [0.5], "N": 0}',
+     "field 'N' must be an integer >= 1, not 0"),
+    (FREE_ENERGY + '"form": "restricted", "w": [0.5], "N": 100, "R": 0}',
+     "field 'R' must be a number > 0, not 0"),
+    (FREE_ENERGY + '"form": "tilde", "w_check": [0.5], "alpha_tilde": 0.1, "R": -3}',
+     "field 'R' must be a number > 0, not -3"),
+    (FREE_ENERGY + '"form": "hat", "alpha": 1.5}',
+     "field 'alpha' must be a number in [0, 1), not 1.5"),
+    (FREE_ENERGY + '"form": "hat", "alpha": -0.1}',
+     "field 'alpha' must be a number in [0, 1), not -0.1"),
 ], ids=["loc-w", "restricted-w", "tilde-w_check", "gibbs-solve-v", "rate-curve-N",
         "free-energy-N", "mc-N", "mc-reps", "mc-seed", "mc-seed-negative", "mc-seed-too-big",
         "free-energy-out-int", "free-energy-out-bool", "rate-curve-out", "gibbs-solve-out",
         "mc-out", "mc-samples_csv", "dist-p-null", "dist-p-list", "dist-p-bool",
         "dist-p-string", "dist-atoms-int", "dist-kind-list", "cap-above-1", "cap-zero",
-        "tol-negative", "mc-reps-zero", "mc-N-one", "eta-too-big", "eta-zero"])
+        "tol-negative", "mc-reps-zero", "mc-N-one", "eta-too-big", "eta-zero",
+        "top_fraction-above-1", "top_fraction-zero", "top_fraction-negative",
+        "rate-curve-N-zero", "rate-curve-R-zero", "rate-curve-R-negative",
+        "gibbs-solve-R-negative", "gibbs-solve-alpha-zero", "free-energy-N-zero", "restricted-R-zero", "tilde-R-negative",
+        "hat-alpha-above-1", "hat-alpha-negative"])
 def test_main_malformed_field_names_it(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)

@@ -286,6 +286,13 @@ def test_localization_experiment_selection_conditioning():
     assert rep.extra["conditional_mean_linf"] > rep.extra["unconditional_mean_linf"]
 
 
+@pytest.mark.parametrize("top_fraction", [2.0, 0.0, -1.0])
+def test_localization_experiment_refuses_top_fraction_outside_unit_interval(top_fraction):
+    with pytest.raises(ValueError, match=r"top_fraction must lie in \(0, 1\]"):
+        mc.experiment({"kind": "localization", "dist": GAUSS, "N": 50, "reps": 4,
+                       "top_fraction": top_fraction})
+
+
 def test_tail_experiment_insufficient_reps():
     rep = mc.experiment({"kind": "tail", "dist": GAUSS, "N": 150, "reps": 40, "x": 3.5, "seed": 24})
     assert rep.extra["status"] == "insufficient reps"

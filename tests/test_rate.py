@@ -50,6 +50,20 @@ def test_sup_theta_unbounded_objective():
         rate.sup_theta(3.0, lambda t: np.zeros_like(t))
 
 
+class RowPenalty:
+    """A theta_scan penalty ``fn(theta, rows, q)`` with the hat evaluator's
+    64-point scan, naming a row by ``label`` or like a hat row."""
+
+    scan_points = 64
+
+    def __init__(self, fn, label=None):
+        self.fn = fn
+        self.label = label or (lambda row: f"x={row[0]}, alpha={row[1]}")
+
+    def __call__(self, theta, rows, q):
+        return self.fn(theta, rows, q)
+
+
 def test_sup_theta_rows_quadratic_penalties():
     # J(x, theta) - c theta^2 peaks at theta* = (x + sqrt(x^2 - 4c)) / (4c); the
     # c = 0.02 row (theta* ~ 75) must double T from 8 to 128, the others stop at 8
@@ -57,12 +71,12 @@ def test_sup_theta_rows_quadratic_penalties():
     c = np.array([0.5, 1.0, 2.0, 0.02])
     scans = []
 
-    def pen(theta, rows):
+    def pen(theta, rows, q):
         if theta.shape[1] > 1:
-            scans.append((rows.copy(), theta[:, -1].copy()))
-        return rows[:, None] * theta**2
+            scans.append((rows[:, 1].copy(), theta[:, -1].copy()))
+        return rows[:, 1:] * theta**2
 
-    theta_star, value = rate.sup_theta_rows(x, pen, c)
+    theta_star, value = rate.sup_theta_rows(RowPenalty(pen), np.column_stack((np.full(4, x), c)))
     exact = (x + np.sqrt(x * x - 4.0 * c)) / (4.0 * c)
     for k in range(c.size):
         # comparisons of values pin a flat maximum's argmax only to ~1e-8
@@ -79,27 +93,28 @@ def test_sup_theta_rows_quadratic_penalties():
 
 def test_sup_theta_rows_unbounded_row():
     with pytest.raises(rate.RateError, match=r"unbounded.*x=3\.0, alpha=0\.0"):
-        rate.sup_theta_rows(3.0, lambda t, c: c[:, None] * t**2, np.array([1.0, 0.0]))
+        rate.sup_theta_rows(RowPenalty(lambda t, r, q: r[:, 1:] * t**2),
+                            np.array([[3.0, 1.0], [3.0, 0.0]]))
 
 
 def test_sup_theta_rows_non_finite_row_named():
-    def pen(theta, alpha):
-        return np.where(alpha[:, None] == 0.25, np.nan, theta**2)
+    def pen(theta, rows, q):
+        return np.where(rows[:, 1:] == 0.25, np.nan, theta**2)
 
     with pytest.raises(rate.RateError, match=r"non-finite.*x=3\.0, alpha=0\.25"):
-        rate.sup_theta_rows(3.0, pen, np.array([0.0, 0.25, 0.5]))
+        rate.sup_theta_rows(RowPenalty(pen), np.array([[3.0, 0.0], [3.0, 0.25], [3.0, 0.5]]))
 
 
 def test_sup_theta_rows_multi_x_nan_row_named():
     ev = rate._hat_evaluator(SG)
     rows = np.array([[2.5, 0.25], [3.0, 0.0], [3.0, 0.25], [3.5, 0.25]])
 
-    def pen(theta, r):
+    def pen(theta, r, q):
         poisoned = (r[:, :1] == 3.0) & (r[:, 1:] == 0.25)
-        return np.where(poisoned, np.nan, ev.row_penalty(theta, r))
+        return np.where(poisoned, np.nan, ev(theta, r, q))
 
     with pytest.raises(rate.RateError, match=r"non-finite.*x=3\.0, alpha=0\.25"):
-        rate.sup_theta_rows(rows[:, 0], pen, rows)
+        rate.sup_theta_rows(RowPenalty(pen, ev.label), rows)
 
 
 # --- joint rate -------------------------------------------------------------------
@@ -121,10 +136,8 @@ def test_hat_fast_path_matches_direct_free_energy():
 
 
 def test_hat_objective_alpha_continuity():
-    ev = rate._hat_evaluator(SG)
-
     def jhat(x, a):
-        return rate.sup_theta(x, ev.penalty(x, a))[1]
+        return rate.joint_rate(SG, x, rate.HatSpec(a))[0]
 
     rng = np.random.default_rng(6)
     for x in (2.4, 3.0):
@@ -274,36 +287,21 @@ def test_phi1_table_failure_names_u(monkeypatch):
         rate._Phi1Table(SG)._solve_grid(np.array([0.5, 1.0]))
 
 
-def test_sup_theta_rows_given_overlap_matches_recomputed():
-    # penalties that take the driver's overlap give the bits of recomputing it
-    ev = rate._hat_evaluator(SG)
-    hat_rows = np.array([[x, a] for x in (2.3, 2.6, 3.0) for a in (0.0, 0.3, 0.6)])
-    fam = rate.ProfileFamily(k_values=(1, 4), n_mass=3)
-    vector_pen, vector_rows = rate.FiniteNMode(N=10**6, family=fam)._rows(SG, 3.0, 0.95)
-    for pen, rows in ((ev.row_penalty, hat_rows), (vector_pen, vector_rows)):
-        assert pen.takes_overlap
-        given = rate.sup_theta_rows(rows[:, 0], pen, rows)
-        # the wrapper drops the penalty's scan size along with its takes_overlap
-        recomputed = rate.sup_theta_rows(rows[:, 0], lambda theta, r: pen(theta, r), rows,
-                                         n_grid=getattr(pen, "scan_points", None))
-        assert all(np.array_equal(a, b) for a, b in zip(given, recomputed))
-
-
 def test_sup_theta_rows_scan_blocks_match_one_row_calls():
     ev = rate._hat_evaluator(SG)
     rows = np.array([[x, a] for x in (2.6, 3.0) for a in np.linspace(0.0, 0.9, 130)])
     scan_rows = []
 
-    def pen(theta, r):
+    def pen(theta, r, q):
         if theta.shape[1] > 1:
             scan_rows.append(theta.shape[0])
-        return ev.row_penalty(theta, r)
+        return ev(theta, r, q)
 
-    theta_star, value = rate.sup_theta_rows(rows[:, 0], pen, rows)
+    theta_star, value = rate.sup_theta_rows(RowPenalty(pen), rows)
     assert scan_rows[:2] == [rate._SCAN_ROWS, rows.shape[0] - rate._SCAN_ROWS]
     assert max(scan_rows) <= rate._SCAN_ROWS
     for k in range(rows.shape[0]):
-        one = rate.sup_theta_rows(rows[k, 0], ev.row_penalty, rows[k:k + 1])
+        one = rate.sup_theta_rows(ev, rows[k:k + 1])
         assert (theta_star[k], value[k]) == (one[0][0], one[1][0])
 
 
@@ -431,8 +429,8 @@ def scan_calls(monkeypatch):
     calls = []
     inner = rate.theta_scan
 
-    def spy(x, pen, rows=None, **kwargs):
-        best, refine = inner(x, pen, rows, **kwargs)
+    def spy(pen, rows, **kwargs):
+        best, refine = inner(pen, rows, **kwargs)
         refined = []
 
         def counted(idx):
@@ -608,15 +606,12 @@ def test_vector_row_nan_penalty_named(mode, poisoned, name):
     # row is the one named
     vector_pen, rows = mode._rows(SG, 3.0, 0.95)
 
-    class Pen:
-        label = vector_pen.label
-
-        def __call__(self, theta, r):
-            bad = poisoned(r[:, 3], r[:, 1])[:, None]
-            return np.where(bad, np.nan, vector_pen(theta, r))
+    def pen(theta, r, q):
+        bad = poisoned(r[:, 3], r[:, 1])[:, None]
+        return np.where(bad, np.nan, vector_pen(theta, r, q))
 
     with pytest.raises(rate.RateError, match="non-finite.*" + name):
-        rate.sup_theta_rows(3.0, Pen(), rows)
+        rate.sup_theta_rows(RowPenalty(pen, vector_pen.label), rows)
 
 
 @pytest.mark.parametrize("law", [SG, bernoulli_std(0.3)], ids=repr)
@@ -682,15 +677,6 @@ def test_rate_curve_gaussian_short_grid():
     assert np.all(np.diff(curve.rates) >= -1e-6)
     assert np.all(curve.rates <= curve.goe_rates + 1e-6)
     assert np.all(curve.rates >= -1e-9)
-
-
-def test_rate_curve_threaded_matches_serial():
-    grid = [2.2, 2.8, 3.2]
-    serial = rate.rate_curve(SG, grid, rate.HatMode())
-    threaded = rate.rate_curve(SG, grid, rate.HatMode(), threads=3)
-    for a, b in zip(serial.points, threaded.points):
-        assert a.rate == b.rate
-        assert a.minimizer.alpha == b.minimizer.alpha
 
 
 def test_rate_curve_blocks_match_pointwise():
