@@ -13,14 +13,15 @@ masses.
 
 The single-coordinate (hat) mode is the hot path for curve generation; its
 Gibbs term reduces to a one-variable function that is precomputed on a grid
-and interpolated by a cubic spline (values checked against the direct
-free-energy path in the test suite).  Every mode is batched over x: the
-targets of a sequence are rows of the row-wise theta search, one per
-(x, alpha) pair in hat mode, which shares one ``sup_theta_rows`` grid
-pass, one row-wise Brent search over alpha and one final theta* pass, and
-one per (x, profile) pair of the search family in vector mode, which
-shares one ``theta_scan`` and refines only the rows that can still hold
-the minimum (branch and bound).
+and interpolated by a clamped cubic spline in numpy, equal bit for bit to
+scipy's ``CubicSpline`` with the same end conditions (values checked
+against the direct free-energy path in the test suite).  Every mode is
+batched over x: the targets of a sequence are rows of the row-wise theta
+search, one per (x, alpha) pair in hat mode, which shares one
+``sup_theta_rows`` grid pass, one row-wise Brent search over alpha and one
+final theta* pass, and one per (x, profile) pair of the search family in
+vector mode, which shares one ``theta_scan`` and refines only the rows
+that can still hold the minimum (branch and bound).
 """
 
 from __future__ import annotations
@@ -360,12 +361,64 @@ _HAT_CACHE_SIZE = 8
 _GIBBS_BLOCK_ROWS = 64  # rows per multiplier solve of _gibbs_values: bounds memory
 
 
+class _ClampedSpline:
+    """Cubic spline through (x, y) with slope 0 at x[0] and a not-a-knot end,
+    equal bit for bit to ``scipy.interpolate.CubicSpline(x, y, bc_type=((1,
+    0.0), "not-a-knot"))`` on any n >= 4 nodes of a uniform grid, value
+    (``nu=0``) and slope (``nu=1``), extrapolating the end cubics."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # the tridiagonal slope system in scipy's assembly, solved as LAPACK's
+        # gtsv solves it; it is diagonally dominant, so gtsv never pivots
+        end = float(x[-1] - x[-3])
+        d = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+        du = [0.0, *dx[:-1].tolist()]
+        dl = [*dx[1:].tolist(), end]
+        b = [0.0, *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+             float((dx[-1]**2 * slope[-2] + (2 * end + dx[-1]) * dx[-2] * slope[-1]) / end)]
+        for i in range(len(d) - 1):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        b[-1] /= d[-1]
+        for i in range(len(d) - 2, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+        s = np.array(b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        # column i holds x_i, c0, c1, c2, c3 of x_i <= u < x_{i+1}: one gather per call
+        self.cols = np.array([x[:-1], t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        self.inner = x[1:-1]
+
+    def __call__(self, u, nu: int = 0):
+        """Value (``nu=0``) or slope (``nu=1``) at u, summed in scipy's order:
+        ((c3 + c2 s) + c1 s^2) + c0 (s^2 s) and (c2 + c1 s 2) + c0 s^2 3."""
+        x0, c0, c1, c2, c3 = self.cols.take(self.inner.searchsorted(u, "right"), axis=1)
+        s = u - x0
+        if nu:
+            return (c2 + c1 * s * 2.0) + c0 * (s * s) * 3.0
+        # in place on the gathered copy: most calls pass a few points, so the
+        # cost is numpy's per-call overhead, not the arithmetic
+        c2 *= s
+        c2 += c3
+        s2 = s * s
+        c1 *= s2
+        c1 += c2
+        s2 *= s
+        c0 *= s2
+        c0 += c1
+        return c0
+
+
 class _Phi1Table:
     """Spline table of the whole-line Gibbs value with a unit moment budget.
 
     The hat-mode Gibbs term reduces by dilation to phi1(u) evaluated at
-    u = theta * sqrt(a(1-a)); phi1 is smooth, so a cubic spline on a 0.01
-    grid reproduces the direct solve to ~1e-8 (asserted in tests).
+    u = theta * sqrt(a(1-a)); phi1 is smooth, so a cubic spline
+    (``_ClampedSpline``) on a 0.01 grid reproduces the direct solve to ~1e-8
+    (asserted in tests).  The grid grows to cover the largest u asked for;
+    a non-finite u raises ``RateError``.
     """
 
     def __init__(self, dist: EntryDistribution):
@@ -384,18 +437,16 @@ class _Phi1Table:
     def _build(self, u_max: float):
         n = int(math.ceil(u_max / 0.01)) + 1
         us = np.linspace(0.0, 0.01 * (n - 1), n)
-        vals = self._solve_grid(us)
-        # only hat mode needs scipy.interpolate; imported once the solve's
-        # arrays are freed, so that they and the module do not peak together
-        from scipy.interpolate import CubicSpline
-
         # phi1 is even in u: clamp the slope at u = 0 instead of a not-a-knot end
-        self.spline = CubicSpline(us, vals, bc_type=((1, 0.0), "not-a-knot"))
+        self.spline = _ClampedSpline(us, self._solve_grid(us))
         self.u_max = us[-1]
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        top = float(u.max()) if u.size else 0.0
+        lo, top = (float(u.min()), float(u.max())) if u.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(top)):
+            bad = u[~np.isfinite(u)].flat[0]
+            raise RateError(f"hat-mode Φ1 table: u={bad} is not finite")
         if self.spline is None or top > self.u_max:
             with self.lock:
                 if self.spline is None or top > self.u_max:

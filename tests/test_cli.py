@@ -13,15 +13,29 @@ from wignerld.cli import ConfigError, main, parse_config, run
 from wignerld.entries import SparseGaussian
 
 
-def test_cli_import_loads_only_scipy_linalg():
-    # a fresh interpreter: the other scipy subpackages load on the paths that use them
-    heavy = ["scipy.special", "scipy.interpolate", "scipy.sparse", "scipy.integrate",
-             "scipy.optimize", "scipy.stats"]
-    code = f"import sys, wignerld, wignerld.cli; print([m for m in {heavy!r} if m in sys.modules])"
+HEAVY_SCIPY = ["scipy.special", "scipy.interpolate", "scipy.sparse", "scipy.integrate",
+               "scipy.optimize", "scipy.stats", "scipy.spatial", "scipy.fft"]
+
+
+def _heavy_scipy_after(code):
+    """The heavy scipy subpackages loaded after ``code`` runs in a fresh interpreter."""
+    code += f"; import sys; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # the other scipy subpackages load on the paths that use them
+    assert _heavy_scipy_after("import wignerld, wignerld.cli") == "[]"
+
+
+def test_hat_rate_curve_loads_only_scipy_linalg():
+    # the Φ1 table's spline is numpy: a hat run needs no scipy.interpolate
+    code = ("from wignerld import entries, rate; "
+            "rate.rate_curve(entries.SparseGaussian(0.5), [2.4, 2.8], rate.HatMode())")
+    assert _heavy_scipy_after(code) == "[]"
 
 
 def test_parse_rate_curve_defaults():

@@ -287,6 +287,40 @@ def test_phi1_table_failure_names_u(monkeypatch):
         rate._Phi1Table(SG)._solve_grid(np.array([0.5, 1.0]))
 
 
+def test_phi1_spline_is_scipy_cubic_spline_bit_for_bit():
+    from scipy.interpolate import CubicSpline  # the reference only; the library never loads it
+
+    table = rate._Phi1Table(SG)
+    grids = []
+    solve = table._solve_grid
+
+    def recorded(us):
+        grids.append((us, solve(us)))
+        return grids[-1][1]
+
+    table._solve_grid = recorded
+    rng = np.random.default_rng(7)
+    # the first build (u_max = 6, 601 nodes) and a grown one (u_max = 9.3)
+    for u_top, n in ((1.0, 601), (6.2, 931)):
+        table(np.array([u_top]))
+        us, vals = grids[-1]
+        assert us.size == n
+        ref = CubicSpline(us, vals, bc_type=((1, 0.0), "not-a-knot"))
+        pts = np.concatenate([us, 0.5 * (us[:-1] + us[1:]), rng.uniform(0.0, us[-1], 20000)])
+        for u in (pts, pts[:6000].reshape(60, 100)):  # theta_scan passes (rows, points)
+            for nu in (0, 1):
+                assert np.array_equal(table.spline(u, nu), ref(u, nu))
+            assert np.array_equal(table(u), ref(u))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phi1_table_refuses_non_finite_u(bad):
+    table = rate._Phi1Table(SG)
+    with pytest.raises(rate.RateError, match=rf"hat-mode Φ1 table: u={bad} is not finite"):
+        table(np.array([0.5, bad]))
+    assert table.spline is None
+
+
 def test_sup_theta_rows_scan_blocks_match_one_row_calls():
     ev = rate._hat_evaluator(SG)
     rows = np.array([[x, a] for x in (2.6, 3.0) for a in np.linspace(0.0, 0.9, 130)])
