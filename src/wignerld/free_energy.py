@@ -11,6 +11,13 @@ Three levels of reduction of the same object:
 * ``f_tilde`` -- the two-scale reduction in (w_check, alpha_tilde), with
   the moderate-scale mass entering through psi's supremum (or through
   psi(t) at a chosen scale t).
+
+The restricted and the two-scale formula live once each, in
+``restricted_rows`` and ``tilde_rows``: rows of profiles scaled by an
+overlap q, at many theta, with the Gibbs term a callback ``gibbs(amp, beta,
+where)``, the values of the tilts amp * profile at budget beta where
+``where`` holds.  ``f_restricted`` and ``f_tilde`` are their one-row case on
+``gibbs_solve``, ``rate``'s vector modes their batched case.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .entries import EntryDistribution
 from .gibbs import GibbsProblem, _consolidate, gibbs_solve, phi_unbounded
 
-__all__ = ["f_loc", "f_restricted", "f_hat", "f_tilde"]
+__all__ = ["f_loc", "f_restricted", "f_hat", "f_tilde", "loc_rows", "restricted_rows", "tilde_rows"]
 
 _NORM_ONE_CLAMP = 1e-9  # profiles within this of unit norm use the degenerate branch
 
@@ -43,31 +50,80 @@ def _loc_terms(vals, counts, N: int):
     return np.where(used, coefs, 0.0)[:, keep], mults[:, keep]
 
 
-def f_loc(dist: EntryDistribution, theta, w, N: int):
-    """Localized free-energy sum over the support of w (exact, finite).
+def loc_rows(dist: EntryDistribution, theta, vals, counts, N: int):
+    """Localized sums [M, P] of the profiles of ``_loc_terms`` at theta[M, P],
+    summed along the term axis (in term order for P > 1, so a row's sums do
+    not depend on the other rows).  L(0) = 0, so zero coordinates add
+    nothing; the cost is quadratic in a profile's distinct nonzero values."""
+    coefs, mults = _loc_terms(vals, counts, N)
+    if not coefs.size:
+        return np.zeros(np.shape(theta))
+    L = dist.log_laplace(coefs[:, :, None] * theta[:, None, :])
+    return (L * mults[:, :, None]).sum(axis=1) / N
 
-    Zero coordinates contribute nothing since L(0) = 0.  Vectorized over
-    theta; cost is quadratic in the number of distinct nonzero values of w,
-    not in the support size.
-    """
-    vals, counts = _consolidate(w)
-    coefs, mults = _loc_terms(vals[None], counts[None], N)
+
+def restricted_rows(dist: EntryDistribution, theta, q, vals, counts, csq, N: int, gibbs):
+    """Restricted free energies [M, P] of the profiles q[i, p] z_i, z_i with
+    the entries of ``_loc_terms`` and squared norm csq[i]:
+    theta^2 beta^2 + loc + phi - |q z|^2 / 2 with beta = 1 - |q z|^2, loc
+    the localized sum of z at theta q^2 and phi = gibbs(theta q, beta, bulk).
+    A profile within ``_NORM_ONE_CLAMP`` of unit norm is not in the bulk and
+    keeps loc alone (phi's half-log is singular there); a NaN norm stays in
+    the bulk, where the Gibbs term fails on it."""
+    out = loc_rows(dist, theta * q * q, vals, counts, N)
+    nsq = q * q * csq[:, None]
+    bulk = ~(nsq >= 1.0 - _NORM_ONE_CLAMP)
+    beta = 1.0 - nsq
+    th, b = theta[bulk], beta[bulk]
+    out[bulk] = th**2 * b**2 + out[bulk] + gibbs(theta * q, beta, bulk) - 0.5 * nsq[bulk]
+    return out
+
+
+def tilde_rows(dist: EntryDistribution, theta, q, alpha_tilde, csq, t, gibbs,
+               empty=lambda i: ValueError("two-scale profile masses leave no positive "
+                                          "second-moment budget (beta <= 0)")):
+    """Two-scale free energies [M, P] of the profiles (w_i, alpha_tilde[i])
+    scaled by q[i, p], |w_i|^2 = csq[i]: theta^2 quad + phi - (1 - beta)/2,
+
+        quad = beta^2 + 2 beta a + 2 psi_sel a^2 + 2 psi_inf (c2^2 + 2 a c2),
+
+    with q^2 clipped to [0, 1], c2 = q^2 csq, a = q^2 alpha_tilde, beta =
+    1 - a - c2, psi_sel = sup psi or psi(t) for a scale t, and phi =
+    gibbs(theta q, beta, all).  A row with a beta <= 0 raises ``empty(row)``."""
+    ext = dist.psi_extremes()
+    psi_sel = ext.psi_max if t is None else float(dist.psi(t))
+    q2 = np.clip(q * q, 0.0, 1.0)
+    c2 = q2 * csq[:, None]
+    at = q2 * alpha_tilde[:, None]
+    beta = 1.0 - at - c2
+    spent = beta <= 0  # a NaN q reaches the Gibbs term and fails there
+    if spent.any():
+        raise empty(np.flatnonzero(spent.any(axis=1))[0])
+    quad = (beta**2 + 2.0 * beta * at + 2.0 * psi_sel * at**2
+            + 2.0 * ext.psi_infty * (c2**2 + 2.0 * at * c2))
+    phi = gibbs(theta * np.sqrt(q2), beta, ~spent).reshape(theta.shape)
+    return theta**2 * quad + phi - 0.5 * (1.0 - beta)
+
+
+def _solved(dist: EntryDistribution, w, R: float):
+    """The ``gibbs`` callback of one profile w: ``gibbs_solve`` per tilt."""
+    return lambda amp, beta, where: np.array([
+        gibbs_solve(GibbsProblem(a * w, dist, R, b)).value
+        for a, b in zip(amp[where].tolist(), beta[where].tolist())])
+
+
+def f_loc(dist: EntryDistribution, theta, w, N: int):
+    """Localized free-energy sum over the support of w: one row of
+    ``loc_rows``, vectorized over theta."""
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
-    if coefs.size == 0:
-        out = np.zeros_like(th)
-    else:
-        out = (dist.log_laplace(coefs[0][:, None] * th).T @ mults[0]) / N
-    return float(out[0]) if scalar else out.reshape(theta.shape)
+    out = loc_rows(dist, theta.reshape(1, -1), *(a[None] for a in _consolidate(w)), N)
+    return float(out[0, 0]) if theta.ndim == 0 else out.reshape(theta.shape)
 
 
 def f_restricted(dist: EntryDistribution, theta: float, w, N: int, R: float) -> float:
-    """Restricted annealed free energy at inverse temperature theta.
-
-    Profiles of unit norm reduce to the localized sum alone; the Gibbs term
-    needs a positive leftover mass 1 - |w|^2 and is clamped to the unit-norm
-    branch within 1e-9 of the boundary (the half-log term is singular there).
+    """Restricted annealed free energy at inverse temperature theta: one row
+    of ``restricted_rows`` at q = 1.  Profiles of unit norm reduce to the
+    localized sum alone, clamped to that branch within 1e-9 of the boundary.
     """
     if N < 1:
         raise ValueError("dimension parameter N must be positive")
@@ -77,11 +133,9 @@ def f_restricted(dist: EntryDistribution, theta: float, w, N: int, R: float) -> 
     nsq = float(w @ w)
     if nsq > 1.0 + 1e-12:
         raise ValueError("profile must lie in the closed unit ball")
-    if nsq >= 1.0 - _NORM_ONE_CLAMP:
-        return float(f_loc(dist, theta, w, N))
-    beta = 1.0 - nsq
-    phi = gibbs_solve(GibbsProblem(theta * w, dist, R, beta)).value
-    return theta**2 * beta**2 + float(f_loc(dist, theta, w, N)) + phi - 0.5 * nsq
+    vals, counts = _consolidate(w)
+    return float(restricted_rows(dist, np.full((1, 1), float(theta)), 1.0, vals[None],
+                                 counts[None], np.array([nsq]), N, _solved(dist, w, R))[0, 0])
 
 
 def f_hat(dist: EntryDistribution, theta: float, alpha: float) -> float:
@@ -95,25 +149,11 @@ def f_hat(dist: EntryDistribution, theta: float, alpha: float) -> float:
 
 def f_tilde(dist: EntryDistribution, theta: float, w_check, alpha_tilde: float,
             R: float, t: float = None) -> float:
-    """Two-scale reduction in (w_check, alpha_tilde).
-
-    The moderate-scale mass alpha_tilde is priced at sup psi by default, or
-    at psi(t) when an explicit scale t is supplied (always a lower bound).
+    """Two-scale reduction in (w_check, alpha_tilde): one row of ``tilde_rows``
+    at q = 1.  The moderate-scale mass alpha_tilde is priced at sup psi by
+    default, or at psi(t) for an explicit scale t (always a lower bound).
     """
-    w_check = np.asarray(w_check, dtype=float)
-    csq = float(w_check @ w_check)
-    beta = 1.0 - alpha_tilde - csq
-    if beta < 0.0:
-        raise ValueError("profile masses exceed the unit budget (beta < 0)")
-    if beta == 0.0:
-        raise ValueError("second-moment budget beta must be positive for the Gibbs term")
-    ext = dist.psi_extremes()
-    psi_sel = ext.psi_max if t is None else float(dist.psi(t))
-    quad = (
-        beta**2
-        + 2.0 * beta * alpha_tilde
-        + 2.0 * psi_sel * alpha_tilde**2
-        + 2.0 * ext.psi_infty * (csq**2 + 2.0 * alpha_tilde * csq)
-    )
-    phi = gibbs_solve(GibbsProblem(theta * w_check, dist, R, beta)).value
-    return theta**2 * quad + phi - 0.5 * (1.0 - beta)
+    w = np.asarray(w_check, dtype=float)
+    return float(tilde_rows(dist, np.full((1, 1), float(theta)), 1.0,
+                            np.array([float(alpha_tilde)]), np.array([float(w @ w)]), t,
+                            _solved(dist, w, R))[0, 0])

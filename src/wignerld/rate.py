@@ -417,8 +417,9 @@ class _Phi1Table:
     The hat-mode Gibbs term reduces by dilation to phi1(u) evaluated at
     u = theta * sqrt(a(1-a)); phi1 is smooth, so a cubic spline
     (``_ClampedSpline``) on a 0.01 grid reproduces the direct solve to ~1e-8
-    (asserted in tests).  The grid grows to cover the largest u asked for;
-    a non-finite u raises ``RateError``.
+    (asserted in tests).  phi1 is even, so the table is read at |u|, and its
+    grid grows to cover the largest |u| asked for; a non-finite u raises
+    ``RateError``.
     """
 
     def __init__(self, dist: EntryDistribution):
@@ -443,15 +444,16 @@ class _Phi1Table:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        lo, top = (float(u.min()), float(u.max())) if u.size else (0.0, 0.0)
-        if not (math.isfinite(lo) and math.isfinite(top)):
+        au = np.abs(u)  # phi1 is even: s -> -s maps its integral at u to that at -u
+        top = float(au.max()) if u.size else 0.0
+        if not math.isfinite(top):
             bad = u[~np.isfinite(u)].flat[0]
             raise RateError(f"hat-mode Φ1 table: u={bad} is not finite")
         if self.spline is None or top > self.u_max:
             with self.lock:
                 if self.spline is None or top > self.u_max:
                     self._build(max(6.0, 1.5 * top))
-        return self.spline(u)
+        return self.spline(au)
 
 
 def _gibbs_values(dist, amp, vals, counts, beta, R):
@@ -541,9 +543,9 @@ def _terms(rows):
 
 @dataclass(frozen=True)
 class _VectorPenalty:
-    """``sup_theta_rows`` penalty of vector rows, in finite-N mode for an N
-    and in two-scale mode for N None, with alpha_tilde priced at psi(t), or
-    at sup psi for t None."""
+    """``sup_theta_rows`` penalty of vector rows: ``free_energy.restricted_rows``
+    for an N, else ``free_energy.tilde_rows`` with alpha_tilde priced at
+    psi(t), or at sup psi for t None, the Gibbs terms by ``_gibbs_values``."""
 
     dist: EntryDistribution
     R: float
@@ -571,31 +573,10 @@ class _VectorPenalty:
             return _gibbs_values(dist, amp[where], vals[owner], counts[owner], beta[where], self.R)
 
         if self.N:
-            nsq = np.clip(q * q * csq[:, None], 0.0, 1.0)
-            coefs, mults = free_energy._loc_terms(vals, counts, self.N)
-            # localized sum with profile q*z: pair products pick up q^2
-            args = coefs[:, :, None] * (theta * q * q)[:, None, :]
-            out = (dist.log_laplace(args) * mults[:, :, None]).sum(axis=1) / self.N
-            bulk = ~(nsq >= 1.0 - 1e-9)  # a NaN overlap reaches the solver and fails there
-            beta = 1.0 - nsq
-            out[bulk] += (theta[bulk] ** 2 * beta[bulk] ** 2 - 0.5 * nsq[bulk]
-                          + gibbs(theta * q, beta, bulk))
-            return out
-
-        ext = dist.psi_extremes()
-        psi_sel = ext.psi_max if self.t is None else float(dist.psi(self.t))
-        q2 = np.clip(q * q, 0.0, 1.0)
-        c2 = q2 * csq[:, None]
-        at = q2 * rows[:, 1:2]
-        beta = 1.0 - at - c2
-        empty = np.flatnonzero((beta <= 0).any(axis=1))
-        if empty.size:
-            where = self.label(rows[empty[0]])
-            raise RateError(f"two-scale profile leaves no residual mass at {where}")
-        quad = (beta**2 + 2 * beta * at + 2 * psi_sel * at**2
-                + 2 * ext.psi_infty * (c2**2 + 2 * at * c2))
-        return (theta**2 * quad - 0.5 * (1.0 - beta)
-                + gibbs(theta * np.sqrt(q2), beta, ~(beta <= 0)).reshape(theta.shape))
+            return free_energy.restricted_rows(dist, theta, q, vals, counts, csq, self.N, gibbs)
+        return free_energy.tilde_rows(dist, theta, q, rows[:, 1], csq, self.t, gibbs, lambda i:
+                                      RateError(f"two-scale profile leaves no residual mass "
+                                                f"at {self.label(rows[i])}"))
 
 
 # ---------------------------------------------------------------------------

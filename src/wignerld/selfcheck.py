@@ -182,8 +182,6 @@ def oracle_problems(rng, draws):
                            rng.uniform(0.4, 1.3))
 
 
-# the smoke problem is fixed: on a Rademacher law with a two-coordinate tilt
-# the oracle's projected ascent can stall 6e-3 below the optimum
 @_invariant("gibbs", "grid-oracle agreement", gap=5e-3)
 def gibbs_grid_oracle(problems=(GibbsProblem([0.6], SG, 4.0, 0.9),)):
     return {"gap": max(abs(oracles.gibbs_grid_oracle(p, 41) - gibbs_solve(p).value)

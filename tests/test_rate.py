@@ -321,6 +321,16 @@ def test_phi1_table_refuses_non_finite_u(bad):
     assert table.spline is None
 
 
+def test_phi1_table_is_even():
+    # phi1(-u) = phi1(u) for every law; a negative u grows the table by |u|
+    table = rate._Phi1Table(SG)
+    u = np.array([0.0, 0.3, 1.0, 4.2, 7.5])
+    assert np.array_equal(table(-u), table(u))
+    assert table.u_max >= 7.5
+    assert table(np.array([-1.0]))[0] == table(np.array([1.0]))[0] == pytest.approx(3.58192,
+                                                                                    abs=1e-5)
+
+
 def test_sup_theta_rows_scan_blocks_match_one_row_calls():
     ev = rate._hat_evaluator(SG)
     rows = np.array([[x, a] for x in (2.6, 3.0) for a in np.linspace(0.0, 0.9, 130)])
@@ -650,15 +660,22 @@ def test_vector_row_nan_penalty_named(mode, poisoned, name):
 
 @pytest.mark.parametrize("law", [SG, bernoulli_std(0.3)], ids=repr)
 def test_vector_rows_at_unit_overlap_equal_the_free_energies(law):
-    # the vector penalty repeats f_restricted's localized sum and unit-norm
-    # clamp and f_tilde's quadratic form; at q = 1 a row is the scalar value
+    # one formula per mode, two Gibbs solvers: at q = 1 a vector row, its
+    # Gibbs term on the fixed grid of _gibbs_values, is the scalar value, its
+    # Gibbs term by the adaptive gibbs_solve
     theta = np.array([[0.4, 1.0, 1.7]])
     N, R = 10**6, (10**6) ** 0.2
     profiles = [(0.0,), (0.6,), (0.5, 0.5), (0.35,) * 4, (0.5, -0.3, 0.2)]
-    for z in [*profiles, (0.6, -0.8)]:  # the last one at unit norm
+    # at unit norm, and inside the unit-norm clamp (|z|^2 = 1 - 5e-10)
+    unit = [(0.6, -0.8), (math.sqrt(1.0 - 5e-10),)]
+    for z in [*profiles, *unit]:
         pen, row = rate.FiniteNSpec(z, N, R)._row(law, 3.0)
         want = [free_energy.f_restricted(law, th, z, N, R) for th in theta[0]]
-        assert pen(theta, row, q=np.ones_like(theta))[0] == pytest.approx(want, abs=1e-12), z
+        got = pen(theta, row, q=np.ones_like(theta))[0]
+        assert got == pytest.approx(want, abs=1e-12), z
+        if z in unit:  # both take the unit-norm branch: the localized sum alone
+            assert want == [free_energy.f_loc(law, th, z, N) for th in theta[0]], z
+            assert np.array_equal(got, free_energy.f_loc(law, theta[0], z, N)), z
     for z, alpha_tilde in itertools.product(profiles, (0.0, 0.2)):
         pen, row = rate.TildeSpec(z, alpha_tilde, R)._row(law, 3.0)
         want = [free_energy.f_tilde(law, th, z, alpha_tilde, R) for th in theta[0]]
