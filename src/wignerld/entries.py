@@ -204,7 +204,14 @@ class SparseGaussian(EntryDistribution):
         # overflow-safe for |t| in the hundreds.
         t = np.asarray(t, dtype=float)
         log_b = math.log(self.p) + t * t / (2.0 * self.p)
-        log_s = np.logaddexp(math.log1p(-self.p) if self.p < 1 else -np.inf, log_b)
+        c = math.log1p(-self.p) if self.p < 1 else -math.inf
+        # logaddexp(c, b) = b + log1p(exp(c - b)) is b bit for bit where
+        # b >= c + 40: the added term is at most exp(-40) < 4.3e-18, and a
+        # double p < 1 has c >= log(2^-53) > -36.8, so b > 3.2, whose half ulp
+        # is 2.2e-16.  Only the other nodes call it; at p = 1 (c = -inf), NaN
+        # and +inf none do, and there too it would return b.
+        log_s = np.array(log_b)
+        np.logaddexp(c, log_b, out=log_s, where=log_b < c + 40.0)
         return t, log_b, log_s
 
     def log_laplace(self, t, order: int = 0):

@@ -52,14 +52,19 @@ def _loc_terms(vals, counts, N: int):
 
 def loc_rows(dist: EntryDistribution, theta, vals, counts, N: int):
     """Localized sums [M, P] of the profiles of ``_loc_terms`` at theta[M, P],
-    summed along the term axis (in term order for P > 1, so a row's sums do
-    not depend on the other rows).  L(0) = 0, so zero coordinates add
+    summed in term order at every P (numpy's sum along the term axis groups
+    eight or more terms pairwise at P = 1), so a row's sums do not depend on
+    the other rows or their zero padding.  L(0) = 0, so zero coordinates add
     nothing; the cost is quadratic in a profile's distinct nonzero values."""
     coefs, mults = _loc_terms(vals, counts, N)
     if not coefs.size:
         return np.zeros(np.shape(theta))
     L = dist.log_laplace(coefs[:, :, None] * theta[:, None, :])
-    return (L * mults[:, :, None]).sum(axis=1) / N
+    L *= mults[:, :, None]
+    out = L[:, 0].copy()
+    for k in range(1, L.shape[1]):
+        out += L[:, k]
+    return out / N
 
 
 def restricted_rows(dist: EntryDistribution, theta, q, vals, counts, csq, N: int, gibbs):

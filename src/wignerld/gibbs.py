@@ -48,6 +48,7 @@ _SCALAR_F_TOL = 1e-13  # |alpha - m2| / alpha stop of gibbs_solve, ~1e-13 in zet
 _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
+_WHOLE_LINE_TOL = 1e-8  # duality gap, or move from one R to the next, that settles a row
 _W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
 
 
@@ -137,8 +138,9 @@ def g_value(problem: GibbsProblem, zeta: float, order: int = 0) -> float:
         raise ValueError("order must be 0 or 1")
 
     def moments(s, w, H):
-        log_i0, m2 = _grid_moments(H[None], s * s, np.array([zeta]), (w, w * (s * s)))
-        return zeta, float(log_i0[0]), float(m2[0])
+        E, m = _weights(H[None], s * s, np.array([zeta]))
+        log_i0, m2 = _moments(E, m, (w, w * (s * s)))
+        return zeta, float(log_i0[0]), float(m2[0]), (E, m)
 
     _, _, log_i0, m2 = _resolved(problem, problem.R, moments)
     return -m2 if order else log_i0
@@ -235,10 +237,10 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
 
     def solve(s, w, H):
         nonlocal zeta, evaluations
-        z, log_mass, m2, count = solve_exponent_batch(
-            H[None], s, w, alpha, _SCALAR_F_TOL * min(1.0, alpha), zeta_init=zeta)
+        z, log_mass, m2, count, last = solve_exponent_batch(
+            H[None], s, w, alpha, _SCALAR_F_TOL * min(1.0, alpha), zeta_init=zeta, weights=True)
         zeta, evaluations = float(z[0]), evaluations + count
-        return zeta, float(log_mass[0]), float(m2[0])
+        return zeta, float(log_mass[0]), float(m2[0]), last
 
     span = 16.0 * math.sqrt(alpha) if 256.0 * math.sqrt(alpha) < R else R
     grid, zeta, log_mass, m2 = _resolved(problem, span, solve)
@@ -246,47 +248,83 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations, grid)
 
 
-def whole_line_rows(values_at, n: int, where) -> np.ndarray:
-    """Whole-line limits of n rows of finite-R values, R doubling from 16.
+def duality_gap(R: float, zeta, log_mass, kappa) -> np.ndarray:
+    """Weak-duality bounds eps_R >= Phi_inf - Phi_R >= 0 of rows solved on
+    [-R, R] with multipliers zeta and log masses log int_{-R}^{R} exp(h -
+    zeta s^2), whose Hamiltonians satisfy h(s) <= kappa s^2; inf where
+    g = zeta - kappa <= 0.
 
-    ``values_at(R, rows)`` gives the values at half-width R of the listed
-    rows (an index array); a row drops out once its value moves by less
-    than 1e-8 from one R to the next and keeps that last value.  Past
-    R = 2^12, where the batch grid's spacing reaches 0.5, a row still moving
-    raises ``GibbsError`` naming the R reached and ``where(row)``.
+    The multiplier zeta prices the moment constraint of the whole-line
+    problem too, so Phi_inf is at most Phi_R plus the log of the mass ratio
+    of the whole line to [-R, R] at zeta (Boyd & Vandenberghe, Convex
+    Optimization, 5.2).  The mass outside [-R, R] is at most the Gaussian
+    tail 2 int_R^inf exp(-g s^2) ds <= exp(-g R^2) / (g R), so eps_R =
+    log1p(exp(-g R^2 - log(g R) - log_mass)).  Phi_R <= Phi_inf because
+    the constraint set grows with R.
     """
-    R = 16.0
-    rows = np.arange(n)
-    vals = np.array(values_at(R, rows), dtype=float)
-    while R < 2.0**12:
-        R *= 2.0
-        nxt = values_at(R, rows)
-        moving = ~(np.abs(nxt - vals[rows]) < 1e-8)
-        vals[rows] = nxt
-        rows = rows[moving]
+    g = np.asarray(zeta, dtype=float) - kappa
+    eps = np.full(g.shape, np.inf)
+    up = g > 0.0
+    gR = g[up] * R
+    eps[up] = np.logaddexp(0.0, -gR * R - np.log(gR) - np.asarray(log_mass, dtype=float)[up])
+    return eps
+
+
+def whole_line_rows(solve_at, kappa, where) -> np.ndarray:
+    """Whole-line limits of rows of finite-R Gibbs values.
+
+    ``solve_at(R, rows)`` solves the listed rows (an index array) on
+    [-R, R] and returns their (values, multipliers, log masses), and
+    ``kappa[i]`` bounds row i's Hamiltonian, h(s) <= kappa[i] s^2 (kappa =
+    4 psi_max a^2 sum_j c_j v_j^2 for h(s) = sum_j c_j L(2 a v_j s), since
+    L(t) <= psi_max t^2).  Every row is
+    solved at R = 32 and stops there once its ``duality_gap`` is at most
+    1e-8.  A row left open is solved at R = 16 too, and from there R doubles
+    until the row's value moves by less than 1e-8 from one R to the next or
+    its gap at the new R is at most 1e-8; the row keeps its last value.
+    Past R = 2^12, where the batch grid's spacing reaches 0.5, a row still
+    open raises ``GibbsError`` naming the R reached and ``where(row)``.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    R = 32.0
+    rows = np.arange(kappa.size)
+    vals, zeta, log_mass = (np.array(a, dtype=float) for a in solve_at(R, rows))
+    rows = rows[~(duality_gap(R, zeta, log_mass, kappa) <= _WHOLE_LINE_TOL)]
+    before = solve_at(R / 2.0, rows)[0] if rows.size else vals[rows]
+    while True:
+        rows = rows[~(np.abs(vals[rows] - before) < _WHOLE_LINE_TOL)]
         if rows.size == 0:
             return vals
-    raise GibbsError(f"whole-line value did not settle by R={R:g}: {where(rows[0])}")
+        if R >= 2.0**12:
+            raise GibbsError(f"whole-line value did not settle by R={R:g}: {where(rows[0])}")
+        R *= 2.0
+        before = vals[rows]
+        vals[rows], zeta, log_mass = solve_at(R, rows)
+        open_ = ~(duality_gap(R, zeta, log_mass, kappa[rows]) <= _WHOLE_LINE_TOL)
+        rows, before = rows[open_], before[open_]
 
 
 def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
     """Whole-line optimum as the monotone limit of finite-R solves.
 
-    One row of ``whole_line_rows``; the sequence is nondecreasing in R by
-    construction.  Each solve starts from the multiplier of the previous R.
+    One row of ``whole_line_rows``, with kappa = 4 psi_max |v|^2; the
+    sequence is nondecreasing in R by construction.  A row the duality gap
+    settles at R = 32 costs one solve; otherwise each solve starts from the
+    multiplier of the previous one.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     zeta = None
 
-    def values_at(R, _rows):
+    def solve_at(R, _rows):
         nonlocal zeta
         sol = gibbs_solve(GibbsProblem(v, dist, R, alpha), _zeta_init=zeta)
         zeta = sol.zeta_star
-        return np.array([sol.value])
+        return np.array([sol.value]), np.array([zeta]), np.array([sol.log_norm])
 
+    kappa = 4.0 * dist.psi_extremes().psi_max * float(np.sum(np.square(v)))
     where = f"phi_unbounded at v={np.ravel(v).tolist()}, alpha={alpha}"
-    return float(whole_line_rows(values_at, 1, lambda _row: where)[0])
+    return float(whole_line_rows(solve_at, [kappa], lambda _row: where)[0])
 
 
 def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution) -> float:
@@ -334,13 +372,15 @@ def _simpson_grid(a: float, b: float, n: int) -> tuple:
 
 
 def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
-    """Run ``step(s, w, H)`` -> (zeta, log I0, m2) on the grid of
+    """Run ``step(s, w, H)`` -> (zeta, log I0, m2, (E, m)) on the grid of
     ``_grid_for(span)`` (span <= R, R = ``problem.R``), H the folded
     Hamiltonian, and then on finer grids of [0, R] until one resolves the
-    weight exp(H - zeta s^2).
+    weight exp(H - zeta s^2), given by ``step`` as the (1, n) weights E =
+    exp(H - zeta s^2 - m) of ``_weights`` at the zeta it returns.
 
     A grid resolves it when Simpson's rule on every other node agrees with
-    it to 1e-11 in log I0 and in m2 relative to m2, and where the grid stops
+    it to 1e-11 in log I0 and in m2 relative to m2 (summing E there, not a
+    second exp), and where the grid stops
     short of [0, R] the weight there is below exp(-92) of its peak.  The
     next grid extends by its own width each end that stops short too soon;
     else it spans the nodes where the weight is above that bound, one more
@@ -354,10 +394,10 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
     s, w = _grid_for(span)
     for _ in range(_MAX_GRIDS):
         H = _fold(problem.dist, problem.h, s)
-        zeta, log_i0, m2 = step(s, w, H)
+        zeta, log_i0, m2, (E, m) = step(s, w, H)
         c = s[::2]  # a Simpson grid too: (s.size - 1) % 4 == 0
         wc = _simpson_grid(c[0], c[-1], c.size)[1]
-        log_c, m2_c = _grid_moments(H[None, ::2], c * c, np.array([zeta]), (wc, wc * (c * c)))
+        log_c, m2_c = _moments(E[:, ::2].copy(), m, (wc, wc * (c * c)))
         close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
         a, b, n = float(s[0]), float(s[-1]), s.size
         if close and a == 0.0 and b == R:
@@ -381,33 +421,47 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
 
 
 def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) -> tuple:
-    """log I0 and averages of the weights exp(H[i] - zeta[i] s^2) on a grid.
+    """log I0 and averages of the weights exp(H[i] - zeta[i] s^2) on a grid:
+    ``_moments`` of ``_weights``."""
+    return _moments(*_weights(H, s2, zeta), ws)
 
-    ``ws`` holds the quadrature weights w, then w times each function f of
-    s to average: I0 = sum_j exp(...) w_j, and each average is
-    sum_j exp(...) w_j f(s_j) / I0.  The exponent is max-subtracted by row.
-    """
+
+def _weights(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray) -> tuple:
+    """(E, m): the weights E[i] = exp(H[i] - zeta[i] s^2 - m[i]) on a grid,
+    max-subtracted by row, and the row maxima m."""
     phi = np.multiply(-zeta[:, None], s2)
     phi += H
     m = phi.max(axis=1)
     phi -= m[:, None]
     np.exp(phi, out=phi)
+    return phi, m
+
+
+def _moments(E: np.ndarray, m: np.ndarray, ws: tuple) -> tuple:
+    """log I0 and averages of the weights exp(m[i]) E[i] of ``_weights``.
+
+    ``ws`` holds the quadrature weights w, then w times each function f of
+    s to average: I0 = exp(m) sum_j E_j w_j, and each average is
+    sum_j E_j w_j f(s_j) / sum_j E_j w_j.
+    """
     # row-wise reductions, unlike a BLAS product, round a row the same at
     # any position in the batch
-    i0, *mk = (np.einsum("ij,j->i", phi, v) for v in ws)
+    i0, *mk = (np.einsum("ij,j->i", E, v) for v in ws)
     return (np.log(i0) + m, *(x / i0 for x in mk))
 
 
 def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
-                         f_tol: float = 1e-11, zeta_init=None):
+                         f_tol: float = 1e-11, zeta_init=None, weights: bool = False):
     """Multiplier solve for many Gibbs weights on one grid.
 
     ``H[i, j]`` holds the folded tilt Hamiltonian of problem i at node s[j]
     of a half grid of ``_grid_for`` or ``_resolved``, and ``w`` the
     matching doubled Simpson weights.  Returns (zeta, log_mass, m2,
     evaluations) with log_mass = log int exp(H - zeta s^2) and the number
-    of moment evaluations (``_grid_moments`` calls).  Rows never interact:
-    a row's result does not depend on the other rows of the batch.
+    of moment evaluations (``_grid_moments`` calls).  With ``weights`` it
+    appends (E, m), each row's ``_weights`` at its returned zeta, from the
+    evaluation that stopped it.  Rows never interact: a row's result does
+    not depend on the other rows of the batch.
 
     Grids of more than 1600 nodes warm-start from a solve on every fourth
     node, whose evaluations count too.  Without a warm start or
@@ -442,9 +496,12 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     log_mass = np.empty(P)
     m2_out = np.empty(P)
     rows = np.arange(P)
+    if weights:
+        last = np.empty_like(H), np.empty(P)
     for calls in range(coarse + 1, coarse + _MAX_ITER + 1):
         z = zeta[rows]
-        log_mass[rows], m2, m4 = _grid_moments(H if rows.size == P else H[rows], s2, z, ws)
+        E, m = _weights(H if rows.size == P else H[rows], s2, z)
+        log_mass[rows], m2, m4 = _moments(E, m, ws)
         m2_out[rows] = m2
         f = alpha[rows] - m2
         below = f > 0  # m2 decreases in zeta: the root lies below z
@@ -452,10 +509,12 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
         lo[rows[~below]] = z[~below]
         done = ((np.abs(f) <= f_tol * np.maximum(1.0, alpha[rows]))
                 | (hi[rows] - lo[rows] <= 1e-13 * np.maximum(1.0, np.abs(z))))
+        if weights:
+            last[0][rows[done]], last[1][rows[done]] = E[done], m[done]
         keep = ~done
         rows, z, f, m2, m4 = rows[keep], z[keep], f[keep], m2[keep], m4[keep]
         if rows.size == 0:
-            return zeta, log_mass, m2_out, calls
+            return (zeta, log_mass, m2_out, calls) + ((last,) if weights else ())
         lo_r, hi_r = lo[rows], hi[rows]
         # steps beyond 4 _ZETA_LIMIT leave any bracket: flooring them keeps the
         # quotient finite where m4 - m2^2 cancels to zero (boundary-peaked rows)

@@ -429,11 +429,13 @@ class _Phi1Table:
         self.lock = threading.Lock()
 
     def _solve_grid(self, us: np.ndarray) -> np.ndarray:
-        return whole_line_rows(lambda R, rows: self._values_at(us[rows], R), us.size,
+        # h(s) = L(2 u s) <= 4 psi_max u^2 s^2
+        kappa = 4.0 * self.dist.psi_extremes().psi_max * us * us
+        return whole_line_rows(lambda R, rows: self._solves_at(us[rows], R), kappa,
                                lambda k: f"hat-mode Gibbs table at u={us[k]}")
 
-    def _values_at(self, us: np.ndarray, R: float) -> np.ndarray:
-        return _gibbs_values(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
+    def _solves_at(self, us: np.ndarray, R: float) -> tuple:
+        return _gibbs_solves(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
 
     def _build(self, u_max: float):
         n = int(math.ceil(u_max / 0.01)) + 1
@@ -456,20 +458,25 @@ class _Phi1Table:
         return self.spline(au)
 
 
-def _gibbs_values(dist, amp, vals, counts, beta, R):
-    """Gibbs values over [-R, R] of rows i with budget beta[i] (or a shared
-    beta) and Hamiltonian sum_j counts[i, j] L(2 vals[i, j] amp[i] s), built
-    by ``gibbs._hamiltonian`` and folded by ``gibbs._fold``, solved in
-    near-equal blocks of at most ``_GIBBS_BLOCK_ROWS`` rows on the half grid
-    of [0, R]."""
+def _gibbs_solves(dist, amp, vals, counts, beta, R):
+    """(values, multipliers, log masses) over [-R, R] of rows i with budget
+    beta[i] (or a shared beta) and Hamiltonian sum_j counts[i, j] L(2
+    vals[i, j] amp[i] s), built by ``gibbs._hamiltonian`` and folded by
+    ``gibbs._fold``, solved in near-equal blocks of at most
+    ``_GIBBS_BLOCK_ROWS`` rows on the half grid of [0, R]."""
     s, w = _grid_for(R)
     beta = np.broadcast_to(beta, amp.shape)
     out = []
     for b in np.array_split(np.arange(amp.size), -(-amp.size // _GIBBS_BLOCK_ROWS) or 1):
         H = _fold(dist, partial(_hamiltonian, dist, amp[b], vals[b], counts[b]), s)
         zeta, log_mass, _, _ = solve_exponent_batch(H, s, w, beta[b])
-        out.append(values_from_batch(log_mass, zeta, beta[b]))
-    return np.concatenate(out)
+        out.append((values_from_batch(log_mass, zeta, beta[b]), zeta, log_mass))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _gibbs_values(dist, amp, vals, counts, beta, R):
+    """The values of ``_gibbs_solves``."""
+    return _gibbs_solves(dist, amp, vals, counts, beta, R)[0]
 
 
 def _check_hat_domain(dist: EntryDistribution):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import free_energy, montecarlo, oracles, rate, semicircle
 from .entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
-from .gibbs import GibbsProblem, gibbs_solve, wasserstein2
+from .gibbs import GibbsProblem, duality_gap, gibbs_solve, wasserstein2
 
 __all__ = ["INVARIANTS", "InvariantError", "SHARPNESS", "check", "oracle_problems", "run_all"]
 
@@ -193,6 +193,19 @@ def gibbs_quad_oracle(R=6.0):
     # boundary layers at both ends of [-R, R], folded onto one
     prob = GibbsProblem([0.5], bernoulli_std(0.3), R, R * R * (1.0 - 1e-3))
     return {"gap": abs(oracles.gibbs_quad_oracle(prob)[1] - gibbs_solve(prob).value)}
+
+
+@_invariant("gibbs", "whole-line duality gap of Phi1 table rows", gap=1e-8, excess=1e-13)
+def whole_line_gap(laws=(GAUSS, SG, SparseGaussian(0.1)), us=(0.0, 0.5, 2.0, 6.0), R=32.0):
+    # Phi_R <= Phi_inf <= Phi_R + eps_R, so Phi_2R - Phi_R lies in [0, eps_R]
+    us = np.array(us)
+    worst_gap = worst_excess = -math.inf
+    for d in laws:
+        (v, zeta, log_mass), (v2, _, _) = (rate._Phi1Table(d)._solves_at(us, r) for r in (R, 2 * R))
+        eps = duality_gap(R, zeta, log_mass, 4.0 * d.psi_extremes().psi_max * us * us)
+        worst_gap = max(worst_gap, float(eps.max()))
+        worst_excess = max(worst_excess, float(np.max(np.abs(v2 - v) - eps)))
+    return {"gap": worst_gap, "excess": worst_excess}
 
 
 @_invariant("free_energy", "zero-profile window", excess=(-math.inf, 0.0))

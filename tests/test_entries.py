@@ -65,6 +65,44 @@ def test_sparse_gaussian_array_matches_scalar_calls():
         assert type(dist.log_laplace(0.005)) is float
 
 
+def _sparse_gaussian_unmasked(p, t, order):
+    """SparseGaussian.log_laplace with logaddexp on every node, the formula
+    the masked call must reproduce byte for byte."""
+    t = np.asarray(t, dtype=float)
+    log_b = math.log(p) + t * t / (2.0 * p)
+    log_s = np.logaddexp(math.log1p(-p) if p < 1 else -np.inf, log_b)
+    if order == 0:
+        out = np.array(log_s)
+        small = np.abs(t) < 1e-2
+        out[small] = np.log1p(p * np.expm1(t[small] * t[small] / (2 * p)))
+        return out
+    w = np.exp(log_b - log_s)
+    if order == 1:
+        return (t / p) * w
+    return (t * t + p) / (p * p) * w - (t / p * w) ** 2
+
+
+_T_EDGES = [0.0, -0.0, 1e-3, -1e-3, 1e-2, math.inf, -math.inf, math.nan, 1e155, -1e200, 5e-324]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1e-3, 0.5, 1.0 - 1e-12, 1.0]),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+       st.floats(-400.0, 400.0))
+def test_sparse_gaussian_masked_logaddexp_is_bit_for_bit(p, ts, scale):
+    # logaddexp runs only where it can change a bit: orders 0-2 equal the
+    # unmasked formula byte for byte, overflow, NaN and +-inf included
+    dist = SparseGaussian(p)
+    t = np.array(_T_EDGES + ts + (scale * np.linspace(-1.0, 1.0, 41)).tolist())
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            assert dist.log_laplace(t, order).tobytes() == \
+                _sparse_gaussian_unmasked(p, t, order).tobytes()
+            for x in (0.0, 1e-3, 3.5, math.inf, math.nan):
+                assert np.float64(dist.log_laplace(x, order)).tobytes() == \
+                    _sparse_gaussian_unmasked(p, np.array(x), order).tobytes()
+
+
 def test_rademacher_unit_variance():
     assert rademacher().log_laplace(0.0, 2) == pytest.approx(1.0, abs=1e-12)
 

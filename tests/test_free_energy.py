@@ -46,6 +46,23 @@ def test_f_loc_vectorized_theta():
         assert v == pytest.approx(fe.f_loc(SG, float(th), w, 1000), abs=1e-14)
 
 
+def test_loc_rows_match_their_one_row_value_at_one_theta():
+    # rows of up to 12 distinct entries carry up to 12 + 12 + 66 terms; summed
+    # in term order, the zero padding of a batch leaves each row's bits alone
+    rng = np.random.default_rng(3)
+    profiles = [fe._consolidate(np.round(rng.uniform(-0.3, 0.3, size=rng.integers(1, 13)), 3))
+                for _ in range(120)]
+    T = max(v.size for v, _ in profiles)
+    vals, counts = np.zeros((2, len(profiles), T))
+    for i, (v, c) in enumerate(profiles):
+        vals[i, :v.size], counts[i, :c.size] = v, c
+    for P in (1, 16):
+        theta = rng.uniform(0.2, 3.0, size=(len(profiles), P))
+        batch = fe.loc_rows(SG, theta, vals, counts, 1000)
+        for i, (v, c) in enumerate(profiles):
+            assert np.array_equal(fe.loc_rows(SG, theta[i:i + 1], v[None], c[None], 1000)[0], batch[i])
+
+
 # --- restricted form ----------------------------------------------------------
 
 

@@ -11,6 +11,8 @@ from wignerld.gibbs import (
     GibbsError,
     GibbsProblem,
     _grid_for,
+    _weights,
+    duality_gap,
     g_value,
     gibbs_solve,
     phi_unbounded,
@@ -297,18 +299,70 @@ def test_phi_unbounded_gaussian_entropy_closed_form():
 
 
 def test_whole_line_rows_failure_names_R_and_row():
-    # a stub that never settles: every row still moves at the cap R = 2^12
+    # a stub that never settles: every row still moves at the cap R = 2^12,
+    # and zeta = 0 < kappa = 1 leaves the duality gap infinite
     with pytest.raises(GibbsError, match=r"did not settle by R=4096: row 0"):
-        whole_line_rows(lambda R, rows: R + rows, 3, lambda k: f"row {k}")
+        whole_line_rows(lambda R, rows: (R + rows, 0.0 * rows, 0.0 * rows), np.ones(3),
+                        lambda k: f"row {k}")
 
 
 def test_phi_unbounded_failure_names_v_and_alpha(monkeypatch):
+    # zeta = 0 lies below kappa = 4 psi_max |v|^2, so no duality gap settles a row
     def rising(problem, _zeta_init=None):
-        return gibbs.GibbsSolution(problem, 0.5, problem.R, 0.0, problem.alpha, 1, (0.0, problem.R, 9))
+        return gibbs.GibbsSolution(problem, 0.0, problem.R, 0.0, problem.alpha, 1, (0.0, problem.R, 9))
 
     monkeypatch.setattr(gibbs, "gibbs_solve", rising)
     with pytest.raises(GibbsError, match=r"R=4096: phi_unbounded at v=\[0\.3\], alpha=0\.8"):
         phi_unbounded(SG, [0.3], 0.8)
+
+
+@pytest.mark.parametrize("dist, v, alpha", [
+    (SG, [0.3], 0.8), (SG, [0.4, -0.2], 0.5), (SG, [2.5], 0.2), (GAUSS, [0.0], 0.7),
+    (GAUSS, [1.2], 0.3), (SparseGaussian(0.1), [0.5], 0.9), (bernoulli_std(0.3), [0.5, 0.2], 1.2),
+], ids=repr)
+def test_phi_unbounded_is_one_solve_certified_by_duality(dist, v, alpha, monkeypatch):
+    radii = []
+    solve = gibbs.gibbs_solve
+
+    def spy(problem, _zeta_init=None):
+        radii.append(problem.R)
+        return solve(problem, _zeta_init)
+
+    monkeypatch.setattr(gibbs, "gibbs_solve", spy)
+    value = phi_unbounded(dist, v, alpha)
+    assert radii == [32.0]
+    sol = solve(GibbsProblem(v, dist, 32.0, alpha))
+    kappa = 4.0 * dist.psi_extremes().psi_max * float(np.dot(v, v))
+    assert duality_gap(32.0, [sol.zeta_star], [sol.log_norm], kappa)[0] <= 1e-8
+    assert abs(value - solve(GibbsProblem(v, dist, 64.0, alpha)).value) <= 1e-12
+
+
+def test_whole_line_gap_invariant_on_more_table_rows():
+    check("whole_line_gap", laws=(GAUSS, SG, SparseGaussian(0.25), SparseGaussian(0.75)),
+          us=np.linspace(0.0, 6.0, 13))
+
+
+def test_phi_unbounded_without_certificate_doubles_from_16(monkeypatch):
+    # a bounded law's h grows linearly, so zeta* < kappa = 4 psi_max |v|^2:
+    # the row falls back on the move test, which settles it at R = 32
+    radii = []
+    solve = gibbs.gibbs_solve
+
+    def spy(problem, _zeta_init=None):
+        radii.append(problem.R)
+        return solve(problem, _zeta_init)
+
+    monkeypatch.setattr(gibbs, "gibbs_solve", spy)
+    value = phi_unbounded(rademacher(), [1.5], 0.8)
+    assert radii == [32.0, 16.0]
+    assert abs(value - solve(GibbsProblem([1.5], rademacher(), 64.0, 0.8)).value) <= 1e-12
+
+
+def test_duality_gap_is_infinite_without_a_positive_margin():
+    gap = duality_gap(32.0, np.array([1.0, 2.0, 3.0, 2.5]), np.zeros(4), np.array([2.0, 2.0, 2.0, 0.0]))
+    assert np.isinf(gap[:2]).all() and np.isfinite(gap[2:]).all()
+    # g = 1, R = 32, log mass 0: log1p(exp(-1024 - log 32)) underflows to 0
+    assert gap[2] == 0.0 and 0.0 < duality_gap(2.0, [1.5], [0.0], 1.0)[0] < 1.0
 
 
 def test_phi_monotone_in_R():
@@ -364,6 +418,21 @@ def test_batch_gaussian_weights_closed_form():
     np.testing.assert_allclose(zeta, 2.0 * v**2 + 0.5 / alpha, rtol=0, atol=1e-9)
     np.testing.assert_allclose(log_mass, 0.5 * np.log(2.0 * math.pi * alpha), rtol=0, atol=1e-9)
     np.testing.assert_allclose(m2, alpha, rtol=0, atol=1e-9)
+
+
+def test_batch_weights_are_the_stopping_evaluation():
+    # each row's (E, m) is _weights at its returned zeta, bit for bit, and
+    # asking for them leaves the solve unchanged
+    s, w = _grid_for(16.0)
+    u = np.array([0.0, 0.5, 2.0, 5.0])
+    alpha = np.array([1.0, 0.3, 1.0, 0.6])
+    H = SG.log_laplace(2.0 * u[:, None] * s)
+    *solved, (E, m) = solve_exponent_batch(H, s, w, alpha, weights=True)
+    for a, b in zip(solved, solve_exponent_batch(H, s, w, alpha)):
+        assert np.array_equal(a, b)
+    for i in range(u.size):
+        Ei, mi = _weights(H[i:i + 1], s * s, solved[0][i:i + 1])
+        assert np.array_equal(E[i], Ei[0]) and mi[0] == m[i]
 
 
 def test_batch_moment_matched_across_multiplier_range():

@@ -20,7 +20,7 @@ from wignerld.entries import (
     sparse_rademacher,
     standardize_atoms,
 )
-from wignerld.gibbs import GibbsError, _grid_for, _simpson_weights, values_from_batch
+from wignerld.gibbs import GibbsError, _grid_for, _simpson_weights, duality_gap, values_from_batch
 from wignerld.selfcheck import INVARIANTS, check
 
 GAUSS = Gaussian()
@@ -174,7 +174,7 @@ def test_phi1_table_blocks_match_one_batch(monkeypatch):
         return solve(H, *args, **kwargs)
 
     monkeypatch.setattr(rate, "solve_exponent_batch", spy)
-    blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
+    blocks = rate._Phi1Table(SG)._solves_at(us, 32.0)[0]
     assert sizes == [50, 50, 50]
     np.testing.assert_array_equal(blocks, whole)
 
@@ -192,7 +192,7 @@ def test_batch_rows_independent_of_their_batch():
         assert same(rate.solve_exponent_batch(H[k:], s, w, 1.0), slice(k, None))
     for k in (0, 35, 149):
         assert same(rate.solve_exponent_batch(H[k:k + 1].copy(), s, w, 1.0), slice(k, k + 1))
-    blocks = rate._Phi1Table(SG)._values_at(us, 32.0)
+    blocks = rate._Phi1Table(SG)._solves_at(us, 32.0)[0]
     assert np.array_equal(blocks, values_from_batch(whole[1], whole[0], 1.0))
 
 
@@ -218,9 +218,9 @@ def full_grid(monkeypatch):
 @pytest.mark.parametrize("R", [16.0, 32.0, 64.0])
 def test_half_grid_matches_full_grid_on_phi1_rows(dist, R, full_grid):
     us = np.linspace(0.0, 6.0, 61)
-    half = rate._Phi1Table(dist)._values_at(us, R)
+    half = rate._Phi1Table(dist)._solves_at(us, R)[0]
     full_grid()
-    full = rate._Phi1Table(dist)._values_at(us, R)
+    full = rate._Phi1Table(dist)._solves_at(us, R)[0]
     np.testing.assert_allclose(half, full, rtol=0, atol=1e-13)
 
 
@@ -282,9 +282,33 @@ def test_folded_half_grid_is_the_full_rule(law, R):
 
 def test_phi1_table_failure_names_u(monkeypatch):
     # values that never settle in R: the table's whole-line limit names the layer and u
-    monkeypatch.setattr(rate._Phi1Table, "_values_at", lambda self, us, R: us + R)
+    # zeta = 0 < kappa = 4 psi_max u^2 leaves the duality gap infinite
+    monkeypatch.setattr(rate._Phi1Table, "_solves_at", lambda self, us, R: (us + R, 0 * us, 0 * us))
     with pytest.raises(GibbsError, match=r"R=4096: hat-mode Gibbs table at u=0\.5"):
         rate._Phi1Table(SG)._solve_grid(np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("dist", [SG, GAUSS, SparseGaussian(0.1), SparseGaussian(0.9)], ids=repr)
+def test_phi1_table_is_one_certified_solve_per_row(dist, monkeypatch):
+    # every row of the first build settles at R = 32 by its duality gap: one
+    # solve per row, within 1e-12 of the R = 64 value
+    us = np.linspace(0.0, 6.0, 601)
+    solves = rate._Phi1Table._solves_at
+    radii = []
+
+    def spy(self, u, R):
+        radii.append((R, u.size))
+        return solves(self, u, R)
+
+    monkeypatch.setattr(rate._Phi1Table, "_solves_at", spy)
+    table = rate._Phi1Table(dist)._solve_grid(us)
+    assert radii == [(32.0, us.size)]
+    values, zeta, log_mass = rate._gibbs_solves(dist, us, *np.ones((2, us.size, 1)), 1.0, 32.0)
+    assert np.array_equal(table, values)
+    gap = duality_gap(32.0, zeta, log_mass, 4.0 * dist.psi_extremes().psi_max * us * us)
+    assert gap.max() <= 1e-8
+    far = rate._gibbs_values(dist, us, *np.ones((2, us.size, 1)), 1.0, 64.0)
+    np.testing.assert_allclose(table, far, rtol=0, atol=1e-12)
 
 
 def test_phi1_spline_is_scipy_cubic_spline_bit_for_bit():
