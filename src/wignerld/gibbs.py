@@ -11,22 +11,29 @@ One Hamiltonian builder, ``_hamiltonian``, serves the single problem and
 every batch row.  One quadrature rule and one multiplier core serve every
 solve and every entry law.  The rule is the composite Simpson grid of
 ``_grid_for`` on [0, R] with doubled weights (spacing about 0.008), reduced
-row by row by ``_grid_moments`` with the exponent max-subtracted, since h
-can reach several hundred for large tilts.  ``_fold`` folds h onto [0, R],
-so the grid is the full rule of [-R, R] folded at its middle node 0.  The
-core is a safeguarded Newton iteration on the reciprocal moment
-1/m2(zeta), exact in one step for a Gaussian weight, that learns its
-bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
+row by row by ``_moments`` from the weights of ``_weights``, their exponent
+max-subtracted by row, since h can reach several hundred for large tilts.
+``_fold`` folds h onto [0, R], so the grid is the full rule of [-R, R]
+folded at its middle node 0.  The core is a safeguarded Newton iteration
+on the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian
+weight, that learns its bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
 many rows of one grid, warm-started from every fourth grid node, each row
 independent of the others; ``gibbs_solve`` is its one-row case.  A single
 weight can be narrower than that grid resolves (a small alpha, or alpha
 near R^2 with its boundary layer), so ``gibbs_solve`` and ``g_value``
 check each grid against Simpson's rule on every other node and move to a
-finer Simpson grid where the two disagree (``_resolved``).  The solution
-keeps its last iterate's m2, so its residual costs no quadrature, and the
-grid its solve resolved, which ``moment`` and ``quantiles`` read without
-resolving again.  R is finite: ``whole_line_rows`` takes the whole-line
-limit of finite-R solves, for ``phi_unbounded`` and the Phi1 table.
+finer Simpson grid where the two disagree (``_resolved``); the check sums
+the weights of the solve's last Newton evaluation on every other node.
+The solution keeps its last iterate's m2, so its residual costs no
+quadrature, and the grid its solve resolved, which ``moment`` and
+``quantiles`` read without resolving again.  R is finite:
+``whole_line_rows`` takes the whole-line limit of finite-R solves, for
+``phi_unbounded`` and the Phi1 table.  Weak duality bounds that limit from
+one solve: the multiplier zeta_R of a solve on [-R, R] prices the
+whole-line constraint too, and h(s) <= kappa s^2 bounds the mass beyond R,
+so Phi_R <= Phi_inf <= Phi_R + ``duality_gap``; a row whose gap at R = 32
+is at most 1e-8 takes one solve, and any other row keeps doubling R until
+its value moves by less than 1e-8.
 """
 
 from __future__ import annotations
@@ -181,7 +188,8 @@ class GibbsSolution:
         s, w = _simpson_grid(*self.grid)
         H, odd = _fold(self.problem.dist, self.problem.h, s, odd=True)
         f = s**k * odd if k % 2 else s**k
-        return float(_grid_moments(H[None], s * s, np.array([self.zeta_star]), (w, w * f))[1][0])
+        E, m = _weights(H[None], s * s, np.array([self.zeta_star]))
+        return float(_moments(E, m, (w, w * f))[1][0])
 
     def root_residual(self) -> float:
         """|m2 - alpha| = |g'(zeta*) + alpha|, the first-order optimality defect."""
@@ -277,11 +285,11 @@ def whole_line_rows(solve_at, kappa, where) -> np.ndarray:
     [-R, R] and returns their (values, multipliers, log masses), and
     ``kappa[i]`` bounds row i's Hamiltonian, h(s) <= kappa[i] s^2 (kappa =
     4 psi_max a^2 sum_j c_j v_j^2 for h(s) = sum_j c_j L(2 a v_j s), since
-    L(t) <= psi_max t^2).  Every row is
-    solved at R = 32 and stops there once its ``duality_gap`` is at most
-    1e-8.  A row left open is solved at R = 16 too, and from there R doubles
-    until the row's value moves by less than 1e-8 from one R to the next or
-    its gap at the new R is at most 1e-8; the row keeps its last value.
+    L(t) <= psi_max t^2).  Every row is solved at R = 32 and stops there
+    once its ``duality_gap`` is at most 1e-8.  A row left open is solved at
+    R = 16 too, and from there R doubles until the row's value moves by
+    less than 1e-8 from one R to the next or its gap at the new R is at most
+    1e-8; the row keeps its last value.
     Past R = 2^12, where the batch grid's spacing reaches 0.5, a row still
     open raises ``GibbsError`` naming the R reached and ``where(row)``.
     """
@@ -397,6 +405,7 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
         zeta, log_i0, m2, (E, m) = step(s, w, H)
         c = s[::2]  # a Simpson grid too: (s.size - 1) % 4 == 0
         wc = _simpson_grid(c[0], c[-1], c.size)[1]
+        # a contiguous copy: einsum sums it as it sums weights computed there
         log_c, m2_c = _moments(E[:, ::2].copy(), m, (wc, wc * (c * c)))
         close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
         a, b, n = float(s[0]), float(s[-1]), s.size
@@ -418,12 +427,6 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
         s, w = _simpson_grid(a, b, n)
     raise GibbsError(f"quadrature cannot resolve the Gibbs weight at zeta={zeta:.6g} "
                      f"(alpha={problem.alpha:g}, R={R:g})")
-
-
-def _grid_moments(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray, ws: tuple) -> tuple:
-    """log I0 and averages of the weights exp(H[i] - zeta[i] s^2) on a grid:
-    ``_moments`` of ``_weights``."""
-    return _moments(*_weights(H, s2, zeta), ws)
 
 
 def _weights(H: np.ndarray, s2: np.ndarray, zeta: np.ndarray) -> tuple:
@@ -458,7 +461,7 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
     of a half grid of ``_grid_for`` or ``_resolved``, and ``w`` the
     matching doubled Simpson weights.  Returns (zeta, log_mass, m2,
     evaluations) with log_mass = log int exp(H - zeta s^2) and the number
-    of moment evaluations (``_grid_moments`` calls).  With ``weights`` it
+    of moment evaluations (``_weights`` calls).  With ``weights`` it
     appends (E, m), each row's ``_weights`` at its returned zeta, from the
     evaluation that stopped it.  Rows never interact: a row's result does
     not depend on the other rows of the batch.

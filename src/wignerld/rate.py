@@ -358,7 +358,7 @@ def sup_theta(x: float, penalty):
 _HAT_LOCK = threading.Lock()
 _HAT_CACHE: dict = {}  # dist.key() -> _HatEvaluator, least recently used first
 _HAT_CACHE_SIZE = 8
-_GIBBS_BLOCK_ROWS = 64  # rows per multiplier solve of _gibbs_values: bounds memory
+_GIBBS_BLOCK_ELEMS = 2**16  # rows x nodes per multiplier solve of _gibbs_solves: 0.5 MB arrays
 
 
 class _ClampedSpline:
@@ -419,7 +419,10 @@ class _Phi1Table:
     (``_ClampedSpline``) on a 0.01 grid reproduces the direct solve to ~1e-8
     (asserted in tests).  phi1 is even, so the table is read at |u|, and its
     grid grows to cover the largest |u| asked for; a non-finite u raises
-    ``RateError``.
+    ``RateError``.  Its rows are whole-line limits of ``whole_line_rows``
+    with kappa = 4 psi_max u^2: a row whose duality gap at R = 32 is at most
+    1e-8 costs one solve, as every row of the sparse Gaussian and Gaussian
+    tables on [0, 6] does (gaps below exp(-170)).
     """
 
     def __init__(self, dist: EntryDistribution):
@@ -462,12 +465,14 @@ def _gibbs_solves(dist, amp, vals, counts, beta, R):
     """(values, multipliers, log masses) over [-R, R] of rows i with budget
     beta[i] (or a shared beta) and Hamiltonian sum_j counts[i, j] L(2
     vals[i, j] amp[i] s), built by ``gibbs._hamiltonian`` and folded by
-    ``gibbs._fold``, solved in near-equal blocks of at most
-    ``_GIBBS_BLOCK_ROWS`` rows on the half grid of [0, R]."""
+    ``gibbs._fold``, solved in near-equal blocks of at most about
+    ``_GIBBS_BLOCK_ELEMS`` rows x nodes on the half grid of [0, R], which
+    keep a block's arrays in a core's cache."""
     s, w = _grid_for(R)
     beta = np.broadcast_to(beta, amp.shape)
     out = []
-    for b in np.array_split(np.arange(amp.size), -(-amp.size // _GIBBS_BLOCK_ROWS) or 1):
+    blocks = min(amp.size, -(-amp.size * s.size // _GIBBS_BLOCK_ELEMS)) or 1
+    for b in np.array_split(np.arange(amp.size), blocks):
         H = _fold(dist, partial(_hamiltonian, dist, amp[b], vals[b], counts[b]), s)
         zeta, log_mass, _, _ = solve_exponent_batch(H, s, w, beta[b])
         out.append((values_from_batch(log_mass, zeta, beta[b]), zeta, log_mass))
