@@ -316,25 +316,30 @@ def test_phi_unbounded_failure_names_v_and_alpha(monkeypatch):
         phi_unbounded(SG, [0.3], 0.8)
 
 
+@pytest.fixture
+def solve_radii(monkeypatch):
+    """The R of every ``gibbs_solve`` call made through the module, in order."""
+    radii = []
+
+    def spy(problem, _zeta_init=None):
+        radii.append(problem.R)
+        return gibbs_solve(problem, _zeta_init)
+
+    monkeypatch.setattr(gibbs, "gibbs_solve", spy)
+    return radii
+
+
 @pytest.mark.parametrize("dist, v, alpha", [
     (SG, [0.3], 0.8), (SG, [0.4, -0.2], 0.5), (SG, [2.5], 0.2), (GAUSS, [0.0], 0.7),
     (GAUSS, [1.2], 0.3), (SparseGaussian(0.1), [0.5], 0.9), (bernoulli_std(0.3), [0.5, 0.2], 1.2),
 ], ids=repr)
-def test_phi_unbounded_is_one_solve_certified_by_duality(dist, v, alpha, monkeypatch):
-    radii = []
-    solve = gibbs.gibbs_solve
-
-    def spy(problem, _zeta_init=None):
-        radii.append(problem.R)
-        return solve(problem, _zeta_init)
-
-    monkeypatch.setattr(gibbs, "gibbs_solve", spy)
+def test_phi_unbounded_is_one_solve_certified_by_duality(dist, v, alpha, solve_radii):
     value = phi_unbounded(dist, v, alpha)
-    assert radii == [32.0]
-    sol = solve(GibbsProblem(v, dist, 32.0, alpha))
+    assert solve_radii == [32.0]
+    sol = gibbs_solve(GibbsProblem(v, dist, 32.0, alpha))
     kappa = 4.0 * dist.psi_extremes().psi_max * float(np.dot(v, v))
     assert duality_gap(32.0, [sol.zeta_star], [sol.log_norm], kappa)[0] <= 1e-8
-    assert abs(value - solve(GibbsProblem(v, dist, 64.0, alpha)).value) <= 1e-12
+    assert abs(value - gibbs_solve(GibbsProblem(v, dist, 64.0, alpha)).value) <= 1e-12
 
 
 def test_whole_line_gap_invariant_on_more_table_rows():
@@ -342,20 +347,12 @@ def test_whole_line_gap_invariant_on_more_table_rows():
           us=np.linspace(0.0, 6.0, 13))
 
 
-def test_phi_unbounded_without_certificate_doubles_from_16(monkeypatch):
+def test_phi_unbounded_without_certificate_doubles_from_16(solve_radii):
     # a bounded law's h grows linearly, so zeta* < kappa = 4 psi_max |v|^2:
     # the row falls back on the move test, which settles it at R = 32
-    radii = []
-    solve = gibbs.gibbs_solve
-
-    def spy(problem, _zeta_init=None):
-        radii.append(problem.R)
-        return solve(problem, _zeta_init)
-
-    monkeypatch.setattr(gibbs, "gibbs_solve", spy)
     value = phi_unbounded(rademacher(), [1.5], 0.8)
-    assert radii == [32.0, 16.0]
-    assert abs(value - solve(GibbsProblem([1.5], rademacher(), 64.0, 0.8)).value) <= 1e-12
+    assert solve_radii == [32.0, 16.0]
+    assert abs(value - gibbs_solve(GibbsProblem([1.5], rademacher(), 64.0, 0.8)).value) <= 1e-12
 
 
 def test_duality_gap_is_infinite_without_a_positive_margin():
