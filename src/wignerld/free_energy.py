@@ -7,17 +7,19 @@ Three levels of reduction of the same object:
   sum over the support of w (``f_loc``), and a constrained Gibbs term.
 * ``f_hat`` -- the N-free single-coordinate reduction in a scalar mass
   alpha, valid when the normalized transform psi is symmetric and
-  nondecreasing; uses the whole-line Gibbs value.
+  nondecreasing on t > 0 (``hat_fault``); uses the whole-line Gibbs value.
 * ``f_tilde`` -- the two-scale reduction in (w_check, alpha_tilde), with
   the moderate-scale mass entering through psi's supremum (or through
   psi(t) at a chosen scale t).
 
-The restricted and the two-scale formula live once each, in
-``restricted_rows`` and ``tilde_rows``: rows of profiles scaled by an
-overlap q, at many theta, with the Gibbs term a callback ``gibbs(amp, beta,
-where)``, the values of the tilts amp * profile at budget beta where
-``where`` holds.  ``f_restricted`` and ``f_tilde`` are their one-row case on
-``gibbs_solve``, ``rate``'s vector modes their batched case.
+Every reduction lives once, as a function of rows: ``restricted_rows``,
+``hat_rows`` and ``tilde_rows`` evaluate rows of profiles scaled by an
+overlap q, at many theta.  The Gibbs term is a callback: ``gibbs(amp,
+beta, where)``, the values of the tilts amp * profile at budget beta where
+``where`` holds, for the vector reductions, and ``phi1(u)``, the unit-budget
+whole-line value, for the hat reduction.  Each scalar form is the one-row
+case at q = 1: ``f_restricted`` and ``f_tilde`` on ``gibbs_solve``,
+``f_hat`` on ``phi_unbounded``.  ``rate``'s modes are the batched cases.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 from .entries import EntryDistribution
 from .gibbs import GibbsProblem, _consolidate, gibbs_solve, phi_unbounded
 
-__all__ = ["f_loc", "f_restricted", "f_hat", "f_tilde", "loc_rows", "restricted_rows", "tilde_rows"]
+__all__ = ["f_loc", "f_restricted", "f_hat", "f_tilde", "hat_fault", "hat_rows", "loc_rows",
+           "restricted_rows", "tilde_rows"]
 
 _NORM_ONE_CLAMP = 1e-9  # profiles within this of unit norm use the degenerate branch
 
@@ -82,6 +85,42 @@ def restricted_rows(dist: EntryDistribution, theta, q, vals, counts, csq, N: int
     th, b = theta[bulk], beta[bulk]
     out[bulk] = th**2 * b**2 + out[bulk] + gibbs(theta * q, beta, bulk) - 0.5 * nsq[bulk]
     return out
+
+
+def hat_fault(dist: EntryDistribution):
+    """None when the hat reduction holds for ``dist``, that is psi is
+    symmetric and nondecreasing on t > 0 (checked on a 0.01 grid of [0, 60]
+    up to a rounding slack of 1e-12), else the message naming the fault;
+    cached on the law like its ``psi_extremes``."""
+    if "_hat_fault" not in dist.__dict__:
+        t = np.linspace(0.0, 60.0, 6001)
+        psi = dist.psi(t)
+        faults = []
+        down = np.nonzero(np.diff(psi) < -1e-12)[0]
+        if down.size:
+            faults.append(f"psi decreases between t={t[down[0]]:.2f} and t={t[down[0] + 1]:.2f}")
+        gap = np.abs(psi - dist.psi(-t))
+        if gap.max() > 1e-12:
+            faults.append(f"|psi(t) - psi(-t)| reaches {gap.max():.3g} at t={t[gap.argmax()]:.2f}")
+        dist.__dict__["_hat_fault"] = (f"hat mode needs psi symmetric and nondecreasing on t > 0; "
+                                       f"for {dist!r} {' and '.join(faults)}" if faults else None)
+    return dist.__dict__["_hat_fault"]
+
+
+def hat_rows(dist: EntryDistribution, theta, q, alpha, phi1):
+    """Single-coordinate free energies [M, P] of the masses q[i, p]^2 alpha[i]
+    (alpha[M, 1], or any shape that broadcasts against theta and q):
+
+        theta^2 (beta^2 + 2 psi_inf a^2) + phi1(theta sqrt(a beta)) + log(beta) / 2
+
+    with q^2 clipped to [0, 1], a = q^2 alpha and beta = 1 - a; phi1(u) is
+    the whole-line Gibbs value of the tilt u at unit budget, to which the
+    budget-beta value at theta sqrt(a) reduces by dilation.  It holds where
+    ``hat_fault`` finds none; this function does not check."""
+    a = np.clip(q * q, 0.0, 1.0) * alpha
+    beta = 1.0 - a
+    phi = phi1(theta * np.sqrt(a * beta)) + 0.5 * np.log(beta)
+    return theta**2 * (beta**2 + 2.0 * dist.psi_extremes().psi_infty * a**2) + phi
 
 
 def tilde_rows(dist: EntryDistribution, theta, q, alpha_tilde, csq, t, gibbs,
@@ -144,12 +183,16 @@ def f_restricted(dist: EntryDistribution, theta: float, w, N: int, R: float) -> 
 
 
 def f_hat(dist: EntryDistribution, theta: float, alpha: float) -> float:
-    """Single-coordinate reduction: N-free, whole-line Gibbs term."""
+    """Single-coordinate reduction: one row of ``hat_rows`` at q = 1, its
+    unit-budget Gibbs value by ``phi_unbounded``.  Raises ``ValueError``
+    with ``hat_fault``'s message for a law outside the reduction's domain."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    psi_inf = dist.psi_extremes().psi_infty
-    phi = phi_unbounded(dist, [theta * math.sqrt(alpha)], 1.0 - alpha)
-    return theta**2 * ((1.0 - alpha) ** 2 + 2.0 * psi_inf * alpha**2) + phi - 0.5 * alpha
+    fault = hat_fault(dist)
+    if fault:
+        raise ValueError(fault)
+    return float(hat_rows(dist, float(theta), 1.0, float(alpha),
+                          lambda u: phi_unbounded(dist, [float(u)], 1.0)))
 
 
 def f_tilde(dist: EntryDistribution, theta: float, w_check, alpha_tilde: float,

@@ -256,11 +256,19 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations, grid)
 
 
+def tilt_bound(dist: EntryDistribution, sq_norm):
+    """kappa = 4 psi_max |v|^2 of tilts v with squared norms ``sq_norm``: the
+    Hamiltonian h(s) = sum_j L(2 v_j s) satisfies h(s) <= kappa s^2, since
+    L(t) <= psi_max t^2 (for h(s) = sum_j c_j L(2 a v_j s), |v|^2 is a^2
+    sum_j c_j v_j^2).  The bound of ``duality_gap``."""
+    return 4.0 * dist.psi_extremes().psi_max * sq_norm
+
+
 def duality_gap(R: float, zeta, log_mass, kappa) -> np.ndarray:
     """Weak-duality bounds eps_R >= Phi_inf - Phi_R >= 0 of rows solved on
     [-R, R] with multipliers zeta and log masses log int_{-R}^{R} exp(h -
-    zeta s^2), whose Hamiltonians satisfy h(s) <= kappa s^2; inf where
-    g = zeta - kappa <= 0.
+    zeta s^2), whose Hamiltonians satisfy h(s) <= kappa s^2 (``tilt_bound``);
+    inf where g = zeta - kappa <= 0.
 
     The multiplier zeta prices the moment constraint of the whole-line
     problem too, so Phi_inf is at most Phi_R plus the log of the mass ratio
@@ -283,9 +291,8 @@ def whole_line_rows(solve_at, kappa, where) -> np.ndarray:
 
     ``solve_at(R, rows)`` solves the listed rows (an index array) on
     [-R, R] and returns their (values, multipliers, log masses), and
-    ``kappa[i]`` bounds row i's Hamiltonian, h(s) <= kappa[i] s^2 (kappa =
-    4 psi_max a^2 sum_j c_j v_j^2 for h(s) = sum_j c_j L(2 a v_j s), since
-    L(t) <= psi_max t^2).  Every row is solved at R = 32 and stops there
+    ``kappa[i]`` bounds row i's Hamiltonian, h(s) <= kappa[i] s^2
+    (``tilt_bound``).  Every row is solved at R = 32 and stops there
     once its ``duality_gap`` is at most 1e-8.  A row left open is solved at
     R = 16 too, and from there R doubles until the row's value moves by
     less than 1e-8 from one R to the next or its gap at the new R is at most
@@ -315,7 +322,7 @@ def whole_line_rows(solve_at, kappa, where) -> np.ndarray:
 def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
     """Whole-line optimum as the monotone limit of finite-R solves.
 
-    One row of ``whole_line_rows``, with kappa = 4 psi_max |v|^2; the
+    One row of ``whole_line_rows``, with ``tilt_bound``'s kappa; the
     sequence is nondecreasing in R by construction.  A row the duality gap
     settles at R = 32 costs one solve; otherwise each solve starts from the
     multiplier of the previous one.
@@ -330,7 +337,7 @@ def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
         zeta = sol.zeta_star
         return np.array([sol.value]), np.array([zeta]), np.array([sol.log_norm])
 
-    kappa = 4.0 * dist.psi_extremes().psi_max * float(np.sum(np.square(v)))
+    kappa = tilt_bound(dist, float(np.sum(np.square(v))))
     where = f"phi_unbounded at v={np.ravel(v).tolist()}, alpha={alpha}"
     return float(whole_line_rows(solve_at, [kappa], lambda _row: where)[0])
 

@@ -40,7 +40,7 @@ from . import free_energy, semicircle
 from .brent import brent_max_rows
 from .entries import EntryDistribution
 from .gibbs import (_consolidate, _fold, _grid_for, _hamiltonian, solve_exponent_batch,
-                    values_from_batch, whole_line_rows)
+                    tilt_bound, values_from_batch, whole_line_rows)
 
 __all__ = [
     "HatSpec",
@@ -245,7 +245,7 @@ class RateCurve:
 # inner supremum over theta
 
 
-def theta_scan(pen, rows, *, n_grid: int = None):
+def theta_scan(pen, rows):
     """Scan J(x, theta) - pen(theta, rows, q) over theta, row by row.
 
     Each row of ``rows[M]`` starts with its target x, followed by the
@@ -256,21 +256,22 @@ def theta_scan(pen, rows, *, n_grid: int = None):
     Returns ``(best[M], refine)``: each row's scan maximum, and
     ``refine(idx) -> (theta_star, value)`` for the rows ``idx``.
 
-    Each row scans ``pen.scan_points`` points (``n_grid``, if given, for a
-    reference scan) of [theta_minus(x) + 1e-6, T], in objective calls of at
-    most 256 rows, each kept only as the row's best point and its
-    neighbours; a row's T doubles from 8 until the objective at T has
-    dropped a unit below the row's maximum, failing with "unbounded
-    objective" past T = 1024 (a penalty that grows slower than J signals an
-    infeasible profile).  ``refine`` runs bounded Brent search
+    Each row scans ``pen.scan_points`` points of [theta_minus(x) + 1e-6, T],
+    in objective calls of at most 256 rows, each kept only as the row's best
+    point and its neighbours; a row's T doubles from 8 until the objective
+    at T has dropped a unit below the row's maximum, failing with
+    "unbounded objective" past T = 1024 (a penalty that grows slower than J
+    signals an infeasible profile).  ``refine`` runs bounded Brent search
     (``brent_max_rows``, to 1e-10) on the best cells of its rows at once; a
     row whose refined value falls below its scan maximum keeps the scan
     point, so a row's value is never below its scan maximum.  Rows never
     interact: a row's result depends neither on the other rows of the scan
-    nor on those refined with it.
+    nor on those refined with it.  The one exception is an asymmetric atom
+    law: ``DiscreteAtoms.log_laplace`` sums its small-|t| branch as one BLAS
+    matrix-vector product over every value of a call, so a row's last bits
+    can move with the rows it is batched with.
     """
-    m, x = len(rows), rows[:, 0]
-    n_grid = n_grid or pen.scan_points
+    m, x, n_grid = len(rows), rows[:, 0], pen.scan_points
     # per-row constants of x, computed once for every objective call
     tm = semicircle.theta_roots(x).theta_minus
     log_pot = semicircle.log_potential(x)
@@ -317,7 +318,7 @@ def theta_scan(pen, rows, *, n_grid: int = None):
     return best, refine
 
 
-def sup_theta_rows(pen, rows, *, n_grid: int = None):
+def sup_theta_rows(pen, rows):
     """Maximize J(x, theta) - pen(theta, rows, q) over theta, row by row:
     the ``theta_scan`` of every row, then its refinement of every row.
 
@@ -327,7 +328,7 @@ def sup_theta_rows(pen, rows, *, n_grid: int = None):
     refines only the rows that can hold the minimum or a tie, which gives
     each refined row the bits this function gives it.
     """
-    best, refine = theta_scan(pen, rows, n_grid=n_grid)
+    best, refine = theta_scan(pen, rows)
     return refine(np.arange(best.size))
 
 
@@ -420,9 +421,9 @@ class _Phi1Table:
     (asserted in tests).  phi1 is even, so the table is read at |u|, and its
     grid grows to cover the largest |u| asked for; a non-finite u raises
     ``RateError``.  Its rows are whole-line limits of ``whole_line_rows``
-    with kappa = 4 psi_max u^2: a row whose duality gap at R = 32 is at most
-    1e-8 costs one solve, as every row of the sparse Gaussian and Gaussian
-    tables on [0, 6] does (gaps below exp(-170)).
+    with ``tilt_bound``'s kappa = 4 psi_max u^2: a row whose duality gap at
+    R = 32 is at most 1e-8 costs one solve, as every row of the sparse
+    Gaussian and Gaussian tables on [0, 6] does (gaps below exp(-170)).
     """
 
     def __init__(self, dist: EntryDistribution):
@@ -432,9 +433,8 @@ class _Phi1Table:
         self.lock = threading.Lock()
 
     def _solve_grid(self, us: np.ndarray) -> np.ndarray:
-        # h(s) = L(2 u s) <= 4 psi_max u^2 s^2
-        kappa = 4.0 * self.dist.psi_extremes().psi_max * us * us
-        return whole_line_rows(lambda R, rows: self._solves_at(us[rows], R), kappa,
+        return whole_line_rows(lambda R, rows: self._solves_at(us[rows], R),
+                               tilt_bound(self.dist, us * us),
                                lambda k: f"hat-mode Gibbs table at u={us[k]}")
 
     def _solves_at(self, us: np.ndarray, R: float) -> tuple:
@@ -479,53 +479,30 @@ def _gibbs_solves(dist, amp, vals, counts, beta, R):
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
-def _gibbs_values(dist, amp, vals, counts, beta, R):
-    """The values of ``_gibbs_solves``."""
-    return _gibbs_solves(dist, amp, vals, counts, beta, R)[0]
-
-
-def _check_hat_domain(dist: EntryDistribution):
-    """Raise ``RateError`` unless psi is symmetric and nondecreasing on t > 0,
-    the laws for which f_hat holds, checked on a 0.01 grid of [0, 60] up to
-    a rounding slack of 1e-12."""
-    t = np.linspace(0.0, 60.0, 6001)
-    psi = dist.psi(t)
-    faults = []
-    down = np.nonzero(np.diff(psi) < -1e-12)[0]
-    if down.size:
-        faults.append(f"psi decreases between t={t[down[0]]:.2f} and t={t[down[0] + 1]:.2f}")
-    gap = np.abs(psi - dist.psi(-t))
-    if gap.max() > 1e-12:
-        faults.append(f"|psi(t) - psi(-t)| reaches {gap.max():.3g} at t={t[gap.argmax()]:.2f}")
-    if faults:
-        raise RateError(f"hat mode needs psi symmetric and nondecreasing on t > 0; "
-                        f"for {dist!r} {' and '.join(faults)}")
-
-
 class _HatEvaluator:
-    """``theta_scan`` penalty of hat-mode (x, alpha) rows: f_hat(theta, q^2 alpha)."""
+    """``theta_scan`` penalty of hat-mode (x, alpha) rows: ``free_energy.hat_rows``
+    on the law's Φ1 table.  A law outside the hat reduction's domain
+    (``free_energy.hat_fault``) raises ``RateError``."""
 
     scan_points = 64  # matches a 512-point scan to 1e-12 on the tested hat rows
 
     def __init__(self, dist: EntryDistribution):
-        _check_hat_domain(dist)
+        fault = free_energy.hat_fault(dist)
+        if fault:
+            raise RateError(fault)
         self.dist = dist
         self.phi1 = _Phi1Table(dist)
-        self.psi_inf = dist.psi_extremes().psi_infty
 
     def f_hat(self, theta, alpha):
         """Vectorized single-coordinate free energy (spline-backed)."""
-        theta = np.asarray(theta, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        beta = 1.0 - alpha
-        phi = self.phi1(theta * np.sqrt(alpha * beta)) + 0.5 * np.log(beta)
-        return theta**2 * (beta**2 + 2.0 * self.psi_inf * alpha**2) + phi
+        return free_energy.hat_rows(self.dist, np.asarray(theta, dtype=float), 1.0,
+                                    np.asarray(alpha, dtype=float), self.phi1)
 
     def label(self, row) -> str:
         return f"x={row[0]}, alpha={row[1]}"
 
     def __call__(self, theta, rows, q):
-        return self.f_hat(theta, np.clip(q**2, 0.0, 1.0) * rows[:, 1:])
+        return free_energy.hat_rows(self.dist, theta, q, rows[:, 1:], self.phi1)
 
 
 def _hat_evaluator(dist: EntryDistribution) -> _HatEvaluator:
@@ -557,7 +534,7 @@ def _terms(rows):
 class _VectorPenalty:
     """``sup_theta_rows`` penalty of vector rows: ``free_energy.restricted_rows``
     for an N, else ``free_energy.tilde_rows`` with alpha_tilde priced at
-    psi(t), or at sup psi for t None, the Gibbs terms by ``_gibbs_values``."""
+    psi(t), or at sup psi for t None, the Gibbs terms by ``_gibbs_solves``."""
 
     dist: EntryDistribution
     R: float
@@ -582,7 +559,8 @@ class _VectorPenalty:
 
         def gibbs(amp, beta, where):
             owner = np.nonzero(where)[0]
-            return _gibbs_values(dist, amp[where], vals[owner], counts[owner], beta[where], self.R)
+            return _gibbs_solves(dist, amp[where], vals[owner], counts[owner], beta[where],
+                                 self.R)[0]
 
         if self.N:
             return free_energy.restricted_rows(dist, theta, q, vals, counts, csq, self.N, gibbs)
@@ -626,7 +604,9 @@ def rate_point(dist: EntryDistribution, x, mode, cap: float = 0.95):
     the rows whose scan maximum lies within ``_TIE_TOL`` of their x's first
     refined value; a row's value is never below its scan maximum, so the
     rows dropped could be neither the minimizer nor a tie, and the point is
-    the one refining every row gives, bit for bit.
+    the one refining every row gives, bit for bit (to the last bits on an
+    asymmetric atom law, whose rows can move with their batch: see
+    ``theta_scan``).
     """
     if not 0.0 < cap < 1.0:
         raise ValueError("cap must lie in (0, 1)")
@@ -695,7 +675,8 @@ def _vector_points(dist: EntryDistribution, xs: list, mode, cap: float) -> list:
     A row's value is never below its scan maximum, so a dropped row lies
     more than ``_TIE_TOL`` above the optimum: it can be neither the
     minimizer nor a tie, and the result equals refining every row, bit for
-    bit, since rows never interact.  The tie rule of hat mode on (mass, k)
+    bit, since rows never interact (save on an asymmetric atom law: see
+    ``theta_scan``).  The tie rule of hat mode on (mass, k)
     and the cap warning then apply to each x's own refined rows.
     """
     parts = [mode._rows(dist, x, cap) for x in xs]
@@ -750,7 +731,8 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     rate_point's +inf sentinels; the rate must be nondecreasing from the edge
     on.  The detected threshold ``x_mu`` is the smallest grid point where the
     rate drops below the GOE rate by more than ``tol``, a finite number >= 0
-    (no uniqueness claim).  Results do not depend on the thread count.
+    (no uniqueness claim).  Results do not depend on the thread count, save
+    in the last bits on an asymmetric atom law (see ``theta_scan``).
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import free_energy, montecarlo, oracles, rate, semicircle
 from .entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
-from .gibbs import GibbsProblem, duality_gap, gibbs_solve, wasserstein2
+from .gibbs import GibbsProblem, duality_gap, gibbs_solve, tilt_bound, wasserstein2
 
 __all__ = ["INVARIANTS", "InvariantError", "SHARPNESS", "check", "oracle_problems", "run_all"]
 
@@ -202,7 +202,7 @@ def whole_line_gap(laws=(GAUSS, SG, SparseGaussian(0.1)), us=(0.0, 0.5, 2.0, 6.0
     worst_gap = worst_excess = -math.inf
     for d in laws:
         (v, zeta, log_mass), (v2, _, _) = (rate._Phi1Table(d)._solves_at(us, r) for r in (R, 2 * R))
-        eps = duality_gap(R, zeta, log_mass, 4.0 * d.psi_extremes().psi_max * us * us)
+        eps = duality_gap(R, zeta, log_mass, tilt_bound(d, us * us))
         worst_gap = max(worst_gap, float(eps.max()))
         worst_excess = max(worst_excess, float(np.max(np.abs(v2 - v) - eps)))
     return {"gap": worst_gap, "excess": worst_excess}

@@ -129,6 +129,19 @@ def test_run_free_energy(capsys):
     assert doc["value"] == pytest.approx(1.0 + 0.5 * math.log(0.5), abs=1e-6)
 
 
+def test_free_energy_hat_refuses_law_outside_its_domain(tmp_path, capsys):
+    # the hat form applies hat mode's validity rule: Rademacher's psi decreases
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "free-energy", "dist": {"kind": "rademacher"},
+                               "form": "hat", "theta": 1.0, "alpha": 0.3}))
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: hat mode needs psi symmetric and nondecreasing on t > 0; "
+                            "for DiscreteAtoms[rademacher]() "
+                            "psi decreases between t=0.00 and t=0.01\n")
+
+
 def test_run_mc_bbp_prediction(tmp_path, capsys):
     cfg = {
         "command": "mc", "kind": "bbp", "dist": {"kind": "gaussian"},

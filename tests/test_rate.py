@@ -135,6 +135,16 @@ def test_hat_fast_path_matches_direct_free_energy():
     check("hat_fast_path", rng=np.random.default_rng(5), draws=10)
 
 
+@pytest.mark.parametrize("alpha", [0.99, 0.999, 0.99999])
+def test_hat_fast_path_matches_direct_free_energy_near_unit_mass(alpha):
+    # hat_fast_path draws alpha <= 0.9; near 1 the spline reads phi1 at a
+    # small u while the direct route solves its own unit-budget problem
+    ev = rate._hat_evaluator(SG)
+    bound = INVARIANTS["hat_fast_path"].bounds["error"]
+    for theta in (0.2, 1.0, 2.0, 3.0):
+        assert abs(float(ev.f_hat(theta, alpha)) - free_energy.f_hat(SG, theta, alpha)) <= bound
+
+
 def test_hat_objective_alpha_continuity():
     def jhat(x, a):
         return rate.joint_rate(SG, x, rate.HatSpec(a))[0]
@@ -232,11 +242,12 @@ def test_half_grid_matches_full_grid_on_default_family_rows(R, ks, full_grid):
     # the rows of test_gibbs.test_batch_converges_over_default_family
     beta = np.tile(np.linspace(0.05, 1.0, 41), 16)
     rows = [(np.repeat(np.linspace(0.0, 0.95 * 8.0 / math.sqrt(k), 17)[1:], 41), k) for k in ks]
-    half = [rate._gibbs_values(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta, R)
+    half = [rate._gibbs_solves(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta, R)[0]
             for a, k in rows]
     full_grid()
     for (a, k), h in zip(rows, half):
-        full = rate._gibbs_values(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta, R)
+        full = rate._gibbs_solves(SG, a, np.ones((a.size, 1)), np.full((a.size, 1), k), beta,
+                                  R)[0]
         np.testing.assert_allclose(h, full, rtol=0, atol=1e-13)
 
 
@@ -273,10 +284,10 @@ def test_folded_half_grid_is_the_full_rule(law, R):
     counts = np.tile([1.0, 3.0], (amp.size, 1))
     counts[::2, 1] = 0.0
     beta = np.linspace(0.05, 1.0, amp.size)
-    half = rate._gibbs_values(law, amp, vals, counts, beta, R)
+    half = rate._gibbs_solves(law, amp, vals, counts, beta, R)[0]
     with pytest.MonkeyPatch.context() as mp:
         _use_full_rule(mp)
-        full = rate._gibbs_values(law, amp, vals, counts, beta, R)
+        full = rate._gibbs_solves(law, amp, vals, counts, beta, R)[0]
     np.testing.assert_allclose(half, full, rtol=0, atol=1e-13)
 
 
@@ -306,7 +317,7 @@ def test_phi1_table_is_one_certified_solve_per_row(dist, monkeypatch):
     _, zeta, log_mass = calls[0][2]
     gap = duality_gap(32.0, zeta, log_mass, 4.0 * dist.psi_extremes().psi_max * us * us)
     assert gap.max() <= 1e-8
-    far = rate._gibbs_values(dist, us, *np.ones((2, us.size, 1)), 1.0, 64.0)
+    far = rate._gibbs_solves(dist, us, *np.ones((2, us.size, 1)), 1.0, 64.0)[0]
     np.testing.assert_allclose(table, far, rtol=0, atol=1e-12)
 
 
@@ -402,6 +413,9 @@ def test_hat_mode_refuses_laws_outside_its_domain(law, fault):
                  lambda: rate.rate_curve(law, [2.5, 3.0], rate.HatMode())):
         with pytest.raises(rate.RateError, match=fault):
             call()
+    # the direct route applies the same rule
+    with pytest.raises(ValueError, match=fault):
+        free_energy.f_hat(law, 1.0, 0.3)
     assert time.perf_counter() - start < 1.0
     assert law.key() not in rate._HAT_CACHE
 
@@ -684,7 +698,7 @@ def test_vector_row_nan_penalty_named(mode, poisoned, name):
 @pytest.mark.parametrize("law", [SG, bernoulli_std(0.3)], ids=repr)
 def test_vector_rows_at_unit_overlap_equal_the_free_energies(law):
     # one formula per mode, two Gibbs solvers: at q = 1 a vector row, its
-    # Gibbs term on the fixed grid of _gibbs_values, is the scalar value, its
+    # Gibbs term on the fixed grid of _gibbs_solves, is the scalar value, its
     # Gibbs term by the adaptive gibbs_solve
     theta = np.array([[0.4, 1.0, 1.7]])
     N, R = 10**6, (10**6) ** 0.2
