@@ -70,6 +70,8 @@ class EntryDistribution:
     # True when the law is invariant under x -> -x, so that L(-t) == L(t)
     # bit for bit; solvers then integrate even weights over half the line
     symmetric = False
+    # M = sup |x| over the support, so that L(t) <= M |t|; inf when unbounded
+    support_radius = math.inf
 
     # -- log-Laplace transform -------------------------------------------
 
@@ -300,6 +302,7 @@ class DiscreteAtoms(EntryDistribution):
             ms = 0.5 * (ms + ms[::-1])
         self.locations = xs
         self.masses = ms
+        self.support_radius = float(np.max(np.abs(xs)))
         self._log_masses = np.log(self.masses)
         self._subkind = _subkind
         self._params = _params

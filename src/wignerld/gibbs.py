@@ -27,13 +27,12 @@ the weights of the solve's last Newton evaluation on every other node.
 The solution keeps its last iterate's m2, so its residual costs no
 quadrature, and the grid its solve resolved, which ``moment`` and
 ``quantiles`` read without resolving again.  R is finite:
-``whole_line_rows`` takes the whole-line limit of finite-R solves, for
-``phi_unbounded`` and the Phi1 table.  Weak duality bounds that limit from
-one solve: the multiplier zeta_R of a solve on [-R, R] prices the
-whole-line constraint too, and h(s) <= kappa s^2 bounds the mass beyond R,
-so Phi_R <= Phi_inf <= Phi_R + ``duality_gap``; a row whose gap at R = 32
-is at most 1e-8 takes one solve, and any other row keeps doubling R until
-its value moves by less than 1e-8.
+``whole_line_rows`` takes the whole-line value of a row, for
+``phi_unbounded`` and the Phi1 table, from one solve at R = max(32,
+16 sqrt(alpha)), certified by weak duality: the multiplier zeta_R of a
+solve on [-R, R] prices the whole-line constraint too, and h(s) <= kappa
+s^2 for |s| >= R bounds the mass beyond R, so Phi_R <= Phi_inf <= Phi_R +
+``duality_gap``.  A row whose gap is above 1e-8 raises ``GibbsError``.
 """
 
 from __future__ import annotations
@@ -55,13 +54,13 @@ _SCALAR_F_TOL = 1e-13  # |alpha - m2| / alpha stop of gibbs_solve, ~1e-13 in zet
 _GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
-_WHOLE_LINE_TOL = 1e-8  # duality gap, or move from one R to the next, that settles a row
+_WHOLE_LINE_TOL = 1e-8  # largest duality gap that certifies a whole-line row
 _W2_QUANTILES = 10_000  # quantile pairs of wasserstein2
 
 
 class GibbsError(RuntimeError):
     """Solver failure: bracket blow-up, an unresolved weight, or a whole-line
-    value that does not settle."""
+    value that its duality gap does not certify."""
 
 
 def _consolidate(v) -> tuple:
@@ -221,27 +220,27 @@ class GibbsSolution:
         return f"GibbsSolution(zeta_star={self.zeta_star:.6g}, value={self.value:.6g})"
 
 
-def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolution:
+def gibbs_solve(problem: GibbsProblem) -> GibbsSolution:
     """Solve the constrained problem through its multiplier equation.
 
     The map zeta -> g'(zeta) + alpha is strictly increasing (the second
     moment of the Gibbs weight decreases in zeta), so its root is unique.
     The solve is one row of ``solve_exponent_batch`` on the grid
     ``_grid_for(R)`` with the folded h, stopped once |alpha - m2| <= 1e-13
-    alpha.  It starts from ``_zeta_init`` when given, else from the coarse
-    warm start.  Where that grid does not resolve the weight at the
-    multiplier found, the solve moves on to the finer grids of ``_resolved``,
-    each started from the last multiplier; a weight of width sqrt(alpha)
-    below R/256 starts on the grid of [0, 16 sqrt(alpha)].  The solution
-    keeps the (a, b, n) of the grid that resolved it.
-    ``evaluations`` counts the moment evaluations of every pass.
+    alpha, from the coarse warm start.  Where that grid does not resolve
+    the weight at the multiplier found, the solve moves on to the finer
+    grids of ``_resolved``, each started from the last multiplier; a
+    weight of width sqrt(alpha) below R/256 starts on the grid of [0, 16
+    sqrt(alpha)].  The solution keeps the (a, b, n) of the grid that
+    resolved it.  ``evaluations`` counts the moment evaluations of every
+    pass.
     """
     alpha, R = problem.alpha, problem.R
     if alpha > R**2 * (1.0 - 1e-8):
         # the multiplier diverges and the boundary peak falls below any
         # quadrature resolution; treat as the bracket blowing up
         raise GibbsError("multiplier bracket failure (alpha too close to R^2)")
-    zeta, evaluations = _zeta_init, 0
+    zeta, evaluations = None, 0
 
     def solve(s, w, H):
         nonlocal zeta, evaluations
@@ -256,12 +255,15 @@ def gibbs_solve(problem: GibbsProblem, _zeta_init: float = None) -> GibbsSolutio
     return GibbsSolution(problem, zeta, value, log_mass, m2, evaluations, grid)
 
 
-def tilt_bound(dist: EntryDistribution, sq_norm):
-    """kappa = 4 psi_max |v|^2 of tilts v with squared norms ``sq_norm``: the
-    Hamiltonian h(s) = sum_j L(2 v_j s) satisfies h(s) <= kappa s^2, since
-    L(t) <= psi_max t^2 (for h(s) = sum_j c_j L(2 a v_j s), |v|^2 is a^2
-    sum_j c_j v_j^2).  The bound of ``duality_gap``."""
-    return 4.0 * dist.psi_extremes().psi_max * sq_norm
+def tilt_bound(dist: EntryDistribution, sq_norm, abs_norm, R: float):
+    """kappa with h(s) <= kappa s^2 for |s| >= R (``duality_gap``'s bound) of
+    h(s) = sum_j c_j L(2 a v_j s), given ``sq_norm`` = a^2 sum_j c_j v_j^2 and
+    ``abs_norm`` = a sum_j c_j |v_j|: 4 psi_max sq_norm, as L(t) <= psi_max
+    t^2, or for a law on [-M, M] (``support_radius``), where L(t) <= M |t|,
+    the smaller of that and 2 M abs_norm / R."""
+    kappa = 4.0 * dist.psi_extremes().psi_max * np.asarray(sq_norm, dtype=float)
+    M = dist.support_radius
+    return kappa if M == math.inf else np.minimum(kappa, 2.0 * M * np.asarray(abs_norm) / R)
 
 
 def duality_gap(R: float, zeta, log_mass, kappa) -> np.ndarray:
@@ -286,60 +288,42 @@ def duality_gap(R: float, zeta, log_mass, kappa) -> np.ndarray:
     return eps
 
 
-def whole_line_rows(solve_at, kappa, where) -> np.ndarray:
-    """Whole-line limits of rows of finite-R Gibbs values.
+def whole_line_rows(solve_at, dist: EntryDistribution, sq_norm, abs_norm, alpha: float,
+                    where) -> np.ndarray:
+    """Whole-line values of rows with budget alpha, one certified solve each.
 
-    ``solve_at(R, rows)`` solves the listed rows (an index array) on
-    [-R, R] and returns their (values, multipliers, log masses), and
-    ``kappa[i]`` bounds row i's Hamiltonian, h(s) <= kappa[i] s^2
-    (``tilt_bound``).  Every row is solved at R = 32 and stops there
-    once its ``duality_gap`` is at most 1e-8.  A row left open is solved at
-    R = 16 too, and from there R doubles until the row's value moves by
-    less than 1e-8 from one R to the next or its gap at the new R is at most
-    1e-8; the row keeps its last value.
-    Past R = 2^12, where the batch grid's spacing reaches 0.5, a row still
-    open raises ``GibbsError`` naming the R reached and ``where(row)``.
+    ``solve_at(R)`` solves every row on [-R, R] and returns their (values,
+    multipliers, log masses); row i's tilts have the norms ``sq_norm[i]``
+    and ``abs_norm[i]`` of ``tilt_bound``.  The rows are solved once, at R =
+    max(32, 16 sqrt(alpha)): R = 32 for every alpha <= 4, and past that R^2
+    = 256 alpha, so that for the Gaussian, whose margin g = zeta - kappa is
+    about 1/(2 alpha), g R^2 is about 128 or more.  A row whose ``duality_gap`` is above 1e-8
+    raises ``GibbsError`` naming R, ``where(row)``, its margin and its gap.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    R = 32.0
-    rows = np.arange(kappa.size)
-    vals, zeta, log_mass = (np.array(a, dtype=float) for a in solve_at(R, rows))
-    rows = rows[~(duality_gap(R, zeta, log_mass, kappa) <= _WHOLE_LINE_TOL)]
-    before = solve_at(R / 2.0, rows)[0] if rows.size else vals[rows]
-    while True:
-        rows = rows[~(np.abs(vals[rows] - before) < _WHOLE_LINE_TOL)]
-        if rows.size == 0:
-            return vals
-        if R >= 2.0**12:
-            raise GibbsError(f"whole-line value did not settle by R={R:g}: {where(rows[0])}")
-        R *= 2.0
-        before = vals[rows]
-        vals[rows], zeta, log_mass = solve_at(R, rows)
-        open_ = ~(duality_gap(R, zeta, log_mass, kappa[rows]) <= _WHOLE_LINE_TOL)
-        rows, before = rows[open_], before[open_]
+    R = max(32.0, 16.0 * math.sqrt(alpha))
+    vals, zeta, log_mass = (np.asarray(a, dtype=float) for a in solve_at(R))
+    kappa = tilt_bound(dist, sq_norm, abs_norm, R)
+    gap = duality_gap(R, zeta, log_mass, kappa)
+    for k in np.flatnonzero(~(gap <= _WHOLE_LINE_TOL))[:1]:  # the first open row, if any
+        raise GibbsError(f"whole-line value not certified at R={R:g}: {where(k)} has margin zeta - "
+                         f"kappa = {zeta[k] - kappa[k]:.6g} and duality gap {gap[k]:.3g}")
+    return vals
 
 
 def phi_unbounded(dist: EntryDistribution, v, alpha: float) -> float:
-    """Whole-line optimum as the monotone limit of finite-R solves.
-
-    One row of ``whole_line_rows``, with ``tilt_bound``'s kappa; the
-    sequence is nondecreasing in R by construction.  A row the duality gap
-    settles at R = 32 costs one solve; otherwise each solve starts from the
-    multiplier of the previous one.
-    """
+    """Whole-line optimum: one row of ``whole_line_rows``, a single
+    ``gibbs_solve`` at R = max(32, 16 sqrt(alpha)) that its duality gap
+    certifies."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    zeta = None
 
-    def solve_at(R, _rows):
-        nonlocal zeta
-        sol = gibbs_solve(GibbsProblem(v, dist, R, alpha), _zeta_init=zeta)
-        zeta = sol.zeta_star
-        return np.array([sol.value]), np.array([zeta]), np.array([sol.log_norm])
+    def solve_at(R):
+        sol = gibbs_solve(GibbsProblem(v, dist, R, alpha))
+        return [sol.value], [sol.zeta_star], [sol.log_norm]
 
-    kappa = tilt_bound(dist, float(np.sum(np.square(v))))
     where = f"phi_unbounded at v={np.ravel(v).tolist()}, alpha={alpha}"
-    return float(whole_line_rows(solve_at, [kappa], lambda _row: where)[0])
+    return float(whole_line_rows(solve_at, dist, [np.sum(np.square(v))], [np.sum(np.abs(v))],
+                                 alpha, lambda _row: where)[0])
 
 
 def wasserstein2(sol1: GibbsSolution, sol2: GibbsSolution) -> float:

@@ -40,7 +40,7 @@ from . import free_energy, semicircle
 from .brent import brent_max_rows
 from .entries import EntryDistribution
 from .gibbs import (_consolidate, _fold, _grid_for, _hamiltonian, solve_exponent_batch,
-                    tilt_bound, values_from_batch, whole_line_rows)
+                    values_from_batch, whole_line_rows)
 
 __all__ = [
     "HatSpec",
@@ -420,22 +420,28 @@ class _Phi1Table:
     (``_ClampedSpline``) on a 0.01 grid reproduces the direct solve to ~1e-8
     (asserted in tests).  phi1 is even, so the table is read at |u|, and its
     grid grows to cover the largest |u| asked for; a non-finite u raises
-    ``RateError``.  Its rows are whole-line limits of ``whole_line_rows``
-    with ``tilt_bound``'s kappa = 4 psi_max u^2: a row whose duality gap at
-    R = 32 is at most 1e-8 costs one solve, as every row of the sparse
-    Gaussian and Gaussian tables on [0, 6] does (gaps below exp(-170)).
+    ``RateError``.  Its rows are whole-line values of ``whole_line_rows``:
+    one solve at R = 32 per row, certified by its duality gap, or a
+    ``GibbsError`` naming u.  A grown table solves only its new rows, since
+    its grid extends the old one node for node and rows never interact
+    (save on an asymmetric atom law: see ``theta_scan``), and refits the
+    spline over all of them.
     """
 
     def __init__(self, dist: EntryDistribution):
         self.dist = dist
         self.u_max = 0.0
         self.spline = None
+        self.rows = np.empty(0), np.empty(0)  # (nodes, values) of the last build
         self.lock = threading.Lock()
 
     def _solve_grid(self, us: np.ndarray) -> np.ndarray:
-        return whole_line_rows(lambda R, rows: self._solves_at(us[rows], R),
-                               tilt_bound(self.dist, us * us),
-                               lambda k: f"hat-mode Gibbs table at u={us[k]}")
+        known, vals = self.rows
+        new = us[known.size:] if np.array_equal(us[:known.size], known) else us
+        fresh = whole_line_rows(lambda R: self._solves_at(new, R), self.dist, new * new,
+                                np.abs(new), 1.0, lambda i: f"hat-mode Gibbs table at u={new[i]}")
+        self.rows = us, np.concatenate([vals[:us.size - new.size], fresh])
+        return self.rows[1]
 
     def _solves_at(self, us: np.ndarray, R: float) -> tuple:
         return _gibbs_solves(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)

@@ -196,13 +196,15 @@ def gibbs_quad_oracle(R=6.0):
 
 
 @_invariant("gibbs", "whole-line duality gap of Phi1 table rows", gap=1e-8, excess=1e-13)
-def whole_line_gap(laws=(GAUSS, SG, SparseGaussian(0.1)), us=(0.0, 0.5, 2.0, 6.0), R=32.0):
+def whole_line_gap(laws=(GAUSS, SG, SparseGaussian(0.1), rademacher(), bernoulli_std(0.3),
+                        bernoulli_std(0.7), sparse_rademacher(0.2)),
+                   us=(0.0, 0.5, 2.0, 6.0), R=32.0):
     # Phi_R <= Phi_inf <= Phi_R + eps_R, so Phi_2R - Phi_R lies in [0, eps_R]
     us = np.array(us)
     worst_gap = worst_excess = -math.inf
     for d in laws:
         (v, zeta, log_mass), (v2, _, _) = (rate._Phi1Table(d)._solves_at(us, r) for r in (R, 2 * R))
-        eps = duality_gap(R, zeta, log_mass, tilt_bound(d, us * us))
+        eps = duality_gap(R, zeta, log_mass, tilt_bound(d, us * us, np.abs(us), R))
         worst_gap = max(worst_gap, float(eps.max()))
         worst_excess = max(worst_excess, float(np.max(np.abs(v2 - v) - eps)))
     return {"gap": worst_gap, "excess": worst_excess}

@@ -118,6 +118,15 @@ def test_run_gibbs_solve(capsys):
     assert 1 <= doc["moment_evaluations"] <= 8
 
 
+def test_run_gibbs_solve_whole_line_large_alpha(capsys):
+    # the whole-line value of a budget past 4 is one solve at R = 16 sqrt(alpha)
+    cfg = {"command": "gibbs-solve", "dist": {"kind": "sparse_gaussian", "p": 0.5},
+           "v": [0.3], "R": "inf", "alpha": 300}
+    assert run(parse_config(json.dumps(cfg))) == 0
+    doc = json.loads(capsys.readouterr().out.strip())
+    assert doc["R"] == "inf" and math.isfinite(doc["value"])
+
+
 def test_run_free_energy(capsys):
     cfg = {
         "command": "free-energy",

@@ -6,7 +6,10 @@ from scipy.optimize import brentq
 from scipy.special import dawsn, erf
 
 from wignerld import gibbs
-from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wignerld.entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
 from wignerld.gibbs import (
     GibbsError,
     GibbsProblem,
@@ -17,6 +20,7 @@ from wignerld.gibbs import (
     gibbs_solve,
     phi_unbounded,
     solve_exponent_batch,
+    tilt_bound,
     values_from_batch,
     wasserstein2,
     whole_line_rows,
@@ -299,20 +303,35 @@ def test_phi_unbounded_gaussian_entropy_closed_form():
 
 
 def test_whole_line_rows_failure_names_R_and_row():
-    # a stub that never settles: every row still moves at the cap R = 2^12,
-    # and zeta = 0 < kappa = 1 leaves the duality gap infinite
-    with pytest.raises(GibbsError, match=r"did not settle by R=4096: row 0"):
-        whole_line_rows(lambda R, rows: (R + rows, 0.0 * rows, 0.0 * rows), np.ones(3),
+    # stub rows with kappa = 4 psi_max |v|^2 = 2 on the Gaussian: a margin g =
+    # 1 certifies a row at R = 48 (alpha = 9), g = 1e-4 leaves a finite gap
+    # above 1e-8, g = -2 an infinite one; the first open row is named
+    radii = []
+
+    def rows(zeta):
+        def solve_at(R):
+            radii.append(R)
+            return np.zeros(3), np.array(zeta), np.zeros(3)
+        return solve_at
+
+    with pytest.raises(GibbsError, match=r"not certified at R=48: row 1 has margin zeta - kappa "
+                                         r"= 0\.0001 and duality gap 5\.11$"):
+        whole_line_rows(rows([3.0, 2.0001, 0.0]), GAUSS, np.ones(3), np.ones(3), 9.0,
                         lambda k: f"row {k}")
+    with pytest.raises(GibbsError, match=r"R=32: row 2 has margin zeta - kappa = -2 and duality "
+                                         r"gap inf"):
+        whole_line_rows(rows([3.0, 3.0, 0.0]), GAUSS, np.ones(3), np.ones(3), 1.0,
+                        lambda k: f"row {k}")
+    assert radii == [48.0, 32.0]
 
 
 def test_phi_unbounded_failure_names_v_and_alpha(monkeypatch):
-    # zeta = 0 lies below kappa = 4 psi_max |v|^2, so no duality gap settles a row
-    def rising(problem, _zeta_init=None):
+    # zeta = 0 lies below kappa = 4 psi_max |v|^2, so the duality gap is infinite
+    def rising(problem):
         return gibbs.GibbsSolution(problem, 0.0, problem.R, 0.0, problem.alpha, 1, (0.0, problem.R, 9))
 
     monkeypatch.setattr(gibbs, "gibbs_solve", rising)
-    with pytest.raises(GibbsError, match=r"R=4096: phi_unbounded at v=\[0\.3\], alpha=0\.8"):
+    with pytest.raises(GibbsError, match=r"R=32: phi_unbounded at v=\[0\.3\], alpha=0\.8 has margin"):
         phi_unbounded(SG, [0.3], 0.8)
 
 
@@ -321,9 +340,9 @@ def solve_radii(monkeypatch):
     """The R of every ``gibbs_solve`` call made through the module, in order."""
     radii = []
 
-    def spy(problem, _zeta_init=None):
+    def spy(problem):
         radii.append(problem.R)
-        return gibbs_solve(problem, _zeta_init)
+        return gibbs_solve(problem)
 
     monkeypatch.setattr(gibbs, "gibbs_solve", spy)
     return radii
@@ -332,27 +351,70 @@ def solve_radii(monkeypatch):
 @pytest.mark.parametrize("dist, v, alpha", [
     (SG, [0.3], 0.8), (SG, [0.4, -0.2], 0.5), (SG, [2.5], 0.2), (GAUSS, [0.0], 0.7),
     (GAUSS, [1.2], 0.3), (SparseGaussian(0.1), [0.5], 0.9), (bernoulli_std(0.3), [0.5, 0.2], 1.2),
+    (rademacher(), [1.5], 0.8),
+    *((dist, v, alpha) for dist, v in ((SG, [0.3]), (rademacher(), [0.5]))
+      for alpha in (50.0, 300.0, 2000.0)),
 ], ids=repr)
 def test_phi_unbounded_is_one_solve_certified_by_duality(dist, v, alpha, solve_radii):
+    # one solve at R = max(32, 16 sqrt(alpha)), so alpha <= R^2 / 256; a
+    # bounded law's h grows linearly, so rademacher's rows are certified by
+    # the tail form of kappa, 2 M |v|_1 / R
+    R = max(32.0, 16.0 * math.sqrt(alpha))
     value = phi_unbounded(dist, v, alpha)
+    assert solve_radii == [R]
+    sol = gibbs_solve(GibbsProblem(v, dist, R, alpha))
+    assert value == sol.value
+    kappa = tilt_bound(dist, np.dot(v, v), np.sum(np.abs(v)), R)
+    assert duality_gap(R, [sol.zeta_star], [sol.log_norm], kappa)[0] <= 1e-8
+    assert abs(value - gibbs_solve(GibbsProblem(v, dist, 2.0 * R, alpha)).value) <= 1e-12
+
+
+def test_phi_unbounded_refuses_a_row_no_radius_certifies(solve_radii):
+    # h(s)/s^2 tends to kappa = 4 psi_max |v|^2 = 1 on this law, and zeta_32 =
+    # 0.998 lies below it: no R certifies the row (it used to return 0.2172060)
+    with pytest.raises(GibbsError, match=r"R=32: phi_unbounded at v=\[0\.1, 0\.1, 0\.1, 0\.1, "
+                                         r"0\.1\], alpha=1\.0 has margin zeta - kappa = -0\.00189"):
+        phi_unbounded(SparseGaussian(0.1), [0.1] * 5, 1.0)
     assert solve_radii == [32.0]
-    sol = gibbs_solve(GibbsProblem(v, dist, 32.0, alpha))
-    kappa = 4.0 * dist.psi_extremes().psi_max * float(np.dot(v, v))
-    assert duality_gap(32.0, [sol.zeta_star], [sol.log_norm], kappa)[0] <= 1e-8
-    assert abs(value - gibbs_solve(GibbsProblem(v, dist, 64.0, alpha)).value) <= 1e-12
+
+
+KAPPA_LAWS = (GAUSS, SG, SparseGaussian(0.1), rademacher(), bernoulli_std(0.3),
+              sparse_rademacher(0.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KAPPA_LAWS),
+       st.lists(st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6), min_size=1,
+                max_size=3),
+       st.floats(0.5, 64.0), st.lists(st.floats(1.0, 8.0), min_size=1, max_size=8))
+def test_tilt_bound_holds_beyond_R(dist, v, R, stretch):
+    # duality_gap needs h(s) <= kappa s^2 only for |s| >= R; both forms of
+    # kappa, 4 psi_max |v|^2 and (bounded laws) 2 M |v|_1 / R, bound h there
+    # (tilts below 1e-6 would only probe underflow: |v|^2 rounds to 0
+    # first); L(t) itself rounds by up to about 1e-16 |t| near t = 0, where
+    # an atom law's sum of expm1 terms cancels
+    s = R * np.array(stretch + [-x for x in stretch])
+    h = GibbsProblem(v, dist, R, 1e-3).h(s) - 1e-15 * 2.0 * np.abs(s) * np.sum(np.abs(v))
+    quad = 4.0 * dist.psi_extremes().psi_max * float(np.dot(v, v))
+    assert np.all(h <= quad * s * s * (1.0 + 1e-12))
+    kappa = tilt_bound(dist, np.dot(v, v), np.sum(np.abs(v)), R)
+    assert kappa <= quad
+    if dist.support_radius < math.inf:
+        tail = 2.0 * dist.support_radius * float(np.sum(np.abs(v))) / R
+        assert kappa == min(quad, tail)
+        assert np.all(h <= tail * s * s * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("dist", KAPPA_LAWS, ids=repr)
+def test_tilt_bound_is_finite_at_zero_tilt(dist):
+    # M = inf on an unbounded law must not meet |v|_1 = 0 as inf * 0
+    assert tilt_bound(dist, np.zeros(2), np.zeros(2), 32.0).tolist() == [0.0, 0.0]
+    assert tilt_bound(dist, 0.0, 0.0, 32.0) == 0.0
 
 
 def test_whole_line_gap_invariant_on_more_table_rows():
     check("whole_line_gap", laws=(GAUSS, SG, SparseGaussian(0.25), SparseGaussian(0.75)),
           us=np.linspace(0.0, 6.0, 13))
-
-
-def test_phi_unbounded_without_certificate_doubles_from_16(solve_radii):
-    # a bounded law's h grows linearly, so zeta* < kappa = 4 psi_max |v|^2:
-    # the row falls back on the move test, which settles it at R = 32
-    value = phi_unbounded(rademacher(), [1.5], 0.8)
-    assert solve_radii == [32.0, 16.0]
-    assert abs(value - gibbs_solve(GibbsProblem([1.5], rademacher(), 64.0, 0.8)).value) <= 1e-12
 
 
 def test_duality_gap_is_infinite_without_a_positive_margin():

@@ -20,7 +20,14 @@ from wignerld.entries import (
     sparse_rademacher,
     standardize_atoms,
 )
-from wignerld.gibbs import GibbsError, _grid_for, _simpson_weights, duality_gap, values_from_batch
+from wignerld.gibbs import (
+    GibbsError,
+    _grid_for,
+    _simpson_weights,
+    duality_gap,
+    tilt_bound,
+    values_from_batch,
+)
 from wignerld.selfcheck import INVARIANTS, check
 
 GAUSS = Gaussian()
@@ -292,17 +299,20 @@ def test_folded_half_grid_is_the_full_rule(law, R):
 
 
 def test_phi1_table_failure_names_u(monkeypatch):
-    # values that never settle in R: the table's whole-line limit names the layer and u
-    # zeta = 0 < kappa = 4 psi_max u^2 leaves the duality gap infinite
+    # a row its duality gap does not certify names the layer and u:
+    # zeta = 0 < kappa = 4 psi_max u^2 leaves the gap infinite
     monkeypatch.setattr(rate._Phi1Table, "_solves_at", lambda self, us, R: (us + R, 0 * us, 0 * us))
-    with pytest.raises(GibbsError, match=r"R=4096: hat-mode Gibbs table at u=0\.5"):
+    with pytest.raises(GibbsError, match=r"R=32: hat-mode Gibbs table at u=0\.5 has margin"):
         rate._Phi1Table(SG)._solve_grid(np.array([0.5, 1.0]))
 
 
-@pytest.mark.parametrize("dist", [SG, GAUSS, SparseGaussian(0.1), SparseGaussian(0.9)], ids=repr)
+@pytest.mark.parametrize("dist", [SG, GAUSS, SparseGaussian(0.1), SparseGaussian(0.9), rademacher(),
+                                  bernoulli_std(0.3), bernoulli_std(0.7), sparse_rademacher(0.2)],
+                         ids=repr)
 def test_phi1_table_is_one_certified_solve_per_row(dist, monkeypatch):
-    # every row of the first build settles at R = 32 by its duality gap: one
-    # solve per row, within 1e-12 of the R = 64 value
+    # every row of the first build is certified at R = 32 by its duality gap
+    # (on the atom laws by the tail form of kappa): one solve per row,
+    # within 1e-12 of the R = 64 value
     us = np.linspace(0.0, 6.0, 601)
     solves = rate._Phi1Table._solves_at
     calls = []
@@ -315,10 +325,31 @@ def test_phi1_table_is_one_certified_solve_per_row(dist, monkeypatch):
     table = rate._Phi1Table(dist)._solve_grid(us)
     assert [(R, n) for R, n, _ in calls] == [(32.0, us.size)]
     _, zeta, log_mass = calls[0][2]
-    gap = duality_gap(32.0, zeta, log_mass, 4.0 * dist.psi_extremes().psi_max * us * us)
+    gap = duality_gap(32.0, zeta, log_mass, tilt_bound(dist, us * us, us, 32.0))
     assert gap.max() <= 1e-8
     far = rate._gibbs_solves(dist, us, *np.ones((2, us.size, 1)), 1.0, 64.0)[0]
     np.testing.assert_allclose(table, far, rtol=0, atol=1e-12)
+
+
+def test_grown_phi1_table_solves_only_its_new_rows(monkeypatch):
+    # growing from u_max = 6 to 9.3 solves the 330 new rows; the first 601
+    # keep the values of the first build, as rows never interact
+    solves = rate._Phi1Table._solves_at
+    calls = []
+
+    def spy(self, u, R):
+        calls.append((R, u[0], u.size))
+        return solves(self, u, R)
+
+    monkeypatch.setattr(rate._Phi1Table, "_solves_at", spy)
+    table = rate._Phi1Table(SG)
+    table(np.array([1.0]))
+    first = table.rows[1].copy()
+    table(np.array([6.2]))
+    assert calls == [(32.0, 0.0, 601), (32.0, 6.01, 330)]
+    us, vals = table.rows
+    assert us.size == 931 and np.array_equal(vals[:601], first)
+    assert np.array_equal(vals, rate._Phi1Table(SG)._solve_grid(us))
 
 
 def test_phi1_spline_is_scipy_cubic_spline_bit_for_bit():
