@@ -371,7 +371,7 @@ def test_phi_unbounded_is_one_solve_certified_by_duality(dist, v, alpha, solve_r
 
 def test_phi_unbounded_refuses_a_row_no_radius_certifies(solve_radii):
     # h(s)/s^2 tends to kappa = 4 psi_max |v|^2 = 1 on this law, and zeta_32 =
-    # 0.998 lies below it: no R certifies the row (it used to return 0.2172060)
+    # 0.998 lies below it: no R certifies the row
     with pytest.raises(GibbsError, match=r"R=32: phi_unbounded at v=\[0\.1, 0\.1, 0\.1, 0\.1, "
                                          r"0\.1\], alpha=1\.0 has margin zeta - kappa = -0\.00189"):
         phi_unbounded(SparseGaussian(0.1), [0.1] * 5, 1.0)
