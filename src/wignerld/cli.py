@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import free_energy, montecarlo, rate
+from . import free_energy, rate
 from .entries import check_assumptions, distribution_from_spec
 from .gibbs import GibbsProblem, gibbs_solve
 
@@ -310,6 +310,8 @@ def run(spec: RunSpec, threads: int = None, printer=print) -> int:
                                         p["alpha_tilde"], p["R"], p["t"])
         doc = {**meta, "dist": dist.spec_dict(), "form": form, "theta": theta, "value": value}
     else:  # mc
+        from . import montecarlo  # loads scipy.linalg, which only mc runs use
+
         report = montecarlo.experiment(p, threads=threads)
         doc = {**report.to_json_dict(), "defaults_applied": spec.defaults_applied}
     _emit(doc, p["out"], printer)

@@ -18,10 +18,11 @@ scipy's ``CubicSpline`` with the same end conditions (values checked
 against the direct free-energy path in the test suite).  Every mode is
 batched over x: the targets of a sequence are rows of the row-wise theta
 search, one per (x, alpha) pair in hat mode, which shares one
-``sup_theta_rows`` grid pass, one row-wise Brent search over alpha and one
-final theta* pass, and one per (x, profile) pair of the search family in
-vector mode, which shares one ``theta_scan`` and refines only the rows
-that can still hold the minimum (branch and bound).
+``sup_theta_rows`` grid pass, at most one row-wise Brent search over the
+interior alpha minima and one final theta* pass, and one per (x, profile)
+pair of the search family in vector mode, which shares one ``theta_scan``
+and refines only the rows that can still hold the minimum (branch and
+bound).
 """
 
 from __future__ import annotations
@@ -634,10 +635,15 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     """Hat-mode points at targets x >= 2, evaluated as (x, alpha) rows.
 
     One ``sup_theta_rows`` call scans all 201 alpha grid values of every
-    x; one row-wise Brent search (``brent_max_rows``) refines every local
-    minimum in alpha of every x, each step one such call; one last call
-    gives every theta*.  Rows never interact, so each point equals its own
-    single-x evaluation.
+    x; one row-wise Brent search (``brent_max_rows``) refines every
+    interior local minimum in alpha of every x, each step one such call,
+    and is skipped when there is none; one last call gives every theta*.
+    A grid minimum at alpha = 0 is its own candidate, (0, V(0)), with no
+    search: by Danskin's theorem on ``free_energy.hat_rows``, where
+    phi1(u) = 2u^2 + O(u^4) for a standardized law, V'(0+) = q_x(theta*)^2 / 2
+    > 0 at the theta* of alpha = 0, so alpha = 0 is a strict local minimum
+    (the ``hat_slope_at_zero`` invariant of ``selfcheck``).  Rows never
+    interact, so each point equals its own single-x evaluation.
     """
     ev = _hat_evaluator(dist)
     xa = np.array(xs, dtype=float)
@@ -651,15 +657,17 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     left = np.concatenate((inf, vals[:, :-1]), axis=1)
     right = np.concatenate((vals[:, 1:], inf), axis=1)
     k, i = np.nonzero((vals <= left) & (vals <= right))
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, grid.size - 1)]
-    alphas, vneg = brent_max_rows(lambda t, rows: -values(xa[k[rows]], t)[1], a, b, 1e-8)
+    ki, ii = k[i > 0], i[i > 0]
+    alphas, vneg = np.empty((2, 0))
+    if ii.size:
+        alphas, vneg = brent_max_rows(lambda t, rows: -values(xa[ki[rows]], t)[1], grid[ii - 1],
+                                      grid[np.minimum(ii + 1, grid.size - 1)], 1e-8)
 
     alpha_star, rates = [], []
     for j, x in enumerate(xs):
-        own = k == j
-        candidates = (list(zip(alphas[own].tolist(), (-vneg[own]).tolist()))
-                      + list(zip(grid[i[own]].tolist(), vals[j, i[own]].tolist())))
+        found, lows = ki == j, i[k == j]
+        candidates = (list(zip(alphas[found].tolist(), (-vneg[found]).tolist()))
+                      + list(zip(grid[lows].tolist(), vals[j, lows].tolist())))
         a_j, rate = _pick_smallest_minimizer(candidates)
         if a_j > cap - 1e-3:
             warnings.warn(f"hat-mode minimizer {a_j:.4f} sits at the cap {cap}")

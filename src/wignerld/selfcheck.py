@@ -270,6 +270,20 @@ def hat_fast_path(rng=None, draws=SMOKE_DRAWS):
                          for th, a in pairs)}
 
 
+@_invariant("rate", "hat slope at alpha = 0 is q^2/2", error=0.01)
+def hat_slope_at_zero(laws=(SG, SparseGaussian(0.1), GAUSS), xs=(2.1, 2.5, 3.0, 4.0), eps=1e-5):
+    # Danskin on hat_rows with phi1(u) = 2u^2 + O(u^4): V'(0+) = q_x(theta0*)^2 / 2 > 0,
+    # so hat mode takes a grid minimum at alpha = 0 as is; error is the worst relative gap
+    worst = 0.0
+    for d in laws:
+        for x in xs:
+            v0, theta0 = rate.joint_rate(d, x, rate.HatSpec(0.0))
+            v_eps, _ = rate.joint_rate(d, x, rate.HatSpec(eps))
+            half_q2 = 0.5 * semicircle.overlap(x, theta0) ** 2
+            worst = max(worst, abs((v_eps - v0) / eps / half_q2 - 1.0))
+    return {"error": worst}
+
+
 @_invariant("rate", "zero profile reduces to the GOE rate", error=1e-4)
 def zero_profile_rate():
     value, _ = rate.joint_rate(SG, 3.0, rate.FiniteNSpec((0.0,), 10**6, 8.0))

@@ -113,6 +113,29 @@ def test_hat_theta_rows_take_few_steps(refinements):
     assert counts.max() <= 25
 
 
+def test_goe_only_hat_curve_makes_no_alpha_search(refinements):
+    # every x has its only grid minimum at alpha = 0: the two theta
+    # refinements (grid rows, then theta*) run, the alpha search does not
+    rate.rate_curve(SG, [2.1, 2.3], rate.HatMode())
+    assert [tol for *_, tol, _ in refinements] == [1e-10, 1e-10]
+
+
+def test_hat_alpha_search_takes_only_interior_grid_minima(refinements):
+    xs, grid = [2.54, 2.78], np.linspace(0.0, 0.95, 201)
+    rows = np.array([[x, a] for x in xs for a in grid])
+    vals = rate.sup_theta_rows(rate._hat_evaluator(SG), rows)[1].reshape(len(xs), -1)
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
+    lows = (vals <= padded[:, :-2]) & (vals <= padded[:, 2:])
+    assert lows[:, 0].all() and lows[:, 1:].any(axis=1).all()  # both kinds at each x
+    inner = np.nonzero(lows[:, 1:])[1] + 1
+    refinements.clear()
+    rate.rate_point(SG, xs, rate.HatMode())
+    (_, a, b, _, _), = [call for call in refinements if call[3] == 1e-8]
+    np.testing.assert_array_equal(a, grid[inner - 1])
+    np.testing.assert_array_equal(b, grid[np.minimum(inner + 1, grid.size - 1)])
+    assert np.all(a > 0.0)  # no row searches the bracket [0, alpha_1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.01, 10.0), st.floats(-5.0, 5.0), st.floats(-1.0, 1.0),
                           st.floats(0.01, 4.0), st.floats(0.01, 4.0)),

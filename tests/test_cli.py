@@ -19,7 +19,18 @@ HEAVY_SCIPY = ["scipy.special", "scipy.interpolate", "scipy.sparse", "scipy.inte
 
 def _heavy_scipy_after(code):
     """The heavy scipy subpackages loaded after ``code`` runs in a fresh interpreter."""
-    code += f"; import sys; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+    return _fresh_stdout(code + f"; import sys; print([m for m in {HEAVY_SCIPY!r} "
+                                "if m in sys.modules])")
+
+
+def _scipy_after(code):
+    """Every scipy module, ``scipy.linalg`` included, loaded after ``code``
+    runs in a fresh interpreter."""
+    return _fresh_stdout(code + "; import sys; print(sorted(m for m in sys.modules "
+                                "if m.split('.')[0] == 'scipy'))")
+
+
+def _fresh_stdout(code):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
@@ -36,6 +47,14 @@ def test_hat_rate_curve_loads_only_scipy_linalg():
     code = ("from wignerld import entries, rate; "
             "rate.rate_curve(entries.SparseGaussian(0.5), [2.4, 2.8], rate.HatMode())")
     assert _heavy_scipy_after(code) == "[]"
+
+
+def test_rate_run_loads_no_scipy():
+    # montecarlo, which imports scipy.linalg, loads only for the Monte Carlo names
+    code = ("import wignerld, wignerld.cli; from wignerld import entries, rate; "
+            "rate.rate_curve(entries.SparseGaussian(0.5), [2.4, 2.8], rate.HatMode())")
+    assert _scipy_after(code) == "[]"
+    assert "'scipy.linalg'" in _scipy_after("import wignerld; wignerld.experiment")
 
 
 def test_parse_rate_curve_defaults():

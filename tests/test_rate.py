@@ -138,6 +138,11 @@ def test_joint_rate_hat_monotone_in_alpha_for_sharp_law():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
+def test_hat_slope_at_zero_is_half_q_squared():
+    # the premise of hat mode taking a grid minimum at alpha = 0 without a search
+    check("hat_slope_at_zero")
+
+
 def test_hat_fast_path_matches_direct_free_energy():
     check("hat_fast_path", rng=np.random.default_rng(5), draws=10)
 
