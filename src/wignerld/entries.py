@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brent import brent_max_rows
+from .stencil import stencil_max_rows
 
 __all__ = [
     "EntryDistribution",
@@ -467,7 +467,7 @@ def standardize_atoms(atoms) -> DiscreteAtoms:
 
 
 def _numeric_psi_max(dist: EntryDistribution, psi_inf: float) -> float:
-    """sup_t psi(t) via grid search plus bounded Brent refinement of the best cell.
+    """sup_t psi(t) via grid search plus ``stencil_max_rows`` on the best cell.
 
     The half-line bracket [0, B] (and its mirror) expands by doubling from
     B = 64, at most 40 times, until psi(+-B) is within 1e-8 of the tail limit.
@@ -490,11 +490,10 @@ def _numeric_psi_max(dist: EntryDistribution, psi_inf: float) -> float:
         vals = dist.psi(sign * grid)
         i = int(np.argmax(vals))
         if vals[i] > best:
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, grid.size - 1)]
-            _, v_star = brent_max_rows(lambda t, _rows: dist.psi(sign * t), [lo], [hi],
-                                       1e-12, relative=True)
-            best = max(best, float(v_star[0]), float(vals[i]))
+            cell = np.clip([i - 1, i, i + 1], 0, grid.size - 1)
+            _, v_star = stencil_max_rows(lambda t, _rows: dist.psi(sign * t), grid[None, cell],
+                                         vals[None, cell])
+            best = float(v_star[0])
     return best
 
 

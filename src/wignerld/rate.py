@@ -18,11 +18,11 @@ scipy's ``CubicSpline`` with the same end conditions (values checked
 against the direct free-energy path in the test suite).  Every mode is
 batched over x: the targets of a sequence are rows of the row-wise theta
 search, one per (x, alpha) pair in hat mode, which shares one
-``sup_theta_rows`` grid pass, at most one row-wise Brent search over the
-interior alpha minima and one final theta* pass, and one per (x, profile)
+``sup_theta_rows`` grid pass, at most one row-wise search over the interior
+alpha minima and one theta* pass over its winners, and one per (x, profile)
 pair of the search family in vector mode, which shares one ``theta_scan``
 and refines only the rows that can still hold the minimum (branch and
-bound).
+bound).  Every refinement, in theta and in alpha, is ``stencil_max_rows``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from functools import partial
 import numpy as np
 
 from . import free_energy, semicircle
-from .brent import brent_max_rows
 from .entries import EntryDistribution
 from .gibbs import (_consolidate, _fold, _grid_for, _hamiltonian, solve_exponent_batch,
                     values_from_batch, whole_line_rows)
+from .stencil import stencil_max_rows
 
 __all__ = [
     "HatSpec",
@@ -259,13 +259,13 @@ def theta_scan(pen, rows):
 
     Each row scans ``pen.scan_points`` points of [theta_minus(x) + 1e-6, T],
     in objective calls of at most 256 rows, each kept only as the row's best
-    point and its neighbours; a row's T doubles from 8 until the objective
-    at T has dropped a unit below the row's maximum, failing with
-    "unbounded objective" past T = 1024 (a penalty that grows slower than J
-    signals an infeasible profile).  ``refine`` runs bounded Brent search
-    (``brent_max_rows``, to 1e-10) on the best cells of its rows at once; a
-    row whose refined value falls below its scan maximum keeps the scan
-    point, so a row's value is never below its scan maximum.  Rows never
+    point and its neighbours, with their values; a row's T doubles from 8
+    until the objective at T has dropped a unit below the row's maximum,
+    failing with "unbounded objective" past T = 1024 (a penalty that grows
+    slower than J signals an infeasible profile).  ``refine`` runs
+    ``stencil_max_rows`` on the best cells of its rows at once, each step
+    one three-point stencil per row in calls of at most 256 rows, so a
+    row's value is never below its scan maximum.  Rows never
     interact: a row's result depends neither on the other rows of the scan
     nor on those refined with it.  The one exception is an asymmetric atom
     law: ``DiscreteAtoms.log_laplace`` sums its small-|t| branch as one BLAS
@@ -284,7 +284,8 @@ def theta_scan(pen, rows):
         return j - pen(theta, rows[idx], semicircle.overlap(xi, theta, theta_minus=tmi))
 
     T = np.full(m, _T_INIT)
-    best, top, a, b, last = np.empty((5, m))  # per row: max, its theta, neighbours, value at T
+    cells, vals = np.empty((2, m, 3))  # per row: best theta and its neighbours, values there
+    last = np.empty(m)  # per row: value at T
     todo = np.arange(m)
     while todo.size:
         for k in range(0, todo.size, _SCAN_ROWS):
@@ -295,12 +296,11 @@ def theta_scan(pen, rows):
             if bad.size:
                 where = pen.label(rows[idx[bad[0]]])
                 raise RateError(f"non-finite objective in theta scan at {where}")
-            r = np.arange(idx.size)
-            i = v.argmax(axis=1)
-            best[idx], top[idx], last[idx] = v[r, i], g[r, i], v[:, -1]
-            a[idx] = g[r, np.maximum(i - 1, 0)]
-            b[idx] = g[r, np.minimum(i + 1, n_grid - 1)]
-        todo = todo[last[todo] > best[todo] - _DECAY_MARGIN]
+            r = np.arange(idx.size)[:, None]
+            i = v.argmax(axis=1)[:, None]
+            cell = np.clip(i + [-1, 0, 1], 0, n_grid - 1)
+            cells[idx], vals[idx], last[idx] = g[r, cell], v[r, cell], v[:, -1]
+        todo = todo[last[todo] > vals[todo, 1] - _DECAY_MARGIN]
         stuck = todo[T[todo] >= _T_MAX]
         if stuck.size:
             k = stuck[0]
@@ -310,18 +310,16 @@ def theta_scan(pen, rows):
 
     def refine(idx):
         idx = np.asarray(idx, dtype=int)
-        theta_star, value = brent_max_rows(lambda t, r: objective(t[:, None], idx[r])[:, 0],
-                                           a[idx], b[idx], 1e-10)
-        low = value < best[idx]
-        theta_star[low], value[low] = top[idx[low]], best[idx[low]]
-        return theta_star, value
+        return stencil_max_rows(lambda t, r: np.concatenate(
+            [objective(t[k:k + _SCAN_ROWS], idx[r[k:k + _SCAN_ROWS]])
+             for k in range(0, r.size, _SCAN_ROWS)]), cells[idx], vals[idx])
 
-    return best, refine
+    return vals[:, 1], refine
 
 
 def sup_theta_rows(pen, rows):
     """Maximize J(x, theta) - pen(theta, rows, q) over theta, row by row:
-    the ``theta_scan`` of every row, then its refinement of every row.
+    the ``theta_scan`` of every row, then its stencil refinement of every row.
 
     Arguments are those of ``theta_scan``.  Returns
     ``(theta_star[M], value[M])``.  Hat mode and ``joint_rate`` use it as
@@ -635,15 +633,18 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     """Hat-mode points at targets x >= 2, evaluated as (x, alpha) rows.
 
     One ``sup_theta_rows`` call scans all 201 alpha grid values of every
-    x; one row-wise Brent search (``brent_max_rows``) refines every
-    interior local minimum in alpha of every x, each step one such call,
-    and is skipped when there is none; one last call gives every theta*.
-    A grid minimum at alpha = 0 is its own candidate, (0, V(0)), with no
-    search: by Danskin's theorem on ``free_energy.hat_rows``, where
-    phi1(u) = 2u^2 + O(u^4) for a standardized law, V'(0+) = q_x(theta*)^2 / 2
-    > 0 at the theta* of alpha = 0, so alpha = 0 is a strict local minimum
-    (the ``hat_slope_at_zero`` invariant of ``selfcheck``).  Rows never
-    interact, so each point equals its own single-x evaluation.
+    x; one ``stencil_max_rows`` search on -V refines every interior local
+    minimum in alpha of every x, each step one such call on the three
+    stencil alphas of each row, and is skipped when there is none.  A
+    winner on the alpha grid takes its theta* from the grid pass; one last
+    call gives the theta* of the search's winners, if any.  A grid minimum
+    at alpha = 0 is its own candidate, (0, V(0)), with no search: by
+    Danskin's theorem on ``free_energy.hat_rows``, where phi1(u) = 2u^2 +
+    O(u^4) for a standardized law, V'(0+) = q_x(theta*)^2 / 2 > 0 at the
+    theta* of alpha = 0, so alpha = 0 is a strict local minimum (the
+    ``hat_slope_at_zero`` invariant of ``selfcheck``).  Rows never interact,
+    so each point equals its own single-x evaluation, and a grid row's
+    theta* is the one a theta* pass would give it.
     """
     ev = _hat_evaluator(dist)
     xa = np.array(xs, dtype=float)
@@ -652,18 +653,21 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     def values(x, alpha):
         return sup_theta_rows(ev, np.column_stack((x, alpha)))
 
-    vals = values(np.repeat(xa, grid.size), np.tile(grid, xa.size))[1].reshape(xa.size, -1)
-    inf = np.full((xa.size, 1), np.inf)
-    left = np.concatenate((inf, vals[:, :-1]), axis=1)
-    right = np.concatenate((vals[:, 1:], inf), axis=1)
-    k, i = np.nonzero((vals <= left) & (vals <= right))
+    thetas, vals = (v.reshape(xa.size, -1)
+                    for v in values(np.repeat(xa, grid.size), np.tile(grid, xa.size)))
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
+    k, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
     ki, ii = k[i > 0], i[i > 0]
     alphas, vneg = np.empty((2, 0))
     if ii.size:
-        alphas, vneg = brent_max_rows(lambda t, rows: -values(xa[ki[rows]], t)[1], grid[ii - 1],
-                                      grid[np.minimum(ii + 1, grid.size - 1)], 1e-8)
+        cell = np.minimum(ii[:, None] + [-1, 0, 1], grid.size - 1)
 
-    alpha_star, rates = [], []
+        def neg_values(t, rows):
+            return -values(np.repeat(xa[ki[rows]], t.shape[1]), t.ravel())[1].reshape(t.shape)
+
+        alphas, vneg = stencil_max_rows(neg_values, grid[cell], -vals[ki[:, None], cell])
+
+    alpha_star, rates, theta_star = [], [], np.empty(xa.size)
     for j, x in enumerate(xs):
         found, lows = ki == j, i[k == j]
         candidates = (list(zip(alphas[found].tolist(), (-vneg[found]).tolist()))
@@ -673,7 +677,11 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
             warnings.warn(f"hat-mode minimizer {a_j:.4f} sits at the cap {cap}")
         alpha_star.append(a_j)
         rates.append(rate)
-    theta_star = values(xa, np.array(alpha_star))[0]
+        on_grid = lows[grid[lows] == a_j]  # its theta* is the grid pass's; NaN marks a search's
+        theta_star[j] = thetas[j, on_grid[0]] if on_grid.size else np.nan
+    searched = np.flatnonzero(np.isnan(theta_star))
+    if searched.size:
+        theta_star[searched] = values(xa[searched], np.array(alpha_star)[searched])[0]
     return [RatePoint(x, r, float(th), HatSpec(a_j), semicircle.goe_rate(x))
             for x, r, th, a_j in zip(xs, rates, theta_star, alpha_star)]
 

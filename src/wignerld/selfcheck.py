@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import free_energy, montecarlo, oracles, rate, semicircle
+from . import free_energy, montecarlo, oracles, rate, semicircle, stencil
 from .entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
 from .gibbs import GibbsProblem, duality_gap, gibbs_solve, tilt_bound, wasserstein2
 
@@ -282,6 +282,30 @@ def hat_slope_at_zero(laws=(SG, SparseGaussian(0.1), GAUSS), xs=(2.1, 2.5, 3.0, 
             half_q2 = 0.5 * semicircle.overlap(x, theta0) ** 2
             worst = max(worst, abs((v_eps - v0) / eps / half_q2 - 1.0))
     return {"error": worst}
+
+
+PINNED_POINTS = ((SG, (2.54, 2.78, 3.0), rate.HatMode()),
+                 (SG, (3.0,), rate.FiniteNMode(10**6, family=rate.ProfileFamily((1, 4), 11))),
+                 (SG, (3.0,), rate.TildeMode(10**6, family=rate.ProfileFamily((1,), 9), n_alpha=7)))
+
+
+@_invariant("rate", "inner sup is stationary at theta*", residual=32.0)
+def theta_star_stationary(points=PINNED_POINTS):
+    # slope of F = J - penalty at theta* on the refinement's stencil, h =
+    # eps^(1/3) max(1, |theta*|), in units of its rounding error eps max(1, |F|) / h.
+    # theta* is a stencil's vertex, so the slope errs by a few units of rounding and
+    # by F''' h^2 / 6, i.e. F''' / 6F units at theta* <= 1: < 32 while |F'''| < 100 |F|
+    eps, worst = np.finfo(float).eps, 0.0
+    for dist, xs, mode in points:
+        for p in rate.rate_point(dist, xs, mode):
+            pen, row = p.minimizer._row(dist, p.x)
+            h = stencil._CBRT_EPS * max(1.0, abs(p.theta_star))
+            theta = p.theta_star + h * np.array([[-1.0, 0.0, 1.0]])
+            f = (semicircle.j_value(p.x, theta)
+                 - pen(theta, row, semicircle.overlap(p.x, theta)))[0]
+            slope = abs(f[2] - f[0]) / (2.0 * h)
+            worst = max(worst, slope * h / (eps * max(1.0, abs(f[1]))))
+    return {"residual": worst}
 
 
 @_invariant("rate", "zero profile reduces to the GOE rate", error=1e-4)

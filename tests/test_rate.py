@@ -28,7 +28,7 @@ from wignerld.gibbs import (
     tilt_bound,
     values_from_batch,
 )
-from wignerld.selfcheck import INVARIANTS, check
+from wignerld.selfcheck import INVARIANTS, InvariantError, check
 
 GAUSS = Gaussian()
 SG = SparseGaussian(0.5)
@@ -79,7 +79,7 @@ def test_sup_theta_rows_quadratic_penalties():
     scans = []
 
     def pen(theta, rows, q):
-        if theta.shape[1] > 1:
+        if theta.shape[1] == RowPenalty.scan_points:  # a scan, not a refinement's stencil
             scans.append((rows[:, 1].copy(), theta[:, -1].copy()))
         return rows[:, 1:] * theta**2
 
@@ -87,8 +87,8 @@ def test_sup_theta_rows_quadratic_penalties():
     exact = (x + np.sqrt(x * x - 4.0 * c)) / (4.0 * c)
     for k in range(c.size):
         # comparisons of values pin a flat maximum's argmax only to ~1e-8
-        # relative, the width of its rounding plateau; the maximizer's
-        # closing vertex step gets inside it
+        # relative, the width of its rounding plateau; the refinement's
+        # Newton steps on central differences get inside it
         assert theta_star[k] == pytest.approx(exact[k], rel=1e-8, abs=1e-8)
         top = semicircle.j_value(x, exact[k]) - c[k] * exact[k] ** 2
         assert value[k] == pytest.approx(top, abs=1e-8)
@@ -141,6 +141,19 @@ def test_joint_rate_hat_monotone_in_alpha_for_sharp_law():
 def test_hat_slope_at_zero_is_half_q_squared():
     # the premise of hat mode taking a grid minimum at alpha = 0 without a search
     check("hat_slope_at_zero")
+
+
+def test_theta_star_is_stationary():
+    # the refined theta* of the pinned hat, finite-N and two-scale points
+    check("theta_star_stationary")
+
+
+def test_theta_star_stationary_catches_an_unrefined_theta(monkeypatch):
+    # a theta* left at its scan point is far from stationary
+    monkeypatch.setattr(rate, "stencil_max_rows",
+                        lambda f, cells, values: (cells[:, 1], values[:, 1]))
+    with pytest.raises(InvariantError, match="inner sup is stationary at theta"):
+        check("theta_star_stationary", points=((SG, (3.0,), rate.HatMode()),))
 
 
 def test_hat_fast_path_matches_direct_free_energy():
