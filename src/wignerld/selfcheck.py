@@ -303,8 +303,8 @@ def theta_star_stationary(points=PINNED_POINTS):
             theta = p.theta_star + h * np.array([[-1.0, 0.0, 1.0]])
             f = (semicircle.j_value(p.x, theta)
                  - pen(theta, row, semicircle.overlap(p.x, theta)))[0]
-            slope = abs(f[2] - f[0]) / (2.0 * h)
-            worst = max(worst, slope * h / (eps * max(1.0, abs(f[1]))))
+            # the slope |f[2] - f[0]| / 2h over the unit eps max(1, |F|) / h
+            worst = max(worst, abs(f[2] - f[0]) / (2.0 * eps * max(1.0, abs(f[1]))))
     return {"residual": worst}
 
 
