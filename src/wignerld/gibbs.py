@@ -14,25 +14,31 @@ solve and every entry law.  The rule is the composite Simpson grid of
 row by row by ``_moments`` from the weights of ``_weights``, their exponent
 max-subtracted by row, since h can reach several hundred for large tilts.
 ``_fold`` folds h onto [0, R], so the grid is the full rule of [-R, R]
-folded at its middle node 0.  The core is a safeguarded Newton iteration
-on the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian
-weight, that learns its bracket from the sign of alpha - m2.  ``solve_exponent_batch`` runs it on
-many rows of one grid, warm-started from every fourth grid node, each row
-independent of the others; ``gibbs_solve`` is its one-row case.  A single
-weight can be narrower than that grid resolves (a small alpha, or alpha
-near R^2 with its boundary layer), so ``gibbs_solve`` and ``g_value``
-check each grid against Simpson's rule on every other node and move to a
-finer Simpson grid where the two disagree (``_resolved``); the check sums
-the weights of the solve's last Newton evaluation on every other node.
-The solution keeps its last iterate's m2, so its residual costs no
-quadrature, and the grid its solve resolved, which ``moment`` and
-``quantiles`` read without resolving again.  R is finite:
-``whole_line_rows`` takes the whole-line value of a row, for
-``phi_unbounded`` and the Phi1 table, from one solve at R = max(32,
-16 sqrt(alpha)), certified by weak duality: the multiplier zeta_R of a
-solve on [-R, R] prices the whole-line constraint too, and h(s) <= kappa
-s^2 for |s| >= R bounds the mass beyond R, so Phi_R <= Phi_inf <= Phi_R +
-``duality_gap``.  A row whose gap is above 1e-8 raises ``GibbsError``.
+folded at its middle node 0.  The core is a safeguarded Newton iteration on
+the reciprocal moment 1/m2(zeta), exact in one step for a Gaussian weight,
+that learns its bracket from the sign of alpha - m2.
+``solve_exponent_batch`` runs it on many rows of one grid, warm-started
+from every fourth grid node, each row independent of the others;
+``gibbs_solve`` is its one-row case.  A single weight can be narrower than
+that grid resolves (a small alpha, or alpha near R^2 with its boundary
+layer), so ``gibbs_solve`` and ``g_value`` check each grid against
+Simpson's rule on every other node and move to a finer Simpson grid where
+the two disagree (``_resolved``).  The check, ``_simpson_agrees``, sums the
+weights of the solve's last Newton evaluation on every other node.  The
+solution keeps its last iterate's m2, so its residual costs no quadrature,
+and the grid its solve resolved, which ``moment`` and ``quantiles`` read
+without resolving again.  R is finite: ``whole_line_rows`` takes the
+whole-line value of a row, for ``phi_unbounded`` and the Phi1 table, from
+one solve at R = max(32, 16 sqrt(alpha)), certified by weak duality: the
+multiplier zeta_R of a solve on [-R, R] prices the whole-line constraint
+too, and h(s) <= kappa s^2 for |s| >= R bounds the mass beyond R, so Phi_R
+<= Phi_inf <= Phi_R + ``duality_gap``.  A row whose gap is above 1e-8
+raises ``GibbsError``.
+
+The batch rows of ``rate`` use the same check the other way round: most
+weights need far fewer nodes than the fixed grid holds, so each row climbs
+from every fourth node of ``_grid_for(R)`` (``_sub_grid``) to every second
+and then every node, and stops on the first grid that passes the check.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ _TAIL_DROP = 92.0  # a grid may stop where the weight is below exp(-92) ~ 1e-40 
 _ZETA_LIMIT = 1e6
 _MAX_ITER = 80  # moment evaluations per Newton pass of a multiplier solve
 _SCALAR_F_TOL = 1e-13  # |alpha - m2| / alpha stop of gibbs_solve, ~1e-13 in zeta
-_GRID_RTOL = 1e-11  # agreement of a single weight's grid with its every other node
+_GRID_RTOL = 1e-11  # agreement of a grid that resolves a weight with its every other node
 _MAX_NODES = 2**17 + 1  # node cap of a refined single-weight grid
 _MAX_GRIDS = 24  # grids tried for one weight
 _WHOLE_LINE_TOL = 1e-8  # largest duality gap that certifies a whole-line row
@@ -370,6 +376,30 @@ def _simpson_grid(a: float, b: float, n: int) -> tuple:
     return np.linspace(a, b, n), 2.0 * _simpson_weights(n, (b - a) / (n - 1))
 
 
+def _sub_grid(s: np.ndarray, w: np.ndarray, stride: int) -> tuple:
+    """Every ``stride``-th node of the Simpson grid (s, w) and its Simpson
+    weights, for a power of 2 ``stride`` that leaves an even number of
+    intervals.  The weights scale the grid's end weight w[0], which holds
+    its exact step, by ``stride``, never a node difference: on a grid of
+    ``_simpson_grid`` they are those of ``_simpson_grid`` on the same ends
+    and node count, bit for bit."""
+    c = s[::stride]
+    return c, _simpson_weights(c.size, 3.0) * (stride * w[0])
+
+
+def _simpson_agrees(s: np.ndarray, w: np.ndarray, E: np.ndarray, m: np.ndarray, log_i0,
+                    m2) -> np.ndarray:
+    """Rows whose Simpson grid (s, w) resolves their weight: Simpson's rule on
+    every other node agrees with it to 1e-11 in log I0 and in m2 relative to
+    m2.  E and m are the rows' ``_weights`` on the grid, at the multipliers
+    that gave log I0 and m2; the coarser rule sums E on its nodes, with no
+    second exp.  Needs (s.size - 1) % 4 == 0."""
+    c, wc = _sub_grid(s, w, 2)
+    # a contiguous copy: einsum sums it as it sums weights computed there
+    log_c, m2_c = _moments(E[:, ::2].copy(), m, (wc, wc * (c * c)))
+    return (np.abs(log_c - log_i0) <= _GRID_RTOL) & (np.abs(m2_c - m2) <= _GRID_RTOL * m2)
+
+
 def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
     """Run ``step(s, w, H)`` -> (zeta, log I0, m2, (E, m)) on the grid of
     ``_grid_for(span)`` (span <= R, R = ``problem.R``), H the folded
@@ -377,9 +407,7 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
     weight exp(H - zeta s^2), given by ``step`` as the (1, n) weights E =
     exp(H - zeta s^2 - m) of ``_weights`` at the zeta it returns.
 
-    A grid resolves it when Simpson's rule on every other node agrees with
-    it to 1e-11 in log I0 and in m2 relative to m2 (summing E there, not a
-    second exp), and where the grid stops
+    A grid resolves it when it passes ``_simpson_agrees`` and where it stops
     short of [0, R] the weight there is below exp(-92) of its peak.  The
     next grid extends by its own width each end that stops short too soon;
     else it spans the nodes where the weight is above that bound, one more
@@ -394,11 +422,7 @@ def _resolved(problem: GibbsProblem, span: float, step) -> tuple:
     for _ in range(_MAX_GRIDS):
         H = _fold(problem.dist, problem.h, s)
         zeta, log_i0, m2, (E, m) = step(s, w, H)
-        c = s[::2]  # a Simpson grid too: (s.size - 1) % 4 == 0
-        wc = _simpson_grid(c[0], c[-1], c.size)[1]
-        # a contiguous copy: einsum sums it as it sums weights computed there
-        log_c, m2_c = _moments(E[:, ::2].copy(), m, (wc, wc * (c * c)))
-        close = abs(log_c[0] - log_i0) <= _GRID_RTOL and abs(m2_c[0] - m2) <= _GRID_RTOL * m2
+        close = _simpson_agrees(s, w, E, m, log_i0, m2)[0]
         a, b, n = float(s[0]), float(s[-1]), s.size
         if close and a == 0.0 and b == R:
             return (a, b, n), zeta, log_i0, m2
@@ -448,14 +472,14 @@ def solve_exponent_batch(H: np.ndarray, s: np.ndarray, w: np.ndarray, alpha,
                          f_tol: float = 1e-11, zeta_init=None, weights: bool = False):
     """Multiplier solve for many Gibbs weights on one grid.
 
-    ``H[i, j]`` holds the folded tilt Hamiltonian of problem i at node s[j]
-    of a half grid of ``_grid_for`` or ``_resolved``, and ``w`` the
-    matching doubled Simpson weights.  Returns (zeta, log_mass, m2,
-    evaluations) with log_mass = log int exp(H - zeta s^2) and the number
-    of moment evaluations (``_weights`` calls).  With ``weights`` it
-    appends (E, m), each row's ``_weights`` at its returned zeta, from the
-    evaluation that stopped it.  Rows never interact: a row's result does
-    not depend on the other rows of the batch.
+    ``H[i, j]`` holds the folded tilt Hamiltonian of problem i at node s[j] of
+    a half grid of ``_grid_for`` (or a ``_sub_grid`` of one) or
+    ``_resolved``, and ``w`` the matching doubled Simpson weights.  Returns
+    (zeta, log_mass, m2, evaluations) with log_mass = log int exp(H - zeta
+    s^2) and the number of moment evaluations (``_weights`` calls).  With
+    ``weights`` it appends (E, m), each row's ``_weights`` at its returned
+    zeta, from the evaluation that stopped it.  Rows never interact: a
+    row's result does not depend on the other rows of the batch.
 
     Grids of more than 1600 nodes warm-start from a solve on every fourth
     node, whose evaluations count too.  Without a warm start or

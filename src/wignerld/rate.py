@@ -18,11 +18,12 @@ scipy's ``CubicSpline`` with the same end conditions (values checked
 against the direct free-energy path in the test suite).  Every mode is
 batched over x: the targets of a sequence are rows of the row-wise theta
 search, one per (x, alpha) pair in hat mode, which shares one
-``sup_theta_rows`` grid pass, at most one row-wise search over the interior
-alpha minima and one theta* pass over its winners, and one per (x, profile)
-pair of the search family in vector mode, which shares one ``theta_scan``
-and refines only the rows that can still hold the minimum (branch and
-bound).  Every refinement, in theta and in alpha, is ``stencil_max_rows``.
+``sup_theta_rows`` grid pass and at most one row-wise search over the
+interior alpha minima, whose evaluations give the winners' theta*, and
+one per (x, profile) pair of the search family in vector mode, which
+shares one ``theta_scan`` and refines only the rows that can still hold
+the minimum (branch and bound).  Every refinement, in theta and in alpha,
+is ``stencil_max_rows``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import numpy as np
 
 from . import free_energy, semicircle
 from .entries import EntryDistribution
-from .gibbs import (_consolidate, _fold, _grid_for, _hamiltonian, solve_exponent_batch,
-                    values_from_batch, whole_line_rows)
+from .gibbs import (GibbsProblem, _consolidate, _fold, _grid_for, _hamiltonian, _simpson_agrees,
+                    _sub_grid, gibbs_solve, solve_exponent_batch, values_from_batch,
+                    whole_line_rows)
 from .stencil import stencil_max_rows
 
 __all__ = [
@@ -218,13 +220,15 @@ class RatePoint:
     minimizer: object
     goe_rate: float
 
-    def check(self):
+    def check(self, offset: float = 0.0):
+        """Raise ``RateCurveError`` on a negative rate or a rate above the GOE
+        rate plus ``offset`` (what the mode's zero profile adds to the GOE
+        rate, ``_zero_profile_offset``) by more than ``_GOE_SLACK``."""
         if self.rate < -1e-9:
             raise RateCurveError(f"negative rate {self.rate} at x={self.x}")
-        if np.isfinite(self.goe_rate) and self.rate > self.goe_rate + _GOE_SLACK:
-            raise RateCurveError(
-                f"rate {self.rate} exceeds the GOE rate {self.goe_rate} at x={self.x}"
-            )
+        if np.isfinite(self.goe_rate) and self.rate > self.goe_rate + offset + _GOE_SLACK:
+            raise RateCurveError(f"rate {self.rate} exceeds the GOE rate {self.goe_rate}"
+                                 f"{f' plus {offset:.6g}' if offset else ''} at x={self.x}")
 
 
 @dataclass(frozen=True)
@@ -443,7 +447,7 @@ class _Phi1Table:
         return self.rows[1]
 
     def _solves_at(self, us: np.ndarray, R: float) -> tuple:
-        return _gibbs_solves(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)
+        return _gibbs_solves(self.dist, us, *np.ones((2, us.size, 1)), 1.0, R)[:3]
 
     def _build(self, u_max: float):
         n = int(math.ceil(u_max / 0.01)) + 1
@@ -467,21 +471,50 @@ class _Phi1Table:
 
 
 def _gibbs_solves(dist, amp, vals, counts, beta, R):
-    """(values, multipliers, log masses) over [-R, R] of rows i with budget
-    beta[i] (or a shared beta) and Hamiltonian sum_j counts[i, j] L(2
+    """(values, multipliers, log masses, strides) over [-R, R] of rows i with
+    budget beta[i] (or a shared beta) and Hamiltonian sum_j counts[i, j] L(2
     vals[i, j] amp[i] s), built by ``gibbs._hamiltonian`` and folded by
-    ``gibbs._fold``, solved in near-equal blocks of at most about
-    ``_GIBBS_BLOCK_ELEMS`` rows x nodes on the half grid of [0, R], which
-    keep a block's arrays in a core's cache."""
+    ``gibbs._fold``, each row on the coarsest rung of a ladder that resolves it.
+
+    The rungs are every fourth node, every second node and every node of
+    the half grid ``_grid_for(R)`` (its stride 4 rung is left out where its
+    every other node is no Simpson grid).  Every row is solved on the first
+    rung; a row that ``gibbs._simpson_agrees`` finds resolved there keeps
+    that rung's answer, and the others are solved again on the next rung,
+    from their last multiplier, with their Hamiltonian built on its nodes.
+    The top rung accepts every row, so no row is solved on a finer grid than
+    the half grid.  A rung solves its rows in near-equal blocks of at most
+    about ``_GIBBS_BLOCK_ELEMS`` rows x rung nodes, half that on a rung that
+    keeps each row's stopping weights for its check, which keep a block's
+    arrays in a core's cache.  A row's rungs depend on that row alone.
+    The strides returned are those of the rungs that accepted the rows.
+    """
     s, w = _grid_for(R)
     beta = np.broadcast_to(beta, amp.shape)
-    out = []
-    blocks = min(amp.size, -(-amp.size * s.size // _GIBBS_BLOCK_ELEMS)) or 1
-    for b in np.array_split(np.arange(amp.size), blocks):
-        H = _fold(dist, partial(_hamiltonian, dist, amp[b], vals[b], counts[b]), s)
-        zeta, log_mass, _, _ = solve_exponent_batch(H, s, w, beta[b])
-        out.append((values_from_batch(log_mass, zeta, beta[b]), zeta, log_mass))
-    return tuple(np.concatenate(x) for x in zip(*out))
+    value, zeta, log_mass = np.empty((3, amp.size))  # zeta: each row's last multiplier
+    accepted = np.empty(amp.size, dtype=int)
+    rows = np.arange(amp.size)
+    strides = (4, 2, 1) if (s.size - 1) % 16 == 0 else (2, 1)
+    for stride in strides:
+        if not rows.size:
+            break
+        sr, wr = _sub_grid(s, w, stride)
+        # a checked rung also keeps each row's stopping weights: half the elements per block
+        elems = _GIBBS_BLOCK_ELEMS // 2 if stride > 1 else _GIBBS_BLOCK_ELEMS
+        blocks = -(-rows.size * sr.size // elems)
+        up = []
+        for b in np.array_split(rows, min(rows.size, blocks)):
+            H = _fold(dist, partial(_hamiltonian, dist, amp[b], vals[b], counts[b]), sr)
+            solved = solve_exponent_batch(H, sr, wr, beta[b], weights=stride > 1,
+                                          zeta_init=None if stride == strides[0] else zeta[b])
+            zeta[b], log_mass[b], m2 = solved[:3]
+            done = (_simpson_agrees(sr, wr, *solved[4], log_mass[b], m2) if stride > 1
+                    else np.ones(b.size, dtype=bool))
+            value[b], accepted[b] = values_from_batch(log_mass[b], zeta[b], beta[b]), stride
+            up.append(b[~done])
+            del H, solved  # freed before the next block builds its own
+        rows = np.concatenate(up)
+    return value, zeta, log_mass, accepted
 
 
 class _HatEvaluator:
@@ -636,15 +669,15 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     x; one ``stencil_max_rows`` search on -V refines every interior local
     minimum in alpha of every x, each step one such call on the three
     stencil alphas of each row, and is skipped when there is none.  A
-    winner on the alpha grid takes its theta* from the grid pass; one last
-    call gives the theta* of the search's winners, if any.  A grid minimum
-    at alpha = 0 is its own candidate, (0, V(0)), with no search: by
+    winner takes its theta* from the call that evaluated its (x, alpha)
+    row: the grid pass for an alpha of the grid, else the search.  A grid
+    minimum at alpha = 0 is its own candidate, (0, V(0)), with no search: by
     Danskin's theorem on ``free_energy.hat_rows``, where phi1(u) = 2u^2 +
     O(u^4) for a standardized law, V'(0+) = q_x(theta*)^2 / 2 > 0 at the
     theta* of alpha = 0, so alpha = 0 is a strict local minimum (the
     ``hat_slope_at_zero`` invariant of ``selfcheck``).  Rows never interact,
-    so each point equals its own single-x evaluation, and a grid row's
-    theta* is the one a theta* pass would give it.
+    so each point equals its own single-x evaluation, and a winner's theta*
+    is the one a ``sup_theta_rows`` call on its row alone would give it.
     """
     ev = _hat_evaluator(dist)
     xa = np.array(xs, dtype=float)
@@ -659,11 +692,15 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
     k, i = np.nonzero((vals <= padded[:, :-2]) & (vals <= padded[:, 2:]))
     ki, ii = k[i > 0], i[i > 0]
     alphas, vneg = np.empty((2, 0))
+    searched = {}  # (x index, alpha) -> theta* of each row the alpha search evaluated
     if ii.size:
         cell = np.minimum(ii[:, None] + [-1, 0, 1], grid.size - 1)
 
         def neg_values(t, rows):
-            return -values(np.repeat(xa[ki[rows]], t.shape[1]), t.ravel())[1].reshape(t.shape)
+            owner = np.repeat(ki[rows], t.shape[1])
+            theta, v = values(xa[owner], t.ravel())
+            searched.update(zip(zip(owner.tolist(), t.ravel().tolist()), theta.tolist()))
+            return -v.reshape(t.shape)
 
         alphas, vneg = stencil_max_rows(neg_values, grid[cell], -vals[ki[:, None], cell])
 
@@ -677,11 +714,8 @@ def _hat_points(dist: EntryDistribution, xs: list, cap: float) -> list:
             warnings.warn(f"hat-mode minimizer {a_j:.4f} sits at the cap {cap}")
         alpha_star.append(a_j)
         rates.append(rate)
-        on_grid = lows[grid[lows] == a_j]  # its theta* is the grid pass's; NaN marks a search's
-        theta_star[j] = thetas[j, on_grid[0]] if on_grid.size else np.nan
-    searched = np.flatnonzero(np.isnan(theta_star))
-    if searched.size:
-        theta_star[searched] = values(xa[searched], np.array(alpha_star)[searched])[0]
+        on_grid = np.flatnonzero(grid == a_j)
+        theta_star[j] = thetas[j, on_grid[0]] if on_grid.size else searched[j, a_j]
     return [RatePoint(x, r, float(th), HatSpec(a_j), semicircle.goe_rate(x))
             for x, r, th, a_j in zip(xs, rates, theta_star, alpha_star)]
 
@@ -742,6 +776,16 @@ def _family_rows(family: ProfileFamily, N: int, xi: float, x: float, c_tops, alp
     return np.array(rows, dtype=float)
 
 
+def _zero_profile_offset(dist: EntryDistribution, R: float) -> float:
+    """eps(R) = -Phi_R(0, 1), the Gibbs value of no tilt at unit budget on
+    [-R, R] negated: a vector mode's zero profile prices theta at theta^2 -
+    eps(R), so its rate is the GOE rate plus eps(R) at every x.  eps(R) lies
+    in [0, 10 exp(-R^2/8)] (``selfcheck``'s zero-profile window): 6.9e-5 at
+    R = 1000^0.2, 2.8e-10 at R = 10000^0.2, and rounding alone at R =
+    (10^6)^0.2.  With no tilt it is the same for every law."""
+    return -gibbs_solve(GibbsProblem([0.0], dist, R, 1.0)).value
+
+
 def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
                tol: float = 1e-3, threads: int = None) -> RateCurve:
     """Evaluate rate_point across a sorted grid of targets x.
@@ -751,10 +795,13 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     blocks at most, one call each on a thread pool.  A failed call poisons
     the curve with its diagnostic.  Points below the spectral edge 2 are
     rate_point's +inf sentinels; the rate must be nondecreasing from the edge
-    on.  The detected threshold ``x_mu`` is the smallest grid point where the
-    rate drops below the GOE rate by more than ``tol``, a finite number >= 0
-    (no uniqueness claim).  Results do not depend on the thread count, save
-    in the last bits on an asymmetric atom law (see ``theta_scan``).
+    on, and at most 1e-6 above the GOE rate plus, in a vector mode, the
+    zero-profile offset of its R (``_zero_profile_offset``, one
+    ``gibbs_solve`` per curve).  The detected threshold ``x_mu`` is the
+    smallest grid point where the rate drops below the GOE rate by more than
+    ``tol``, a finite number >= 0 (no uniqueness claim).  Results do not
+    depend on the thread count, save in the last bits on an asymmetric atom
+    law (see ``theta_scan``).
     """
     x_grid = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(x_grid, x_grid[1:])):
@@ -790,8 +837,9 @@ def rate_curve(dist: EntryDistribution, x_grid, mode, cap: float = 0.95,
     if failures:
         raise RateCurveError(f"{len(failures)} poisoned block(s): " + "; ".join(failures[:5]))
 
+    offset = 0.0 if isinstance(mode, HatMode) else _zero_profile_offset(dist, mode.width())
     for p in points:
-        p.check()
+        p.check(offset)
     edge = sum(x < 2.0 for x in x_grid)
     rates = np.array([p.rate for p in points[edge:]])
     if np.any(np.diff(rates) < -1e-6):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import free_energy, montecarlo, oracles, rate, semicircle, stencil
+from . import free_energy, gibbs, montecarlo, oracles, rate, semicircle, stencil
 from .entries import Gaussian, SparseGaussian, bernoulli_std, rademacher, sparse_rademacher
 from .gibbs import GibbsProblem, duality_gap, gibbs_solve, tilt_bound, wasserstein2
 
@@ -306,6 +306,44 @@ def theta_star_stationary(points=PINNED_POINTS):
             # the slope |f[2] - f[0]| / 2h over the unit eps max(1, |F|) / h
             worst = max(worst, abs(f[2] - f[0]) / (2.0 * eps * max(1.0, abs(f[1]))))
     return {"residual": worst}
+
+
+# (law, R, count k, tilts a, budgets beta) of the Gibbs rows sum_k L(2 a s) of a
+# batch: default-family rows at R = (10^6)^0.2 up to c = 0.95 and theta q = 8,
+# and Phi1 table rows at R = 32
+LADDER_BATCHES = tuple((SG, (10**6) ** 0.2, k, np.linspace(0.0, 7.6 / math.sqrt(k), 6)[1:],
+                        (0.05, 0.5, 1.0)) for k in (1, 32, 1000)) + (
+    (SG, 32.0, 1, np.linspace(0.0, 6.0, 7), (1.0,)),)
+
+
+@_invariant("rate", "Gibbs rows accepted below the top rung are resolved", rule=1e-11,
+            top_gap=1e-11)
+def gibbs_ladder(batches=LADDER_BATCHES):
+    # rule: the worst disagreement of a row's rung with Simpson on its every other
+    # node, in log I0 and relative m2, remeasured at the row's multiplier on grids
+    # built afresh; top_gap: its value against a solve on every node
+    rule = top_gap = 0.0
+    below = 0
+    for dist, R, k, tilts, budgets in batches:
+        amp, beta = (a.ravel() for a in np.meshgrid(tilts, budgets))
+        vals, counts = np.ones((amp.size, 1)), np.full((amp.size, 1), float(k))
+        value, zeta, _, stride = rate._gibbs_solves(dist, amp, vals, counts, beta, R)
+        s, w = gibbs._grid_for(R)
+        H = gibbs._fold(dist, lambda x: gibbs._hamiltonian(dist, amp, vals, counts, x), s)
+        z_top, log_top, _, _ = gibbs.solve_exponent_batch(H, s, w, beta)
+        top = gibbs.values_from_batch(log_top, z_top, beta)
+        for i in np.flatnonzero(stride > 1):
+            below += 1
+            top_gap = max(top_gap, abs(value[i] - top[i]))
+            n = (s.size - 1) // stride[i] + 1
+            sums = []
+            for step, size in ((stride[i], n), (2 * stride[i], (n - 1) // 2 + 1)):
+                c, wc = gibbs._simpson_grid(0.0, R, size)
+                E, m = gibbs._weights(H[i:i + 1, ::step], c * c, zeta[i:i + 1])
+                sums.append(gibbs._moments(E, m, (wc, wc * c * c)))
+            (log_r, m2_r), (log_c, m2_c) = sums
+            rule = max(rule, abs(log_r[0] - log_c[0]), abs(m2_r[0] - m2_c[0]) / m2_r[0])
+    return {"rule": float(rule), "top_gap": float(top_gap), "rows_below_top": below}
 
 
 @_invariant("rate", "zero profile reduces to the GOE rate", error=1e-4)

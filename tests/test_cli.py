@@ -416,10 +416,10 @@ def test_run_rate_curve_below_edge_inf_rows(tmp_path):
 # Golden artifacts: each command's stdout, byte for byte, for one short run.
 HAT_CURVE_CSV = """x,rate,goe_rate,theta_star,alpha_star
 1.9,inf,inf,inf,inf
-2.1,0.021239265861377754,0.021239265861376644,0.6850781058949569,0.0
-2.3,0.11197718037750781,0.11197718037750715,0.8589454173049016,0.0
-2.5,0.24435281944005527,0.2443528194400547,1.0000000000141065,0.0
-2.7,0.3592811413371849,0.41033900487599206,0.8053535300913954,0.36998621056395653
+2.1,0.021239265861376866,0.021239265861376644,0.6850781058949569,0.0
+2.3,0.11197718037750692,0.11197718037750715,0.8589454173049016,0.0
+2.5,0.24435281944005438,0.2443528194400547,1.0000000000141065,0.0
+2.7,0.35928114133718514,0.41033900487599206,0.8053535300871041,0.36998621053585645
 """
 GOLDEN = {
     "rate-curve": (

@@ -529,6 +529,20 @@ def test_half_grid_is_the_folded_full_rule(R):
     assert (w * s**4).sum() == pytest.approx(2 * R**5 / 5 + 2 * R * step**4 * 24 / 180, rel=1e-13)
 
 
+@pytest.mark.parametrize("a, b, n", [(0.0, 15.85, 2049), (0.0, 32.0, 4001), (0.0, 64.0, 8001),
+                                     (0.0, 20.008, 2505), (1.3, 7.7, 1025)])
+def test_sub_grid_is_the_simpson_grid_of_its_nodes(a, b, n):
+    # the ladder's rungs and the resolution check weigh every stride-th node
+    # as a Simpson grid built on those nodes would, bit for bit
+    s, w = gibbs._simpson_grid(a, b, n)
+    for stride in (2, 4):
+        if (n - 1) % (2 * stride):
+            continue
+        c, wc = gibbs._sub_grid(s, w, stride)
+        ref = gibbs._simpson_grid(a, b, (n - 1) // stride + 1)
+        assert np.array_equal(c, ref[0]) and np.array_equal(wc, ref[1])
+
+
 def test_half_grid_takes_the_coarse_warm_start(monkeypatch):
     sizes = []
     solve = gibbs.solve_exponent_batch

@@ -196,11 +196,16 @@ def test_hat_evaluator_cache_is_bounded():
         rate._HAT_CACHE.update(saved)
 
 
+def _one_block_ladder(dist, us, R):
+    """Phi1 table rows solved by the ladder with every rung in one block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rate, "_GIBBS_BLOCK_ELEMS", 2**62)
+        return rate._Phi1Table(dist)._solves_at(us, R)[0]
+
+
 def test_phi1_table_blocks_match_one_batch(monkeypatch):
     us = np.linspace(0.0, 6.0, 150)
-    s, w = _grid_for(32.0)
-    zeta, log_mass, _, _ = rate.solve_exponent_batch(SG.log_laplace(2.0 * us[:, None] * s), s, w, 1.0)
-    whole = values_from_batch(log_mass, zeta, 1.0)
+    whole = _one_block_ladder(SG, us, 32.0)
     sizes = []
     solve = rate.solve_exponent_batch
 
@@ -210,7 +215,10 @@ def test_phi1_table_blocks_match_one_batch(monkeypatch):
 
     monkeypatch.setattr(rate, "solve_exponent_batch", spy)
     blocks = rate._Phi1Table(SG)._solves_at(us, 32.0)[0]
-    assert sizes == [15] * 10  # 150 rows x 4001 nodes: ten near-equal blocks of 2^16 elements or fewer
+    # near-equal blocks of 2^15 elements or fewer on the checked rungs, 150 rows
+    # x 1001 nodes and the 87 left unresolved x 2001, and of 2^16 on the last
+    # 21 x 4001
+    assert sizes == [30] * 5 + [15] * 3 + [14] * 3 + [11, 10]
     np.testing.assert_array_equal(blocks, whole)
 
 
@@ -228,7 +236,63 @@ def test_batch_rows_independent_of_their_batch():
     for k in (0, 35, 149):
         assert same(rate.solve_exponent_batch(H[k:k + 1].copy(), s, w, 1.0), slice(k, k + 1))
     blocks = rate._Phi1Table(SG)._solves_at(us, 32.0)[0]
-    assert np.array_equal(blocks, values_from_batch(whole[1], whole[0], 1.0))
+    assert np.array_equal(blocks, _one_block_ladder(SG, us, 32.0))
+
+
+def test_ladder_rows_independent_of_their_batch():
+    us = np.linspace(0.0, 6.0, 150)
+    whole = rate._gibbs_solves(SG, us, *np.ones((2, us.size, 1)), 1.0, 32.0)
+    for k in (1, 35, 149):
+        part = rate._gibbs_solves(SG, us[k:], *np.ones((2, us.size - k, 1)), 1.0, 32.0)
+        assert all(np.array_equal(a, b[k:]) for a, b in zip(part, whole))
+
+
+def test_ladder_promotes_narrow_weights_to_the_top_rung():
+    # a wide weight stops on every fourth node; a small budget (width
+    # sqrt(beta)) or a large tilt narrows it until only every node resolves it
+    R = (10**6) ** 0.2
+    amp = np.array([0.5, 0.5, 0.5, 7.6, 7.6])
+    beta = np.array([1.0, 1e-2, 1e-3, 1.0, 0.05])
+    value, _, _, stride = rate._gibbs_solves(SG, amp, *np.ones((2, amp.size, 1)), beta, R)
+    assert stride.tolist() == [4, 2, 1, 1, 1]
+    s, w = _grid_for(R)
+    zeta, log_mass, _, _ = rate.solve_exponent_batch(SG.log_laplace(2.0 * amp[:, None] * s), s, w,
+                                                     beta)
+    np.testing.assert_allclose(value, values_from_batch(log_mass, zeta, beta), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("R, ks", [
+    ((10**6) ** 0.2, (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)),
+    (64.0, (1000,)),
+    (20.008, (1, 32)),  # 2505 nodes: every fourth node's every other node is no Simpson grid
+])
+def test_ladder_matches_a_top_rung_solve_on_default_family_rows(R, ks):
+    # the rows of test_gibbs.test_batch_converges_over_default_family
+    s, w = _grid_for(R)
+    rungs = {4, 2, 1} if (s.size - 1) % 16 == 0 else {2, 1}
+    beta = np.tile(np.linspace(0.05, 1.0, 41), 16)
+    for k in ks:
+        a = np.repeat(np.linspace(0.0, 0.95 * 8.0 / math.sqrt(k), 17)[1:], 41)
+        value, _, _, stride = rate._gibbs_solves(SG, a, np.ones((a.size, 1)),
+                                                 np.full((a.size, 1), k), beta, R)
+        assert set(stride.tolist()) <= rungs
+        zeta, log_mass, _, _ = rate.solve_exponent_batch(k * SG.log_laplace(2.0 * a[:, None] * s),
+                                                         s, w, beta)
+        np.testing.assert_allclose(value, values_from_batch(log_mass, zeta, beta), rtol=0,
+                                   atol=1e-11)
+
+
+def test_gibbs_ladder_invariant():
+    values = check("gibbs_ladder")
+    assert values["rows_below_top"] > 0
+
+
+def test_gibbs_ladder_invariant_catches_an_unresolved_rung(monkeypatch):
+    # a ladder that accepts every row on its first rung keeps narrow weights
+    # that every fourth node does not resolve
+    monkeypatch.setattr(rate, "_simpson_agrees", lambda s, w, E, *rest: np.ones(len(E), bool))
+    with pytest.raises(InvariantError, match="accepted below the top rung are resolved"):
+        check("gibbs_ladder")
 
 
 def _full_rule(R):
@@ -490,6 +554,49 @@ def test_rate_point_sequence_matches_single_x_calls():
         q = rate.rate_point(SG, x, rate.HatMode())
         assert p.x == x
         assert (p.rate, p.minimizer.alpha, p.theta_star) == (q.rate, q.minimizer.alpha, q.theta_star)
+
+
+def test_hat_winners_take_theta_star_from_their_own_evaluation(monkeypatch):
+    # no sup_theta_rows call follows the alpha search, and each point's
+    # theta* is that of a sup_theta_rows call on its (x, alpha*) row alone
+    events, depth = [], [0]
+    sup, search = rate.sup_theta_rows, rate.stencil_max_rows
+
+    def sup_spy(pen, rows):
+        events.append("sup")
+        depth[0] += 1
+        try:
+            return sup(pen, rows)
+        finally:
+            depth[0] -= 1
+
+    def search_spy(f, cells, values):
+        if depth[0]:  # a theta refinement inside sup_theta_rows
+            return search(f, cells, values)
+        out = search(f, cells, values)
+        events.append("alpha search")
+        return out
+
+    monkeypatch.setattr(rate, "sup_theta_rows", sup_spy)
+    monkeypatch.setattr(rate, "stencil_max_rows", search_spy)
+    points = rate.rate_point(SG, [2.54, 2.78, 3.0], rate.HatMode())
+    assert events.count("alpha search") == 1 and events[-1] == "alpha search"
+    monkeypatch.undo()
+    for p in points:
+        row = np.array([[p.x, p.minimizer.alpha]])
+        theta, value = rate.sup_theta_rows(rate._hat_evaluator(SG), row)
+        assert (p.theta_star, p.rate) == (theta[0], value[0])
+
+
+def test_finite_n_curve_at_small_n_sits_its_zero_profile_offset_above_goe():
+    # at N = 1000 (R = 3.98) the zero profile's Gibbs term is -eps(R), eps =
+    # 6.9e-5, so the Gaussian's finite-N rate is the GOE rate plus eps at every x
+    curve = rate.rate_curve(GAUSS, [2.5, 3.0],
+                            rate.FiniteNMode(N=1000, family=rate.ProfileFamily((1,), 3)))
+    eps = rate._zero_profile_offset(GAUSS, 1000**0.2)
+    assert 6e-5 < eps < 7e-5
+    for p in curve.points:
+        assert p.rate - p.goe_rate == pytest.approx(eps, rel=0, abs=1e-12)
 
 
 def test_rate_point_at_edge():
