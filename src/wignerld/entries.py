@@ -129,6 +129,7 @@ class EntryDistribution:
         the tilted law reweights by exp(t x - L(t)).  Everything that does
         not depend on the stream is computed here, once, so a caller drawing
         many samples of one shape and tilt pays only for the random numbers.
+        Each draw is a fresh array, which the caller may overwrite.
         """
         raise NotImplementedError
 
@@ -259,10 +260,13 @@ class SparseGaussian(EntryDistribution):
 
         def draw(rng):
             mask = rng.random(n) < q
-            gauss = rng.standard_normal(n) / root_p
+            gauss = rng.standard_normal(n)
+            gauss /= root_p
             if mean is not None:
                 gauss += mean
-            return np.where(mask, gauss, 0.0)
+            bits = gauss.view(np.int64)
+            bits *= mask  # masked-out entries become +0.0, branch-free; kept ones keep their bits
+            return gauss
 
         return draw
 

@@ -372,6 +372,20 @@ def spike_mean(seed=0, N=SMOKE_MC[0], reps=SMOKE_MC[1]):
     return {"error": abs(mean - 10.0 / 3.0), "mean": mean}
 
 
+@_invariant("monte_carlo", "top eigenpair above the dense cutoff agrees with LAPACK",
+            lambda_gap=1e-10, residual=1e-10)
+def lanczos_vs_lapack(seed=0, N=300, reps=3):
+    if N <= montecarlo._DENSE_LIMIT:
+        raise ValueError(f"N={N} is not above the dense cutoff {montecarlo._DENSE_LIMIT}")
+    gap = resid = 0.0
+    for i in range(reps):
+        H = montecarlo.sample_wigner(GAUSS, N, rng=montecarlo.replica_rng(seed, i)).matrix
+        lam, v = montecarlo.lambda1_and_vector(H)
+        gap = max(gap, abs(lam - float(np.linalg.eigvalsh(H)[-1])))
+        resid = max(resid, float(np.linalg.norm(H @ v - lam * v)))
+    return {"lambda_gap": gap, "residual": resid}
+
+
 def _bbp(theta, seed, N, reps):
     rep = montecarlo.experiment({"kind": "bbp", "dist": GAUSS, "N": N, "reps": reps,
                                  "theta": theta, "seed": seed})

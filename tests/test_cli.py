@@ -57,6 +57,15 @@ def test_rate_run_loads_no_scipy():
     assert "'scipy.linalg'" in _scipy_after("import wignerld; wignerld.experiment")
 
 
+def test_mc_run_above_dense_cutoff_loads_no_scipy_sparse():
+    # the eigensolver above N = 256 is numpy Lanczos, not ARPACK
+    code = ("from wignerld import entries, montecarlo; montecarlo.experiment({'kind': 'bbp', "
+            "'dist': entries.Gaussian(), 'N': 300, 'reps': 2, 'theta': 1.0})")
+    loaded = _scipy_after(code)
+    assert "'scipy.linalg'" in loaded
+    assert "'scipy.sparse" not in loaded
+
+
 def test_parse_rate_curve_defaults():
     spec = parse_config(json.dumps({
         "command": "rate-curve",

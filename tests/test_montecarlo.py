@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -202,14 +201,46 @@ def test_lanczos_branch_matches_dense_eigh(monkeypatch):
 
 
 def test_lanczos_failure_names_n(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
     monkeypatch.setattr(mc, "_DENSE_LIMIT", 50)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    monkeypatch.setattr(mc, "_LANCZOS_STEPS", 2)  # far too few steps to converge
     s = mc.sample_wigner(SG, 120, rng=mc.replica_rng(21, 0))
     with pytest.raises(mc.EigensolverError, match="N=120"):
         mc.lambda1_and_vector(s)
+
+
+@pytest.mark.parametrize("N", [257, 400])
+@pytest.mark.parametrize("law, theta", [(SG, None), (SG, 0.3), (SG, 0.6), (SG, 1.0),
+                                        (bernoulli_std(0.3), None)],
+                         ids=["sg", "sg-0.3", "sg-0.6", "sg-1.0", "bernoulli"])
+def test_lanczos_matches_dense_eigh(N, law, theta):
+    assert N > mc._DENSE_LIMIT  # the Lanczos path
+    tilt = None if theta is None else (theta, np.full(N, 1.0 / math.sqrt(N)))
+    plan = mc._WignerPlan(law, N, tilt)
+    for i in range(20):
+        H = plan.draw(mc.replica_rng(31, i)).matrix
+        lam, v = mc.lambda1_and_vector(H)
+        vals, vecs = scipy.linalg.eigh(H, subset_by_index=(N - 1, N - 1))
+        u = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])  # the sign rule
+        assert abs(lam - vals[0]) <= 1e-10
+        np.testing.assert_allclose(v, u, rtol=0, atol=1e-9)
+        assert v[np.argmax(np.abs(v))] > 0
+
+
+def test_lanczos_breakdown_returns_exact_pair():
+    # the Krylov space of e_1 and the rest is invariant after two steps
+    H = np.eye(300)
+    H[0, 0] = 3.0
+    lam, v = mc._lanczos_top(H)
+    assert not np.isnan(v).any()
+    assert lam == pytest.approx(3.0, abs=1e-10)
+    assert abs(v[0]) == pytest.approx(1.0, abs=1e-10)
+    lam, v = mc.lambda1_and_vector(H)
+    assert lam == pytest.approx(3.0, abs=1e-10)
+    np.testing.assert_allclose(v, np.eye(300)[0], rtol=0, atol=1e-10)
+
+
+def test_lanczos_agrees_with_lapack_invariant():
+    check("lanczos_vs_lapack", seed=32, N=300, reps=6)
 
 
 def test_lambda1_rejects_nonfinite():
