@@ -33,8 +33,9 @@ from .semicircle import SpectralPoint, goe_rate, j_value, log_potential, overlap
 
 __version__ = "0.1.0"
 
-# montecarlo loads scipy.linalg, which only Monte Carlo runs use: its names
-# are served on first access (PEP 562), so a rate run imports no scipy
+# montecarlo loads scipy's compiled LAPACK module, which only Monte Carlo runs
+# use: its names are served on first access (PEP 562), so a rate run loads no
+# scipy module at all
 _MONTECARLO = ("MCReport", "WignerSample", "eigvec_localization", "experiment",
                "lambda1_and_vector", "make_rng", "replica_rng", "sample_wigner")
 

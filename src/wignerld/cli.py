@@ -310,7 +310,7 @@ def run(spec: RunSpec, threads: int = None, printer=print) -> int:
                                         p["alpha_tilde"], p["R"], p["t"])
         doc = {**meta, "dist": dist.spec_dict(), "form": form, "theta": theta, "value": value}
     else:  # mc
-        from . import montecarlo  # loads scipy.linalg, which only mc runs use
+        from . import montecarlo  # loads scipy's LAPACK module, which only mc runs use
 
         report = montecarlo.experiment(p, threads=threads)
         doc = {**report.to_json_dict(), "defaults_applied": spec.defaults_applied}

@@ -455,7 +455,9 @@ def standardize_atoms(atoms) -> DiscreteAtoms:
     pairs = [(float(x), float(m)) for x, m in atoms]
     xs = np.array([x for x, _ in pairs])
     ms = np.array([m for _, m in pairs])
-    if xs.size < 2 or np.unique(xs).size < 2:
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ms))):
+        raise ValueError("atom locations and masses must be finite")
+    if xs.size < 2 or not np.any(xs != xs[0]):  # np.unique would load numpy.ma
         raise ValueError("degenerate distribution")
     if np.any(ms <= 0) or abs(ms.sum() - 1.0) > 1e-9:
         raise ValueError("masses must be positive and sum to 1")

@@ -13,20 +13,29 @@ positions, the entry scales, and the law's ``sampler``, which does the
 tilt's rng-free work (mixture weights, means, CDF tables) up front.  A
 replica then costs its random draws, two scatters and one eigensolve.
 
-The eigensolve is LAPACK's subset ``eigh`` up to N = 256 and a numpy Lanczos
-run with full reorthogonalization above it, which needs some 40-120
-matrix-vector products at N = 400 instead of a full tridiagonalization.
+The eigensolve is LAPACK's ``dsyevr`` for the top eigenpair up to N = 256
+and a numpy Lanczos run with full reorthogonalization above it, which needs
+some 40-120 matrix-vector products at N = 400 instead of a full
+tridiagonalization; its Ritz test is LAPACK's ``dstebz`` and ``dstein``.
+These are the routines, and the arguments, that scipy's subset ``eigh`` and
+``eigh_tridiagonal(select="i")`` pass to scipy's compiled module
+``scipy.linalg._flapack``, so the results keep their bits.  That module is
+loaded from its file, once, at import: the ``scipy.linalg`` package, whose
+imports take some 0.2 s, never loads, and a later ``import scipy.linalg``
+shares the module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .entries import EntryDistribution
 
@@ -49,6 +58,42 @@ _RESIDUAL_TOL = 1e-8
 
 class EigensolverError(RuntimeError):
     pass
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without its package.
+
+    ``find_spec("scipy")`` locates scipy without importing it.  The module is
+    registered as ``scipy.linalg._flapack``, the name scipy gives it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is already loaded
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("montecarlo needs scipy's LAPACK module; scipy is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"no compiled LAPACK module _flapack in {folder}")
+
+
+_flapack = _load_flapack()
+_dsyevr, _dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
+_dstebz, _dstein = _flapack.dstebz, _flapack.dstein
+
+
+def _check_info(info, routine, n, step=None):
+    """EigensolverError unless LAPACK ``routine`` returned info = 0."""
+    if info != 0:
+        at = f"N={n}" if step is None else f"N={n}, Lanczos step {step}"
+        raise EigensolverError(f"LAPACK {routine} failed for {at}: info={info}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -135,8 +180,10 @@ def _lanczos_top(H):
     and the rounding's drift together.  Every 8 steps, and at once when
     beta_k <= 1e-12 (where any Ritz pair passes, a breakdown included), the
     top Ritz pair of T is tested: it is returned when the residual estimate
-    beta_k |s_k| <= 1e-12 max(1, |theta|).  Past _LANCZOS_STEPS steps
-    EigensolverError names N, the steps and the last estimate.
+    beta_k |s_k| <= 1e-12 max(1, |theta|).  The pair is bisection's top
+    eigenvalue (``dstebz``) and inverse iteration's vector (``dstein``).
+    Past _LANCZOS_STEPS steps EigensolverError names N, the steps and the
+    last estimate.
     """
     n = H.shape[0]
     cap = min(n, _LANCZOS_STEPS)
@@ -152,8 +199,14 @@ def _lanczos_top(H):
         alpha[k] = h[k]
         beta[k] = b = math.sqrt(w @ w)
         if b <= 1e-12 or (k + 1) % 8 == 0 or k + 1 == cap:
-            theta, s = scipy.linalg.eigh_tridiagonal(
-                alpha[:k + 1], beta[:k], select="i", select_range=(k, k), check_finite=False)
+            if k == 0:  # T is 1 x 1, which the f2py wrappers refuse
+                theta, s = alpha[:1], np.ones((1, 1))
+            else:
+                d, e = alpha[:k + 1], beta[:k]
+                m, theta, iblock, isplit, info = _dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B")
+                _check_info(info, "dstebz", n, k + 1)
+                s, info = _dstein(d, e, theta[:m], iblock, isplit)
+                _check_info(info, "dstein", n, k + 1)
             resid = b * abs(s[k, 0])
             if resid <= 1e-12 * max(1.0, abs(theta[0])):
                 return float(theta[0]), s[:, 0] @ basis
@@ -165,7 +218,7 @@ def _lanczos_top(H):
 def lambda1_and_vector(sample):
     """Largest eigenvalue and unit eigenvector of a symmetric matrix.
 
-    Dense LAPACK solve up to N = 256, numpy Lanczos (``_lanczos_top``)
+    LAPACK's ``dsyevr`` up to N = 256, numpy Lanczos (``_lanczos_top``)
     above; the eigenvector's largest coordinate is positive, and the returned
     pair always satisfies |H v - lambda v| < 1e-8 max(1, |lambda|).
     """
@@ -174,8 +227,14 @@ def lambda1_and_vector(sample):
         raise ValueError("matrix has non-finite entries")
     n = H.shape[0]
     if n <= _DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(H, subset_by_index=(n - 1, n - 1), check_finite=False)
-        lam, v = float(vals[0]), vecs[:, 0]
+        # the workspace query scipy's eigh makes: the f2py default lwork could
+        # change dsytrd's blocking and so the bits
+        lwork, liwork, info = _dsyevr_lwork(n, lower=1)
+        _check_info(info, "dsyevr_lwork", n)
+        w, z, _, _, info = _dsyevr(H, compute_v=1, range="I", lower=1, il=n, iu=n,
+                                   lwork=int(lwork), liwork=liwork)
+        _check_info(info, "dsyevr", n)
+        lam, v = float(w[0]), z[:, 0]
     else:
         lam, v = _lanczos_top(H)
     v = v / np.linalg.norm(v)

@@ -744,7 +744,9 @@ def _vector_points(dist: EntryDistribution, xs: list, mode, cap: float) -> list:
     theta_star, value = np.full((2, len(rows)), np.inf)  # dropped rows stay at inf
     theta_star[first], value[first] = refine(first)
     bound = np.repeat(value[first], sizes) + _TIE_TOL
-    rest = np.setdiff1d(np.flatnonzero(best <= bound), first)
+    near = best <= bound  # a mask: np.setdiff1d would load numpy.ma on first use
+    near[first] = False
+    rest = np.flatnonzero(near)
     if rest.size:
         theta_star[rest], value[rest] = refine(rest)
     _, n, csq = _terms(rows)

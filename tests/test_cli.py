@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wignerld import selfcheck
+from wignerld import montecarlo, selfcheck
 from wignerld.cli import ConfigError, main, parse_config, run
 from wignerld.entries import SparseGaussian
 
@@ -50,20 +50,58 @@ def test_hat_rate_curve_loads_only_scipy_linalg():
 
 
 def test_rate_run_loads_no_scipy():
-    # montecarlo, which imports scipy.linalg, loads only for the Monte Carlo names
+    # montecarlo, which loads scipy's LAPACK module, loads only for the Monte Carlo names
     code = ("import wignerld, wignerld.cli; from wignerld import entries, rate; "
             "rate.rate_curve(entries.SparseGaussian(0.5), [2.4, 2.8], rate.HatMode())")
     assert _scipy_after(code) == "[]"
-    assert "'scipy.linalg'" in _scipy_after("import wignerld; wignerld.experiment")
+    assert _scipy_after("import wignerld; wignerld.experiment") == "['scipy.linalg._flapack']"
 
 
 def test_mc_run_above_dense_cutoff_loads_no_scipy_sparse():
-    # the eigensolver above N = 256 is numpy Lanczos, not ARPACK
+    # the eigensolver above N = 256 is numpy Lanczos, not ARPACK, and neither
+    # path loads the scipy.linalg package
     code = ("from wignerld import entries, montecarlo; montecarlo.experiment({'kind': 'bbp', "
             "'dist': entries.Gaussian(), 'N': 300, 'reps': 2, 'theta': 1.0})")
-    loaded = _scipy_after(code)
-    assert "'scipy.linalg'" in loaded
-    assert "'scipy.sparse" not in loaded
+    assert _scipy_after(code) == "['scipy.linalg._flapack']"
+
+
+def test_mc_run_without_scipy_linalg_keeps_its_samples():
+    # a pinned dense run and a Lanczos run, then scipy.linalg on top of the
+    # module montecarlo loaded: the package shares it and its wrappers work
+    code = ("import json, sys; from wignerld import entries, montecarlo as mc; "
+            "dense = mc.experiment({'kind': 'bbp', 'dist': entries.SparseGaussian(0.5), "
+            "'N': 24, 'reps': 4, 'seed': 11, 'theta': 1.0}); "
+            "lanczos = mc.experiment({'kind': 'bbp', 'dist': entries.SparseGaussian(0.5), "
+            "'N': 300, 'reps': 2, 'seed': 3, 'theta': 1.0}); "
+            "loaded = 'scipy.linalg' in sys.modules; "
+            "import numpy as np, scipy.linalg; "
+            "a = np.diag([1.0, 3.0]); w, z, m, isuppz, info = scipy.linalg.lapack.dsyevr(a); "
+            "print(json.dumps([loaded, [repr(float(x)) for x in dense.lambda1], "
+            "[repr(float(x)) for x in lanczos.lambda1], list(scipy.linalg.eigh(a)[0]), "
+            "list(w), info, scipy.linalg.lapack.dsyevr is mc._dsyevr]))")
+    loaded, dense, lanczos, eigh, w, info, shared = json.loads(_fresh_stdout(code))
+    assert not loaded
+    # the samples test_experiment_samples_pinned pins for this run
+    assert dense == ["2.343180047705744", "3.204361901612241", "2.6953075819710217",
+                     "2.721634707403202"]
+    # here scipy.linalg was loaded first and montecarlo took its module
+    again = montecarlo.experiment({"kind": "bbp", "dist": SparseGaussian(0.5), "N": 300,
+                                   "reps": 2, "seed": 3, "theta": 1.0})
+    assert lanczos == [repr(float(x)) for x in again.lambda1]
+    assert eigh == w == [1.0, 3.0] and info == 0 and shared
+
+
+def test_vector_points_load_no_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on first use, which a timed
+    # vector point would pay for
+    code = ("import sys; from wignerld import entries, rate; sg = entries.SparseGaussian(0.5); "
+            "rate.rate_point(sg, 3.0, rate.FiniteNMode(N=10**6, "
+            "family=rate.ProfileFamily(k_values=(1, 4), n_mass=3))); "
+            "rate.rate_point(sg, 3.0, rate.TildeMode(N=10**6, "
+            "family=rate.ProfileFamily(k_values=(1,), n_mass=3), n_alpha=2)); "
+            "entries.bernoulli_std(0.3); entries.standardize_atoms([(0.0, 0.5), (1.0, 0.5)]); "
+            "print('numpy.ma' in sys.modules)")
+    assert _fresh_stdout(code) == "False"
 
 
 def test_parse_rate_curve_defaults():

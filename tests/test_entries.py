@@ -339,6 +339,14 @@ def test_standardize_degenerate():
         standardize_atoms([(1.0, 0.5), (1.0, 0.5)])
 
 
+@pytest.mark.parametrize("atoms", [[(math.nan, 0.5), (math.nan, 0.5)],
+                                   [(math.nan, 0.5), (1.0, 0.5)],
+                                   [(0.0, math.nan), (1.0, 0.5)]])
+def test_standardize_rejects_nonfinite(atoms):
+    with pytest.raises(ValueError, match="finite"):
+        standardize_atoms(atoms)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(

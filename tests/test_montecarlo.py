@@ -1,4 +1,6 @@
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +208,25 @@ def test_lanczos_failure_names_n(monkeypatch):
     s = mc.sample_wigner(SG, 120, rng=mc.replica_rng(21, 0))
     with pytest.raises(mc.EigensolverError, match="N=120"):
         mc.lambda1_and_vector(s)
+
+
+@pytest.mark.parametrize("routine, N, at", [("dsyevr_lwork", 40, ""), ("dsyevr", 40, ""),
+                                            ("dstebz", 120, ", Lanczos step 8"),
+                                            ("dstein", 120, ", Lanczos step 8")])
+def test_lapack_failure_names_routine_and_n(monkeypatch, routine, N, at):
+    monkeypatch.setattr(mc, "_DENSE_LIMIT", 50)
+    real = getattr(mc, "_" + routine)
+    monkeypatch.setattr(mc, "_" + routine, lambda *a, **kw: (*real(*a, **kw)[:-1], 1))
+    s = mc.sample_wigner(SG, N, rng=mc.replica_rng(21, 0))
+    with pytest.raises(mc.EigensolverError, match=f"LAPACK {routine} failed for N={N}{at}: info=1"):
+        mc.lambda1_and_vector(s)
+
+
+def test_missing_lapack_module_names_its_folder(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"no compiled LAPACK module _flapack in .*scipy.linalg"):
+        mc._load_flapack()
 
 
 @pytest.mark.parametrize("N", [257, 400])
