@@ -290,6 +290,8 @@ class DiscreteAtoms(EntryDistribution):
         ms = np.asarray(masses, dtype=float)
         if xs.ndim != 1 or xs.shape != ms.shape or xs.size < 2:
             raise ValueError("need at least two (location, mass) atoms")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ms))):
+            raise ValueError("atom locations and masses must be finite")
         if np.any(ms <= 0):
             raise ValueError("atom masses must be positive")
         if abs(ms.sum() - 1.0) > 1e-9:
@@ -455,8 +457,6 @@ def standardize_atoms(atoms) -> DiscreteAtoms:
     pairs = [(float(x), float(m)) for x, m in atoms]
     xs = np.array([x for x, _ in pairs])
     ms = np.array([m for _, m in pairs])
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ms))):
-        raise ValueError("atom locations and masses must be finite")
     if xs.size < 2 or not np.any(xs != xs[0]):  # np.unique would load numpy.ma
         raise ValueError("degenerate distribution")
     if np.any(ms <= 0) or abs(ms.sum() - 1.0) > 1e-9:

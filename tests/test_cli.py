@@ -84,7 +84,7 @@ def test_mc_run_without_scipy_linalg_keeps_its_samples():
     # the samples test_experiment_samples_pinned pins for this run
     assert dense == ["2.343180047705744", "3.204361901612241", "2.6953075819710217",
                      "2.721634707403202"]
-    # here scipy.linalg was loaded first and montecarlo took its module
+    # the same bits as in this process, where scipy.linalg is loaded too
     again = montecarlo.experiment({"kind": "bbp", "dist": SparseGaussian(0.5), "N": 300,
                                    "reps": 2, "seed": 3, "theta": 1.0})
     assert lanczos == [repr(float(x)) for x in again.lambda1]

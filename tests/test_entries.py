@@ -342,9 +342,11 @@ def test_standardize_degenerate():
 @pytest.mark.parametrize("atoms", [[(math.nan, 0.5), (math.nan, 0.5)],
                                    [(math.nan, 0.5), (1.0, 0.5)],
                                    [(0.0, math.nan), (1.0, 0.5)]])
-def test_standardize_rejects_nonfinite(atoms):
+def test_atoms_reject_nonfinite(atoms):
     with pytest.raises(ValueError, match="finite"):
         standardize_atoms(atoms)
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteAtoms(*zip(*atoms))
 
 
 @settings(max_examples=25, deadline=None)
