@@ -8,21 +8,23 @@ the derivative of the log-Laplace transform entrywise.
 Randomness comes from counter-based Philox streams keyed by (seed, replica
 index), so serial and parallel runs produce bit-identical reports.
 
-An experiment builds one sampling plan for its (law, N, tilt): the triangle
-positions, the entry scales, and the law's ``sampler``, which does the
-tilt's rng-free work (mixture weights, means, CDF tables) up front.  A
-replica then costs its random draws, two scatters and one eigensolve.
+An experiment builds one sampling plan for its (law, N, tilt): the upper
+triangle's mask, the entry scales, and the law's ``sampler``, which does
+the tilt's rng-free work (mixture weights, means, CDF tables) up front.  A
+replica then costs its random draws, two masked writes and one eigensolve.
 
 The eigensolve is LAPACK's ``dsyevr`` for the top eigenpair up to N = 256
-and a numpy Lanczos run with full reorthogonalization above it, which needs
-some 40-120 matrix-vector products at N = 400 instead of a full
-tridiagonalization; its Ritz test is LAPACK's ``dstebz`` and ``dstein``.
-These are the routines, and the arguments, that scipy's subset ``eigh`` and
-``eigh_tridiagonal(select="i")`` pass to scipy's compiled module
-``scipy.linalg._flapack``, so the results keep their bits.  That module is
-loaded from its file, once, at import: the ``scipy.linalg`` package, whose
-imports take some 0.2 s, never loads, and a later ``import scipy.linalg``
-shares the module.
+and a Lanczos run with full reorthogonalization above it, which needs some
+40-100 matrix-vector products at N = 400 instead of a full
+tridiagonalization.  Its products are BLAS's ``dsymv`` on H's lower
+triangle, the one ``dsyevr`` reads, and its Ritz test is LAPACK's
+``dstebz`` and ``dstein``.  The LAPACK routines take the arguments that
+scipy's subset ``eigh`` and ``eigh_tridiagonal(select="i")`` pass, so their
+results keep scipy's bits.  They come from scipy's compiled modules
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, each loaded from its
+file, once, at import: the ``scipy.linalg`` package, whose imports take
+some 0.2 s, never loads, and a later ``import scipy.linalg`` shares the
+modules.
 """
 
 from __future__ import annotations
@@ -60,31 +62,34 @@ class EigensolverError(RuntimeError):
     pass
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK module, loaded from its file without its package.
+def _load_linalg(stem):
+    """scipy's compiled module ``scipy.linalg.<stem>``, loaded from its file
+    without its package.
 
     ``find_spec("scipy")`` locates scipy without importing it.  The module is
-    registered as ``scipy.linalg._flapack``, the name scipy gives it.
+    registered under the name scipy gives it, so ``scipy.linalg`` shares it.
     """
-    name = "scipy.linalg._flapack"
+    name = "scipy.linalg." + stem
     if name in sys.modules:  # scipy.linalg is already loaded
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     if spec is None:
-        raise ImportError("montecarlo needs scipy's LAPACK module; scipy is not installed")
+        raise ImportError(f"montecarlo needs scipy's compiled module {stem}; "
+                          "scipy is not installed")
     folder = os.path.join(spec.submodule_search_locations[0], "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
+        path = os.path.join(folder, stem + suffix)
         if os.path.isfile(path):
             loader = importlib.machinery.ExtensionFileLoader(name, path)
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
             loader.exec_module(module)
             sys.modules[name] = module
             return module
-    raise ImportError(f"no compiled LAPACK module _flapack in {folder}")
+    raise ImportError(f"no compiled module {stem} in {folder}")
 
 
-_flapack = _load_flapack()
+_dsymv = _load_linalg("_fblas").dsymv
+_flapack = _load_linalg("_flapack")
 _dsyevr, _dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
 _dstebz, _dstein = _flapack.dstebz, _flapack.dstein
 
@@ -119,9 +124,9 @@ class _WignerPlan:
     """The rng-free part of sampling one ensemble (law, N, tilt), built once.
 
     It holds the law's ``draw`` for the N(N+1)/2 upper-triangle entries in
-    ``np.triu_indices`` order, their scales, and their flat positions in the
-    upper and in the lower triangle.  ``draw(rng)`` scales one draw and writes
-    it to both positions of an empty N x N array (a diagonal entry twice), so
+    ``np.triu_indices`` order, their scales, and the upper triangle's mask.
+    ``draw(rng)`` scales one draw and writes it through the mask into an
+    empty N x N array and into its transpose (a diagonal entry twice), so
     every replica of an experiment pays only for its random numbers.
     """
 
@@ -144,16 +149,15 @@ class _WignerPlan:
         self.dist, self.N, self.tilt = dist, N, tilt
         self._entries = dist.sampler(iu.size, tparams)
         self._scale = np.where(diag, math.sqrt(2.0 / N), math.sqrt(1.0 / N))
-        self._upper = iu * N + ju
-        self._lower = ju * N + iu
+        self._upper = np.triu(np.ones((N, N), dtype=bool))  # True in triu_indices order
 
     def draw(self, rng: np.random.Generator) -> WignerSample:
         a = self._entries(rng)
         a *= self._scale
-        H = np.empty(self.N * self.N)
+        H = np.empty((self.N, self.N))
         H[self._upper] = a
-        H[self._lower] = a
-        return WignerSample(self.N, H.reshape(self.N, self.N), self.dist.kind, self.tilt)
+        H.T[self._upper] = a
+        return WignerSample(self.N, H, self.dist.kind, self.tilt)
 
 
 def sample_wigner(dist: EntryDistribution, N: int, tilt=None,
@@ -171,34 +175,54 @@ def _as_matrix(sample):
     return sample.matrix if isinstance(sample, WignerSample) else np.asarray(sample, dtype=float)
 
 
+def _next_test(step, resid, tol, last):
+    """Steps from ``step`` to the next Ritz test.
+
+    The residual estimate falls about geometrically, so the next test goes
+    where the log-linear fit through this estimate and the ``last`` one,
+    a (step, estimate) pair, reaches ``tol``: 2 to 16 steps ahead, and 8
+    after the first test, which has no fit.
+    """
+    if last is None:
+        return 8
+    rate = math.log(resid / last[1]) / (step - last[0])  # per step; < 0 while converging
+    ahead = math.log(tol / resid) / rate if rate < 0 else 16.0
+    return max(2, math.ceil(min(ahead, 16.0)))
+
+
 def _lanczos_top(H):
     """Top Ritz pair of H by Lanczos with full reorthogonalization.
 
     The start vector is a fixed normal draw, so the result depends on H
-    alone.  Each step takes H v_k against the whole basis in one classical
-    Gram-Schmidt pass, which subtracts the three-term recurrence's terms
-    and the rounding's drift together.  Every 8 steps, and at once when
-    beta_k <= 1e-12 (where any Ritz pair passes, a breakdown included), the
-    top Ritz pair of T is tested: it is returned when the residual estimate
-    beta_k |s_k| <= 1e-12 max(1, |theta|).  The pair is bisection's top
-    eigenvalue (``dstebz``) and inverse iteration's vector (``dstein``).
-    Past _LANCZOS_STEPS steps EigensolverError names N, the steps and the
-    last estimate.
+    alone.  H v_k is BLAS's ``dsymv`` on the F-contiguous view H.T, read in
+    place: its upper triangle is H's lower one, the triangle the dense
+    ``dsyevr(lower=1)`` reads.  Each step takes H v_k against the whole
+    basis in one classical Gram-Schmidt pass, which subtracts the
+    three-term recurrence's terms and the rounding's drift together.  The
+    top Ritz pair of T is tested at step 8, then where ``_next_test``
+    predicts the residual estimate beta_k |s_k| reaches 1e-12 max(1,
+    |theta|), and at once when beta_k <= 1e-12 (where any Ritz pair passes,
+    a breakdown included) or at the step cap; a pair within the bound is
+    returned.  The pair is bisection's top eigenvalue (``dstebz``) and
+    inverse iteration's vector (``dstein``).  Past _LANCZOS_STEPS steps
+    EigensolverError names N, the steps and the last estimate.
     """
     n = H.shape[0]
     cap = min(n, _LANCZOS_STEPS)
+    Ht = np.asfortranarray(H.T)  # no copy of a C-ordered H; f2py would copy others every step
     V = np.empty((cap + 1, n))  # the basis, one row per vector
     alpha, beta = np.empty(cap), np.empty(cap)
     q = np.random.default_rng(0).standard_normal(n)
     V[0] = q / np.linalg.norm(q)
+    test_at, last = 8, None  # the next test's step; the last test's (step, estimate)
     for k in range(cap):
         basis = V[:k + 1]
-        w = H @ V[k]
+        w = _dsymv(1.0, Ht, V[k])
         h = basis @ w  # h[k] is alpha_k
         w -= h @ basis
         alpha[k] = h[k]
         beta[k] = b = math.sqrt(w @ w)
-        if b <= 1e-12 or (k + 1) % 8 == 0 or k + 1 == cap:
+        if b <= 1e-12 or k + 1 == test_at or k + 1 == cap:
             if k == 0:  # T is 1 x 1, which the f2py wrappers refuse
                 theta, s = alpha[:1], np.ones((1, 1))
             else:
@@ -208,8 +232,11 @@ def _lanczos_top(H):
                 s, info = _dstein(d, e, theta[:m], iblock, isplit)
                 _check_info(info, "dstein", n, k + 1)
             resid = b * abs(s[k, 0])
-            if resid <= 1e-12 * max(1.0, abs(theta[0])):
+            tol = 1e-12 * max(1.0, abs(theta[0]))
+            if resid <= tol:
                 return float(theta[0]), s[:, 0] @ basis
+            test_at = k + 1 + _next_test(k + 1, resid, tol, last)
+            last = (k + 1, resid)
         np.divide(w, b, out=V[k + 1])
     raise EigensolverError(f"Lanczos did not converge for N={n}: {cap} steps, "
                            f"residual estimate {resid:.2e}")
@@ -218,9 +245,9 @@ def _lanczos_top(H):
 def lambda1_and_vector(sample):
     """Largest eigenvalue and unit eigenvector of a symmetric matrix.
 
-    LAPACK's ``dsyevr`` up to N = 256, numpy Lanczos (``_lanczos_top``)
-    above; the eigenvector's largest coordinate is positive, and the returned
-    pair always satisfies |H v - lambda v| < 1e-8 max(1, |lambda|).
+    LAPACK's ``dsyevr`` up to N = 256, Lanczos (``_lanczos_top``) above;
+    the eigenvector's largest coordinate is positive, and the returned pair
+    always satisfies |H v - lambda v| < 1e-8 max(1, |lambda|).
     """
     H = _as_matrix(sample)
     if not np.all(np.isfinite(H)):

@@ -50,11 +50,12 @@ def test_hat_rate_curve_loads_only_scipy_linalg():
 
 
 def test_rate_run_loads_no_scipy():
-    # montecarlo, which loads scipy's LAPACK module, loads only for the Monte Carlo names
+    # montecarlo, which loads scipy's BLAS and LAPACK modules, loads only for the Monte Carlo names
     code = ("import wignerld, wignerld.cli; from wignerld import entries, rate; "
             "rate.rate_curve(entries.SparseGaussian(0.5), [2.4, 2.8], rate.HatMode())")
     assert _scipy_after(code) == "[]"
-    assert _scipy_after("import wignerld; wignerld.experiment") == "['scipy.linalg._flapack']"
+    assert _scipy_after("import wignerld; wignerld.experiment") == \
+        "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
 
 
 def test_mc_run_above_dense_cutoff_loads_no_scipy_sparse():
@@ -62,12 +63,12 @@ def test_mc_run_above_dense_cutoff_loads_no_scipy_sparse():
     # path loads the scipy.linalg package
     code = ("from wignerld import entries, montecarlo; montecarlo.experiment({'kind': 'bbp', "
             "'dist': entries.Gaussian(), 'N': 300, 'reps': 2, 'theta': 1.0})")
-    assert _scipy_after(code) == "['scipy.linalg._flapack']"
+    assert _scipy_after(code) == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
 
 
 def test_mc_run_without_scipy_linalg_keeps_its_samples():
     # a pinned dense run and a Lanczos run, then scipy.linalg on top of the
-    # module montecarlo loaded: the package shares it and its wrappers work
+    # modules montecarlo loaded: the package shares them and their wrappers work
     code = ("import json, sys; from wignerld import entries, montecarlo as mc; "
             "dense = mc.experiment({'kind': 'bbp', 'dist': entries.SparseGaussian(0.5), "
             "'N': 24, 'reps': 4, 'seed': 11, 'theta': 1.0}); "
@@ -78,8 +79,9 @@ def test_mc_run_without_scipy_linalg_keeps_its_samples():
             "a = np.diag([1.0, 3.0]); w, z, m, isuppz, info = scipy.linalg.lapack.dsyevr(a); "
             "print(json.dumps([loaded, [repr(float(x)) for x in dense.lambda1], "
             "[repr(float(x)) for x in lanczos.lambda1], list(scipy.linalg.eigh(a)[0]), "
-            "list(w), info, scipy.linalg.lapack.dsyevr is mc._dsyevr]))")
-    loaded, dense, lanczos, eigh, w, info, shared = json.loads(_fresh_stdout(code))
+            "list(w), info, scipy.linalg.lapack.dsyevr is mc._dsyevr, "
+            "scipy.linalg.blas.dsymv is mc._dsymv]))")
+    loaded, dense, lanczos, eigh, w, info, shared, shared_blas = json.loads(_fresh_stdout(code))
     assert not loaded
     # the samples test_experiment_samples_pinned pins for this run
     assert dense == ["2.343180047705744", "3.204361901612241", "2.6953075819710217",
@@ -88,7 +90,7 @@ def test_mc_run_without_scipy_linalg_keeps_its_samples():
     again = montecarlo.experiment({"kind": "bbp", "dist": SparseGaussian(0.5), "N": 300,
                                    "reps": 2, "seed": 3, "theta": 1.0})
     assert lanczos == [repr(float(x)) for x in again.lambda1]
-    assert eigh == w == [1.0, 3.0] and info == 0 and shared
+    assert eigh == w == [1.0, 3.0] and info == 0 and shared and shared_blas
 
 
 def test_vector_points_load_no_numpy_ma():

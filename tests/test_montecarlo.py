@@ -158,6 +158,22 @@ def test_sample_matches_reference_construction(law, N, seed, theta):
     assert s.matrix.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
 
 
+@pytest.mark.parametrize("N", [2, 3, 100, 257])
+@pytest.mark.parametrize("tilted", [False, True])
+def test_masked_write_matches_triu_scatter(N, tilted):
+    tilt = (0.8, np.full(N, 1.0 / math.sqrt(N))) if tilted else None
+    plan = mc._WignerPlan(SG, N, tilt)
+    H = plan.draw(mc.replica_rng(5, N)).matrix
+    a = plan._entries(mc.replica_rng(5, N))
+    a *= plan._scale
+    iu, ju = np.triu_indices(N)
+    ref = np.empty((N, N))
+    ref[iu, ju] = a
+    ref[ju, iu] = a
+    assert H.flags.c_contiguous
+    assert H.tobytes() == ref.tobytes()
+
+
 # --- eigensolver -----------------------------------------------------------------
 
 
@@ -222,11 +238,12 @@ def test_lapack_failure_names_routine_and_n(monkeypatch, routine, N, at):
         mc.lambda1_and_vector(s)
 
 
-def test_missing_lapack_module_names_its_folder(monkeypatch):
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+@pytest.mark.parametrize("stem", ["_flapack", "_fblas"])
+def test_missing_lapack_module_names_its_folder(monkeypatch, stem):
+    monkeypatch.delitem(sys.modules, "scipy.linalg." + stem)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
-    with pytest.raises(ImportError, match=r"no compiled LAPACK module _flapack in .*scipy.linalg"):
-        mc._load_flapack()
+    with pytest.raises(ImportError, match=rf"no compiled module {stem} in .*scipy.linalg"):
+        mc._load_linalg(stem)
 
 
 @pytest.mark.parametrize("N", [257, 400])
@@ -258,6 +275,53 @@ def test_lanczos_breakdown_returns_exact_pair():
     lam, v = mc.lambda1_and_vector(H)
     assert lam == pytest.approx(3.0, abs=1e-10)
     np.testing.assert_allclose(v, np.eye(300)[0], rtol=0, atol=1e-10)
+
+
+def test_lanczos_reads_the_lower_triangle():
+    # the triangle the dense dsyevr(lower=1) reads; the upper one is never read
+    H = mc.sample_wigner(SG, 300, rng=mc.replica_rng(4, 0)).matrix
+    garbled = H.copy()
+    garbled[np.triu_indices(300, 1)] = 7.0
+    lam, v = mc._lanczos_top(H)
+    lam_g, v_g = mc._lanczos_top(garbled)
+    assert lam == lam_g and v.tobytes() == v_g.tobytes()
+
+
+def test_next_test_follows_the_log_linear_fit():
+    assert mc._next_test(8, 1e-4, 1e-12, None) == 8  # no fit after the first test
+    assert mc._next_test(16, 1e-8, 1e-12, (8, 2e-4)) == 8  # 7.4 steps ahead
+    assert mc._next_test(16, 1e-8, 1e-12, (8, 1e-6)) == 16  # not falling
+    assert mc._next_test(16, 1e-8, 1e-12, (15, 2e-7)) == 4  # 3.1 steps ahead
+    assert mc._next_test(16, 1e-8, 1e-12, (8, 1e-5)) == 11  # 10.7 steps ahead
+    assert mc._next_test(16, 2e-12, 1e-12, (8, 1e-4)) == 2  # clamped below
+    assert mc._next_test(16, 1e-5, 1e-12, (8, 1e-4)) == 16  # clamped above
+
+
+@pytest.mark.parametrize("theta, max_tests, max_mean_steps", [(1.0, 6, 46.0), (0.3, 9, 94.0)])
+def test_lanczos_steps_and_ritz_tests_bounded(monkeypatch, theta, max_tests, max_mean_steps):
+    # a test every 8 steps took 5-7 tests and 47.3 steps a replica here at
+    # theta = 1, and 9-14 tests and 95.0 steps at theta = 0.3
+    tests, steps = [], []
+    dsymv, dstebz = mc._dsymv, mc._dstebz
+
+    def count_step(*a, **kw):
+        steps[-1] += 1
+        return dsymv(*a, **kw)
+
+    def count_test(*a, **kw):
+        tests[-1] += 1
+        return dstebz(*a, **kw)
+
+    monkeypatch.setattr(mc, "_dsymv", count_step)
+    monkeypatch.setattr(mc, "_dstebz", count_test)
+    N = 400
+    plan = mc._WignerPlan(SG, N, (theta, np.full(N, 1.0 / math.sqrt(N))))
+    for i in range(24):
+        tests.append(0)
+        steps.append(0)
+        mc.lambda1_and_vector(plan.draw(mc.replica_rng(17, i)))
+    assert max(tests) <= max_tests
+    assert np.mean(steps) <= max_mean_steps
 
 
 def test_lanczos_agrees_with_lapack_invariant():
