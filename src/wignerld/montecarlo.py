@@ -15,7 +15,7 @@ replica then costs its random draws, two masked writes and one eigensolve.
 
 The eigensolve is LAPACK's ``dsyevr`` for the top eigenpair up to N = 256
 and a Lanczos run with full reorthogonalization above it, which needs some
-40-100 matrix-vector products at N = 400 instead of a full
+40-110 matrix-vector products at N = 400 instead of a full
 tridiagonalization.  Its products are BLAS's ``dsymv`` on H's lower
 triangle, the one ``dsyevr`` reads, and its Ritz test is LAPACK's
 ``dstebz`` and ``dstein``.  The LAPACK routines take the arguments that
